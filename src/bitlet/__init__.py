@@ -16,17 +16,17 @@ The library splits into:
 
 from .analysis import (SweepRow, SweepSpec, Verdict, Winner, Workload,
                        crossover_oc, energy_breakeven_oc, litmus, sweep)
-from .catalog import (ColumnOverflow, OpKind, OpSpec, UnsupportedOperation,
-                      UnsupportedWidth, catalog_table, microprogram_of, oc_of)
+from .catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
+                      catalog_table, microprogram_of, oc_of)
 from .layout import (LayoutSpec, RelocationAssignment, default_assignment,
                      pac_of, relocation_program)
 from .machine import (CpuMachine, PimMachine, PowerBudget, Throughput,
                       WorkloadPoint)
 from .model import (energy_per_op_cpu, energy_per_op_pim, mat_power_cap,
                     perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim)
-from .simulator import (ArrayState, ColRange, HMove, InvalidProgram, Nor,
-                        NorProgram, VMove, count_cycles, from_text, run,
-                        to_text)
+from .simulator import (ArrayState, ColRange, ColumnOverflow, HMove,
+                        InvalidProgram, Nor, NorProgram, VMove, count_cycles,
+                        from_text, run, to_text)
 
 __version__ = "0.1.0"
 

@@ -31,7 +31,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .simulator import ColRange, Instr, Nor, NorProgram
+from .simulator import ColRange, ColumnOverflow, Instr, Nor, NorProgram
 
 WIDTH_CAP = 1024  # keeps generated programs within one array's columns
 
@@ -42,10 +42,6 @@ class UnsupportedWidth(ValueError):
 
 class UnsupportedOperation(ValueError):
     """No canonical microprogram exists for this operation kind."""
-
-
-class ColumnOverflow(ValueError):
-    """The generated program does not fit the column budget."""
 
 
 class OpKind(enum.Enum):

@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .machine import PimMachine
-from .simulator import ColRange, HMove, Instr, NorProgram, VMove
-
-
-class ColumnOverflow(ValueError):
-    """The move plan does not fit the array's columns."""
+from .simulator import ColRange, ColumnOverflow, HMove, Instr, NorProgram, VMove
 
 
 class RowOverflow(ValueError):
@@ -149,24 +145,25 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine,
             raise ColumnOverflow(f"element region [{lo}, {lo + n}) exceeds "
                                  f"{cols} columns")
 
-    instrs: list[Instr] = []
-    for src, dst in regions:
-        for j in range(n):
-            instrs.append(HMove(dst + j, src + j))
-
-    def region_of(row: int) -> int:
-        if k == 0:
-            return assignment.aligned_start
-        return assignment.target_starts[subset_of_row(row, rows, k)]
-
+    instrs: list[Instr] = [HMove(dst + j, src + j) for src, dst in regions
+                           for j in range(n)]
     if layout.needs_vertical_relocation:
         off = assignment.vertical_offset
+        # element region of each row: one contiguous block of rows per subset
+        if k == 0:
+            region = [assignment.aligned_start] * rows
+        else:
+            bounds = [-(-g * rows // k) for g in range(k + 1)]
+            region = [t for g, t in enumerate(assignment.target_starts)
+                      for _ in range(bounds[g + 1] - bounds[g])]
+        # destinations in an order where no move reads a row already written;
+        # the last |off| of them take their element from the neighbouring array
         dests = range(rows) if off < 0 else range(rows - 1, -1, -1)
-        for d in dests:
-            src_row = d - off
-            crosses = not 0 <= src_row < rows
-            lo = region_of(src_row if not crosses else d)
-            instrs.append(VMove(off, lo, lo + n - 1, src_row, crosses_array=crosses))
+        inside = max(rows - abs(off), 0)
+        instrs += [VMove(off, region[d - off], region[d - off] + n - 1, d - off)
+                   for d in dests[:inside]]
+        instrs += [VMove(off, region[d], region[d] + n - 1, d - off, crosses_array=True)
+                   for d in dests[inside:]]
 
     inputs = tuple(ColRange(f"source_{g}", s, n)
                    for g, s in enumerate(assignment.source_starts))

@@ -1,7 +1,7 @@
 """Row-parallel NOR microprogram simulator.
 
-Models computation inside one memory array as a dense ROW x COL bit matrix
-operated on by three instruction kinds, each costing exactly one cycle:
+Models computation inside one memory array of ROW x COL bit cells, operated
+on by three instruction kinds, each costing exactly one cycle:
 
   * ``Nor``    writes NOR of 1..max_fanin source columns into a destination
                column, in every row at once.
@@ -16,6 +16,24 @@ Programs are static: they are validated in full against the array dimensions
 before any cell is touched, and the cycle count of a run always equals the
 instruction count. Rows never interact except through explicit ``VMove``.
 
+Storage. A MAGIC NOR writes one column of every row at once, so the state is
+held column-major and bit-packed: one plane of ceil(ROW / 64) 64-bit words
+per column, row r at bit r % 64 of word r // 64. A NOR ORs its source planes
+into the destination plane and inverts it in place; an HMove copies one
+plane. Padding bits past the last row may take any value while a program
+runs and are cleared before ``run`` returns, so they are never seen. The
+``bool`` matrix form exists only at the boundary: the ``ArrayState``
+constructor, the read-only ``ArrayState.bits`` and ``apply_instr``, which
+states the reference semantics the tests hold the packed engine to.
+
+VMove batching. Each stretch of consecutive VMoves is split into runs, and a
+run executes as one gather per distinct (col_lo, col_hi) on the unpacked
+columns and words it touches: every source is read before any destination
+is written. A run ends before the first move that reads or writes a row
+that an earlier move of the same run wrote (the hazard condition), so each
+read sees what sequential execution would show it and no row is written
+twice. Crossing moves take part in no run.
+
 A line-oriented text form is provided for golden files::
 
     NOR dest src1 [src2 src3 src4]
@@ -26,12 +44,17 @@ A line-oriented text form is provided for golden files::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 
 class InvalidProgram(ValueError):
     """A program failed static validation against the array dimensions."""
+
+
+class ColumnOverflow(ValueError):
+    """A generated program or move plan does not fit the available columns."""
 
 
 @dataclass(frozen=True)
@@ -121,69 +144,112 @@ class NorProgram:
     def validate(self, rows: int, cols: int) -> None:
         """Raise InvalidProgram unless every instruction is legal for rows x cols."""
         for i, ins in enumerate(self.instructions):
-            where = f"instruction {i}: {ins!r}"
-            if isinstance(ins, Nor):
-                if not 1 <= len(ins.srcs) <= self.max_fanin:
-                    raise InvalidProgram(f"{where}: fan-in {len(ins.srcs)} exceeds "
-                                         f"limit {self.max_fanin}")
-                if ins.dest in ins.srcs:
-                    raise InvalidProgram(f"{where}: destination is also a source")
-                for c in (ins.dest, *ins.srcs):
-                    if not 0 <= c < cols:
-                        raise InvalidProgram(f"{where}: column {c} out of range")
-            elif isinstance(ins, HMove):
-                if ins.dest == ins.src:
-                    raise InvalidProgram(f"{where}: destination equals source")
-                for c in (ins.dest, ins.src):
-                    if not 0 <= c < cols:
-                        raise InvalidProgram(f"{where}: column {c} out of range")
-            elif isinstance(ins, VMove):
-                if ins.offset == 0:
-                    raise InvalidProgram(f"{where}: zero row offset")
-                if not 0 <= ins.col_lo <= ins.col_hi < cols:
-                    raise InvalidProgram(f"{where}: bad column range")
-                src_in = 0 <= ins.row < rows
-                dst_in = 0 <= ins.row + ins.offset < rows
-                if not (src_in or dst_in):
-                    raise InvalidProgram(f"{where}: neither endpoint is inside the array")
-                if ins.crosses_array == (src_in and dst_in):
-                    raise InvalidProgram(
-                        f"{where}: crosses_array flag does not match endpoints "
-                        f"(src in={src_in}, dest in={dst_in})")
-            else:
-                raise InvalidProgram(f"{where}: unknown instruction type")
+            problem = _problem(ins, rows, cols, self.max_fanin)
+            if problem is not None:
+                raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
+
+
+def _problem(ins: Instr, rows: int, cols: int, max_fanin: int) -> str | None:
+    """Why one instruction is illegal for rows x cols, or None if it is legal."""
+    if isinstance(ins, Nor):
+        if not 1 <= len(ins.srcs) <= max_fanin:
+            return f"fan-in {len(ins.srcs)} exceeds limit {max_fanin}"
+        if ins.dest in ins.srcs:
+            return "destination is also a source"
+        for c in (ins.dest, *ins.srcs):
+            if not 0 <= c < cols:
+                return f"column {c} out of range"
+    elif isinstance(ins, HMove):
+        if ins.dest == ins.src:
+            return "destination equals source"
+        for c in (ins.dest, ins.src):
+            if not 0 <= c < cols:
+                return f"column {c} out of range"
+    elif isinstance(ins, VMove):
+        if ins.offset == 0:
+            return "zero row offset"
+        if not 0 <= ins.col_lo <= ins.col_hi < cols:
+            return "bad column range"
+        src_in = 0 <= ins.row < rows
+        dst_in = 0 <= ins.row + ins.offset < rows
+        if not (src_in or dst_in):
+            return "neither endpoint is inside the array"
+        if ins.crosses_array == (src_in and dst_in):
+            return (f"crosses_array flag does not match endpoints "
+                    f"(src in={src_in}, dest in={dst_in})")
+    else:
+        return "unknown instruction type"
+    return None
+
+
+WORD_BITS = 64
+_WORD = np.dtype("<u8")  # little-endian: byte b of word w holds rows 64w+8b..64w+8b+7
+
+
+def _words(rows: int) -> int:
+    return -(-rows // WORD_BITS)
 
 
 class ArrayState:
-    """Dense bit state of one memory array."""
+    """Bit state of one memory array: one packed bit plane per column.
+
+    Built from a rows x cols ``bool`` matrix; ``bits`` unpacks it again.
+    """
 
     def __init__(self, bits: np.ndarray):
         bits = np.asarray(bits, dtype=bool)
         if bits.ndim != 2:
             raise ValueError("bits must be a 2-D matrix")
-        self.bits = bits
+        rows, cols = bits.shape
+        self._rows = rows
+        self._planes = np.zeros((cols, _words(rows)), dtype=_WORD)
+        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        self._bytes()[:, :packed.shape[1]] = packed
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ArrayState":
-        return cls(np.zeros((rows, cols), dtype=bool))
+        return cls._from_planes(rows, np.zeros((cols, _words(rows)), dtype=_WORD))
+
+    @classmethod
+    def _from_planes(cls, rows: int, planes: np.ndarray) -> "ArrayState":
+        state = cls.__new__(cls)
+        state._rows, state._planes = rows, planes
+        return state
 
     @property
     def rows(self) -> int:
-        return self.bits.shape[0]
+        return self._rows
 
     @property
     def cols(self) -> int:
-        return self.bits.shape[1]
+        return self._planes.shape[0]
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The rows x cols ``bool`` matrix, unpacked on each access; read-only."""
+        bits = np.unpackbits(self._bytes(), axis=1, count=self._rows,
+                             bitorder="little").view(bool).T
+        bits.flags.writeable = False
+        return bits
+
+    def _bytes(self) -> np.ndarray:
+        """The planes as cols x (8 * words) bytes; byte j of a plane holds rows 8j..8j+7."""
+        return self._planes.view(np.uint8)
 
     def copy(self) -> "ArrayState":
-        return ArrayState(self.bits.copy())
+        return ArrayState._from_planes(self._rows, self._planes.copy())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ArrayState) and np.array_equal(self.bits, other.bits)
+        # padding bits are zero outside run(), so the planes compare directly
+        return (isinstance(other, ArrayState) and self._rows == other._rows
+                and np.array_equal(self._planes, other._planes))
 
 
 def apply_instr(bits: np.ndarray, ins: Instr) -> None:
-    """Apply one validated instruction to a bit matrix, in place."""
+    """Reference semantics: apply one validated instruction to a bool matrix.
+
+    ``run`` does not call this; the tests compare the packed engine with it.
+    """
     if isinstance(ins, Nor):
         bits[:, ins.dest] = ~bits[:, list(ins.srcs)].any(axis=1)
     elif isinstance(ins, HMove):
@@ -196,12 +262,95 @@ def apply_instr(bits: np.ndarray, ins: Instr) -> None:
         # cross-array endpoint: cycle is paid, no local cells change
 
 
+def _hazard_free_runs(src: np.ndarray, dst: np.ndarray) -> list[int]:
+    """Start indices of the runs a stretch of in-array VMoves splits into.
+
+    A run ends before the first move that reads or writes a row an earlier
+    move of the same run wrote, so each run may read all its sources before
+    it writes any destination.
+    """
+    n = len(src)
+    order = np.arange(n)
+    writes = np.sort(dst * n + order)          # (row, index) of every write
+
+    def last_write_before(rows: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(writes, rows * n + order) - 1
+        key = writes[np.maximum(pos, 0)]
+        return np.where((pos >= 0) & (key // n == rows), key % n, -1)
+
+    hazard = np.maximum(last_write_before(src), last_write_before(dst))
+    starts = [0]
+    for i in np.flatnonzero(hazard >= 0).tolist():
+        if hazard[i] >= starts[-1]:
+            starts.append(i)
+    return starts
+
+
+def _move_rows(planes: np.ndarray, moves: list[VMove]) -> None:
+    """Execute a stretch of consecutive VMoves as batched gathers.
+
+    Crossing moves change nothing. The rest split into hazard-free runs;
+    each run unpacks the column range and word span it touches once and
+    gathers every distinct (col_lo, col_hi) from that snapshot before it
+    writes any row back.
+    """
+    moves = [m for m in moves if not m.crosses_array]
+    if not moves:
+        return
+    src = np.array([m.row for m in moves], dtype=np.intp)
+    dst = src + np.array([m.offset for m in moves], dtype=np.intp)
+    lo = np.array([m.col_lo for m in moves], dtype=np.intp)
+    hi = np.array([m.col_hi for m in moves], dtype=np.intp)
+    bounds = _hazard_free_runs(src, dst) + [len(moves)]
+    for a, b in zip(bounds, bounds[1:]):
+        _gather_run(planes, lo[a:b], hi[a:b], src[a:b], dst[a:b])
+
+
+def _gather_run(planes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                src: np.ndarray, dst: np.ndarray) -> None:
+    """Execute one hazard-free run of in-array VMoves, given as index arrays."""
+    c0, c1 = int(lo.min()), int(hi.max()) + 1
+    w0 = int(min(src.min(), dst.min())) // WORD_BITS
+    w1 = int(max(src.max(), dst.max())) // WORD_BITS + 1
+    block = np.unpackbits(planes[c0:c1, w0:w1].view(np.uint8), axis=1, bitorder="little")
+    src = src - w0 * WORD_BITS
+    dst = dst - w0 * WORD_BITS
+    span = c1 - c0
+    ranges, which = np.unique((lo - c0) * span + (hi - c0), return_inverse=True)
+    gathered = []
+    for g, key in enumerate(ranges.tolist()):
+        cols = slice(key // span, key % span + 1)
+        sel = which == g
+        gathered.append((cols, dst[sel], block[cols][:, src[sel]]))
+    for cols, rows, values in gathered:
+        block[cols, rows] = values
+    planes[c0:c1, w0:w1] = np.packbits(block, axis=1, bitorder="little").view(_WORD)
+
+
 def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
     """Execute a program on a copy of `initial`; return (final state, cycles)."""
     program.validate(initial.rows, initial.cols)
     state = initial.copy()
-    for ins in program.instructions:
-        apply_instr(state.bits, ins)
+    planes = list(state._planes)           # one view per column plane
+    for kind, group in groupby(program.instructions, type):
+        if issubclass(kind, VMove):
+            _move_rows(state._planes, list(group))
+        elif issubclass(kind, HMove):
+            for ins in group:
+                planes[ins.dest][...] = planes[ins.src]
+        else:
+            for ins in group:
+                out, srcs = planes[ins.dest], ins.srcs
+                if len(srcs) == 1:
+                    np.invert(planes[srcs[0]], out=out)
+                    continue
+                np.bitwise_or(planes[srcs[0]], planes[srcs[1]], out=out)
+                for s in srcs[2:]:
+                    np.bitwise_or(out, planes[s], out=out)
+                np.invert(out, out=out)
+    tail = state.rows % WORD_BITS
+    if tail:                               # clear the padding NOR wrote
+        state._planes[:, -1] &= np.uint64((1 << tail) - 1)
     return state, len(program)
 
 
@@ -212,19 +361,57 @@ def count_cycles(program: NorProgram) -> int:
 
 # -- operand packing helpers -------------------------------------------------
 
+def _column_bytes(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
+    """Byte view of the planes of columns col_lo..col_lo+width-1."""
+    if not 0 <= width <= 64:
+        raise ValueError(f"width must be in 0..64, got {width}")
+    if not 0 <= col_lo <= col_lo + width <= state.cols:
+        raise ValueError(f"columns [{col_lo}, {col_lo + width}) exceed "
+                         f"{state.cols} columns")
+    return state._bytes()[col_lo:col_lo + width]
+
+
+# (shift, mask) steps that transpose the 8x8 bit matrix held in a uint64
+_TRANSPOSE8 = ((7, np.uint64(0x00AA00AA00AA00AA)), (14, np.uint64(0x0000CCCC0000CCCC)),
+               (28, np.uint64(0x00000000F0F0F0F0)))
+
+
+def _bit_transpose(a: np.ndarray) -> np.ndarray:
+    """Transpose a bit matrix stored 8 bits to a byte, little bit order.
+
+    `a` is a (8m, n) uint8 array holding an 8m x 8n bit matrix; the result
+    is the (8n, m) uint8 array holding its 8n x 8m transpose.
+    """
+    m, n = a.shape[0] // 8, a.shape[1]
+    x = np.ascontiguousarray(a.reshape(m, 8, n).transpose(0, 2, 1)).view(_WORD)
+    for shift, mask in _TRANSPOSE8:
+        t = (x ^ (x >> shift)) & mask
+        x = x ^ t ^ (t << shift)
+    return x.view(np.uint8).transpose(1, 2, 0).reshape(8 * n, m)
+
+
 def pack_ints(state: ArrayState, col_lo: int, width: int, values) -> None:
     """Store values[r] little-endian into row r, columns col_lo..col_lo+width-1."""
     values = np.asarray(values, dtype=np.int64)
     if values.shape != (state.rows,):
         raise ValueError(f"need one value per row ({state.rows}), got {values.shape}")
-    shifts = np.arange(width, dtype=np.int64)
-    state.bits[:, col_lo:col_lo + width] = (values[:, None] >> shifts) & 1
+    planes = _column_bytes(state, col_lo, width)
+    nbytes = -(-width // 8)
+    value_bytes = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    row_bytes = np.zeros((8 * planes.shape[1], nbytes), dtype=np.uint8)
+    row_bytes[:state.rows] = value_bytes[:, :nbytes]
+    planes[:] = _bit_transpose(row_bytes)[:width]
 
 
 def unpack_ints(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
     """Read one little-endian integer per row from a column block."""
-    weights = (np.int64(1) << np.arange(width, dtype=np.int64))
-    return state.bits[:, col_lo:col_lo + width].astype(np.int64) @ weights
+    planes = _column_bytes(state, col_lo, width)
+    nbytes = -(-width // 8)
+    col_bytes = np.zeros((8 * nbytes, planes.shape[1]), dtype=np.uint8)
+    col_bytes[:width] = planes
+    row_bytes = np.zeros((state.rows, 8), dtype=np.uint8)
+    row_bytes[:, :nbytes] = _bit_transpose(col_bytes)[:state.rows]
+    return row_bytes.view("<i8")[:, 0].astype(np.int64, copy=False)
 
 
 # -- text serialization ------------------------------------------------------

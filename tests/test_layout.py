@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bitlet
 from bitlet import PimMachine, WorkloadPoint, perf_pim
 from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow,
                            default_assignment, pac_of, relocation_program,
@@ -138,9 +139,34 @@ class TestRelocationProgram:
         assert np.array_equal(landed[1:], values[:-1])
         assert landed[0] == values[0]  # boundary row: neighbour data not modelled
 
+    @pytest.mark.parametrize("rows", [5, 8, 13])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("offset", [-3, -1, 1, 2, 20])
+    def test_each_vmove_uses_its_rows_region(self, rows, k, offset):
+        # the region is the subset's target region of the source row, or of
+        # the destination row when the source lies in a neighbouring array
+        spec = layout(n=2, k=k, vertical=True)
+        assignment = default_assignment(spec, vertical_offset=offset)
+        prog = relocation_program(spec, PimMachine(rows=rows, cols=64), assignment)
+        moves = [ins for ins in prog.instructions if isinstance(ins, VMove)]
+        assert len(moves) == rows
+        assert sorted(m.row + m.offset for m in moves) == list(range(rows))
+        for m in moves:
+            assert m.crosses_array == (not 0 <= m.row < rows)
+            local = m.row + m.offset if m.crosses_array else m.row
+            want = (assignment.target_starts[subset_of_row(local, rows, k)] if k
+                    else assignment.aligned_start)
+            assert (m.col_lo, m.col_hi) == (want, want + 1)
+
     def test_column_overflow(self):
         pim = PimMachine(rows=8, cols=16)
         with pytest.raises(ColumnOverflow):
+            relocation_program(layout(n=16, k=1), pim)
+
+    def test_one_column_overflow_class(self):
+        # catching the package-level name also catches the layout's overflow
+        pim = PimMachine(rows=8, cols=16)
+        with pytest.raises(bitlet.ColumnOverflow):
             relocation_program(layout(n=16, k=1), pim)
 
     def test_row_overflow(self):

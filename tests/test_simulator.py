@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitlet.catalog import OpKind, OpSpec, microprogram_of
 from bitlet.simulator import (ArrayState, ColRange, HMove, InvalidProgram, Nor,
@@ -61,6 +63,96 @@ class TestMoves:
         final, cycles = run(prog(outgoing, incoming), ArrayState(bits.copy()))
         assert cycles == 2
         assert np.array_equal(final.bits, bits)
+
+
+EDGE_ROWS = (1, 63, 64, 65, 130)
+
+
+def reference_run(program, bits):
+    """Run a program instruction by instruction on a bool copy."""
+    bits = bits.copy()
+    for ins in program.instructions:
+        apply_instr(bits, ins)
+    return bits, len(program)
+
+
+@st.composite
+def nor_or_hmove(draw, cols):
+    dest = draw(st.integers(0, cols - 1))
+    other = st.integers(0, cols - 1).filter(lambda c: c != dest)
+    if draw(st.booleans()):
+        return HMove(dest, draw(other))
+    return Nor(dest, tuple(draw(st.lists(other, min_size=1, max_size=4))))
+
+
+@st.composite
+def vmove(draw, rows, cols):
+    # rows near the top of the array come up often, so moves chain through
+    # the same rows (read-after-write and write-after-write hazards)
+    offset = draw(st.sampled_from([-2, -1, 1, 2]) | st.integers(-rows - 1, rows + 1)
+                  .filter(bool))
+    row = draw(st.integers(-2, min(rows, 4) + 1) | st.integers(-2, rows + 1))
+    src_in, dst_in = 0 <= row < rows, 0 <= row + offset < rows
+    if not (src_in or dst_in):
+        row = 0 if offset > 0 else rows - 1
+        src_in, dst_in = True, 0 <= row + offset < rows
+    lo = draw(st.integers(0, cols - 1))
+    hi = draw(st.integers(lo, cols - 1))
+    return VMove(offset, lo, hi, row, crosses_array=not (src_in and dst_in))
+
+
+@st.composite
+def random_programs(draw):
+    rows = draw(st.sampled_from(EDGE_ROWS))
+    cols = draw(st.integers(2, 10))
+    instr = vmove(rows, cols) | vmove(rows, cols) | nor_or_hmove(cols)
+    program = NorProgram(tuple(draw(st.lists(instr, max_size=40))), max_fanin=4)
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, (rows, cols)).astype(bool)
+    return program, bits
+
+
+class TestPackedEngineMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(random_programs())
+    def test_run_equals_instruction_by_instruction(self, case):
+        program, bits = case
+        final, cycles = run(program, ArrayState(bits))
+        want, want_cycles = reference_run(program, bits)
+        assert cycles == want_cycles
+        assert np.array_equal(final.bits, want)
+        assert final == ArrayState(want)   # padding bits compare equal too
+
+    @pytest.mark.parametrize("moves", [
+        # read-after-write: row 0 must get row 2's cells through row 1
+        (VMove(-1, 0, 3, 2), VMove(-1, 0, 3, 1)),
+        # write-after-write: the second move overwrites row 1
+        (VMove(-1, 0, 3, 2), VMove(1, 1, 2, 0)),
+        # write-after-read stays in one run: row 1 gets row 2's cells 0-2
+        # before the second move (another column range) rewrites row 2
+        (VMove(-1, 0, 2, 2), VMove(-1, 1, 3, 3)),
+        # a crossing move between the two halves of a chain
+        (VMove(1, 0, 3, 0), VMove(-1, 0, 3, 0, crosses_array=True), VMove(1, 0, 3, 1)),
+    ])
+    def test_vmove_hazards(self, moves):
+        bits = np.random.default_rng(7).integers(0, 2, (65, 4)).astype(bool)
+        program = prog(*moves)
+        final, _ = run(program, ArrayState(bits))
+        assert np.array_equal(final.bits, reference_run(program, bits)[0])
+
+    def test_bits_view_is_read_only(self):
+        state = ArrayState.zeros(3, 2)
+        with pytest.raises(ValueError):
+            state.bits[0, 0] = True
+        assert not state.bits.any()
+
+    def test_padding_never_leaks(self):
+        # NOR of a zero column sets every bit of the plane, padding included
+        final, _ = run(prog(Nor(1, (0,))), ArrayState.zeros(65, 3))
+        assert final.bits.shape == (65, 3)
+        assert final.bits[:, 1].all() and not final.bits[:, [0, 2]].any()
+        assert np.array_equal(unpack_ints(final, 1, 1), np.ones(65, dtype=np.int64))
+        assert final == ArrayState(np.tile([False, True, False], (65, 1)))
 
 
 class TestValidation:
@@ -178,6 +270,29 @@ class TestPacking:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pack_ints(ArrayState.zeros(4, 8), 0, 4, [1, 2])
+
+    @pytest.mark.parametrize("col_lo,width", [(0, 65), (6, 4), (-1, 2)])
+    def test_block_outside_the_columns_rejected(self, col_lo, width):
+        state = ArrayState.zeros(4, 8)
+        with pytest.raises(ValueError):
+            pack_ints(state, col_lo, width, [1, 2, 3, 4])
+        with pytest.raises(ValueError):
+            unpack_ints(state, col_lo, width)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.sampled_from(EDGE_ROWS), width=st.integers(0, 64),
+           col_lo=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_bitwise_layout(self, rows, width, col_lo, seed):
+        values = np.random.default_rng(seed).integers(-2**63, 2**63 - 1, rows,
+                                                      dtype=np.int64)
+        state = ArrayState.zeros(rows, col_lo + width + 2)
+        pack_ints(state, col_lo, width, values)
+        shifts = np.arange(width, dtype=np.int64)
+        want_bits = ((values[:, None] >> shifts) & 1).astype(bool)
+        assert np.array_equal(state.bits[:, col_lo:col_lo + width], want_bits)
+        assert not state.bits[:, :col_lo].any() and not state.bits[:, col_lo + width:].any()
+        assert np.array_equal(unpack_ints(state, col_lo, width),
+                              want_bits.astype(np.int64) @ (np.int64(1) << shifts))
 
 
 class TestTextFormat:
