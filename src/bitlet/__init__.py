@@ -5,7 +5,8 @@ backs the model's cycle counts.
 The library splits into:
 
     machine     parameter types (arrays, CPU, workload point, power budget)
-    model       the five throughput/energy equations
+    model       the evaluation kernel and the closed-form equations it
+                is checked against
     catalog     (operation, width) -> cycles, plus NOR program generators
     simulator   row-parallel execution of NOR/move programs
     layout      placement and alignment cycle pricing and move programs
@@ -14,16 +15,17 @@ The library splits into:
     cli         the ``bitlet`` command
 """
 
-from .analysis import (SweepRow, SweepSpec, Verdict, Winner, Workload,
-                       crossover_oc, energy_breakeven_oc, litmus, sweep)
+from .analysis import (SweepSpec, Verdict, Winner, Workload, crossover_oc,
+                       energy_breakeven_oc, litmus, sweep)
 from .catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                       catalog_table, microprogram_of, oc_of)
 from .layout import (LayoutSpec, RelocationAssignment, default_assignment,
                      pac_of, relocation_program)
 from .machine import (CpuMachine, PimMachine, PowerBudget, Throughput,
                       WorkloadPoint)
-from .model import (energy_per_op_cpu, energy_per_op_pim, mat_power_cap,
-                    perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim)
+from .model import (Evaluation, NonFiniteResult, Points, energy_per_op_cpu,
+                    energy_per_op_pim, evaluate, mat_power_cap, perf_cpu,
+                    perf_pim, pl_perf_cpu, pl_perf_pim)
 from .simulator import (ArrayState, ColRange, ColumnOverflow, HMove,
                         InvalidProgram, Nor, NorProgram, VMove, count_cycles,
                         from_text, run, to_text)
@@ -31,14 +33,15 @@ from .simulator import (ArrayState, ColRange, ColumnOverflow, HMove,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayState", "ColRange", "ColumnOverflow", "CpuMachine", "HMove",
-    "InvalidProgram", "LayoutSpec", "Nor", "NorProgram", "OpKind", "OpSpec",
-    "PimMachine", "PowerBudget", "RelocationAssignment", "SweepRow",
-    "SweepSpec", "Throughput", "UnsupportedOperation", "UnsupportedWidth",
-    "VMove", "Verdict", "Winner", "Workload", "WorkloadPoint",
-    "catalog_table", "count_cycles", "crossover_oc", "default_assignment",
-    "energy_breakeven_oc", "energy_per_op_cpu", "energy_per_op_pim",
-    "from_text", "litmus", "mat_power_cap", "microprogram_of", "oc_of",
+    "ArrayState", "ColRange", "ColumnOverflow", "CpuMachine", "Evaluation",
+    "HMove", "InvalidProgram", "LayoutSpec", "NonFiniteResult", "Nor",
+    "NorProgram", "OpKind", "OpSpec", "PimMachine", "Points", "PowerBudget",
+    "RelocationAssignment", "SweepSpec", "Throughput", "UnsupportedOperation",
+    "UnsupportedWidth", "VMove", "Verdict", "Winner", "Workload",
+    "WorkloadPoint", "catalog_table", "count_cycles", "crossover_oc",
+    "default_assignment", "energy_breakeven_oc", "energy_per_op_cpu",
+    "energy_per_op_pim", "evaluate", "from_text", "litmus", "mat_power_cap",
+    "microprogram_of", "oc_of",
     "pac_of", "perf_cpu", "perf_pim", "pl_perf_cpu", "pl_perf_pim",
     "relocation_program", "run", "sweep", "to_text",
 ]

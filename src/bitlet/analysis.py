@@ -4,19 +4,22 @@ Answers the questions the raw equations only imply: at what operation
 complexity do the two sides break even, which side wins a concrete
 workload (raw and under a power budget), how do the curves behave when one
 parameter sweeps across a grid.
+
+`litmus` and `sweep` are views of `model.evaluate`; `crossover_oc` and
+`energy_breakeven_oc` are the scalar closed forms of two of its columns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from . import model
+import numpy as np
+
 from .catalog import OpSpec, oc_of
 from .layout import LayoutSpec, pac_of
 from .machine import CpuMachine, PimMachine, PowerBudget, WorkloadPoint
-
-TIE_REL_TOL = 1e-9  # relative throughput gap treated as a dead heat
+from .model import TIE_REL_TOL, Points, evaluate  # noqa: F401  (TIE_REL_TOL re-exported)
 
 
 class UnknownParameter(ValueError):
@@ -96,20 +99,14 @@ def energy_breakeven_oc(pim: PimMachine, cpu: CpuMachine, dio_bits: int,
     return cpu.energy_per_bit_pj * dio_bits / pim.energy_per_cycle_pj - pac_cycles
 
 
-def _decide(pim_ops: float, cpu_ops: float) -> tuple[Winner, float]:
-    gap = abs(pim_ops - cpu_ops)
-    if gap <= TIE_REL_TOL * max(pim_ops, cpu_ops):
-        return Winner.TIE, 1.0
-    return (Winner.PIM if pim_ops > cpu_ops else Winner.CPU), pim_ops / cpu_ops
-
-
 def litmus(pim: PimMachine, cpu: CpuMachine,
            workload: Workload | WorkloadPoint,
            power: PowerBudget | None = None) -> Verdict:
     """Decide workload affinity: memory-side or CPU-side execution.
 
     With a power budget the verdict compares the capped throughputs;
-    otherwise the raw ones. Both pairs are always reported.
+    otherwise the raw ones. Both pairs are always reported. A view of
+    `model.evaluate` at one point.
 
     Each side is capped at min(raw, TDP / energy-per-op). When both caps
     bind, the side with the lower energy per op wins, whatever the raw
@@ -122,40 +119,45 @@ def litmus(pim: PimMachine, cpu: CpuMachine,
         name, point = "workload", workload
     else:
         name, point = workload.name, workload.resolve(pim)
-    raw_pim = model.perf_pim(pim, point)
-    raw_cpu = model.perf_cpu(cpu, point)
-    if power is not None:
-        pl_pim = model.pl_perf_pim(pim, point, power)
-        pl_cpu = model.pl_perf_cpu(cpu, point, power)
-    else:
-        pl_pim, pl_cpu = raw_pim, raw_cpu
-    deciding = (pl_pim, pl_cpu) if power is not None else (raw_pim, raw_cpu)
-    winner, speedup = _decide(deciding[0].ops_per_second, deciding[1].ops_per_second)
+    ev = evaluate(pim, cpu, Points(point.oc_cycles, point.pac_cycles, point.dio_bits),
+                  power)
     return Verdict(
         name=name,
         oc_cycles=point.oc_cycles,
         pac_cycles=point.pac_cycles,
         dio_bits=point.dio_bits,
-        pim_gops=raw_pim.gops,
-        cpu_gops=raw_cpu.gops,
-        pl_pim_gops=pl_pim.gops,
-        pl_cpu_gops=pl_cpu.gops,
-        winner=winner,
-        speedup=speedup,
-        crossover_oc=crossover_oc(pim, cpu, point.dio_bits, point.pac_cycles),
-        energy_ratio=(model.energy_per_op_cpu(cpu, point)
-                      / model.energy_per_op_pim(pim, point)),
+        pim_gops=float(ev.pim_gops),
+        cpu_gops=float(ev.cpu_gops),
+        pl_pim_gops=float(ev.pl_pim_gops),
+        pl_cpu_gops=float(ev.pl_cpu_gops),
+        winner=Winner(str(ev.winner)),
+        speedup=float(ev.speedup),
+        crossover_oc=float(ev.crossover_oc),
+        energy_ratio=float(ev.energy_ratio),
         power_limited=power is not None,
     )
 
 
-SWEEP_PARAMS = ("OC", "PAC", "MAT", "BW", "DIO", "TDP")
-INTEGER_PARAMS = frozenset({"OC", "PAC", "MAT", "DIO"})
+# sweep parameter -> the `Points` coordinate it sets
+_COORDINATES = {"OC": "oc_cycles", "PAC": "pac_cycles", "MAT": "mats",
+                "BW": "bandwidth_bps", "DIO": "dio_bits", "TDP": "tdp_watts"}
+SWEEP_PARAMS = tuple(_COORDINATES)
+# lowest grid value of each integer-valued parameter (PAC 0 is the cost of
+# the default layout); the others, BW and TDP, need only be > 0
+_LOWEST = {"OC": 1, "PAC": 0, "MAT": 1, "DIO": 1}
+INTEGER_PARAMS = frozenset(_LOWEST)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter over a value grid, everything else fixed."""
+    """One swept parameter over a value grid, everything else fixed.
+
+    The grid is checked and normalised here, once: values must be finite;
+    those of integer-valued parameters (OC, PAC, MAT, DIO) are rounded to
+    integers, half to even, and de-duplicated in first-seen order. OC,
+    MAT and DIO must then be >= 1 and PAC >= 0; BW (bits/s) and TDP
+    (watts) must be > 0. `grid` holds the values evaluated, as floats.
+    """
 
     param: str
     grid: tuple
@@ -165,58 +167,38 @@ class SweepSpec:
     power: PowerBudget | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", tuple(self.grid))
-        if self.param.upper() not in SWEEP_PARAMS:
+        param = self.param.upper()
+        if param not in SWEEP_PARAMS:
             raise UnknownParameter(f"unknown sweep parameter {self.param!r}; "
                                    f"expected one of {', '.join(SWEEP_PARAMS)}")
-        object.__setattr__(self, "param", self.param.upper())
-        if not self.grid:
+        grid = np.array(self.grid, dtype=np.float64).ravel()
+        if not grid.size:
             raise ValueError("sweep grid must not be empty")
-        if any(x <= 0 for x in self.grid):
-            raise ValueError("sweep grid values must be positive")
+        if not np.isfinite(grid).all():
+            raise ValueError("sweep grid values must be finite")
+        if param in INTEGER_PARAMS:
+            grid = np.rint(grid) + 0.0   # + 0.0 turns a rounded -0.0 into 0.0
+            grid = grid[np.sort(np.unique(grid, return_index=True)[1])]
+            if grid.min() < _LOWEST[param]:
+                raise ValueError(f"{param} grid values must round to >= {_LOWEST[param]}")
+        elif grid.min() <= 0:
+            raise ValueError(f"{param} grid values must be > 0")
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "grid", tuple(grid.tolist()))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    x: float
-    pim_gops: float
-    cpu_gops: float
-    pl_pim_gops: float
-    pl_cpu_gops: float
-
-
-def _at(spec: SweepSpec, x) -> tuple[PimMachine, CpuMachine, WorkloadPoint,
-                                     PowerBudget | None]:
-    pim, cpu, w, power = spec.pim, spec.cpu, spec.workload, spec.power
-    if spec.param == "OC":
-        w = replace(w, oc_cycles=int(x))
-    elif spec.param == "PAC":
-        w = replace(w, pac_cycles=int(x))
-    elif spec.param == "DIO":
-        w = replace(w, dio_bits=int(x))
-    elif spec.param == "MAT":
-        pim = replace(pim, mats=int(x))
-    elif spec.param == "BW":
-        cpu = replace(cpu, bandwidth_bps=float(x))
-    elif spec.param == "TDP":
-        power = PowerBudget(float(x))
-    return pim, cpu, w, power
-
-
-def sweep(spec: SweepSpec) -> list[SweepRow]:
+def sweep(spec: SweepSpec) -> np.recarray:
     """Evaluate all four throughput columns at every grid point.
 
-    Grid values for integer-valued parameters (OC, PAC, MAT, DIO) are
-    rounded to integers; the reported x is the value actually evaluated.
-    Without a power budget the capped columns equal the raw ones.
+    Returns a record array, one record per grid point, with fields x (the
+    value evaluated; see `SweepSpec` for rounding), pim_gops, cpu_gops,
+    pl_pim_gops and pl_cpu_gops. Without a power budget, and unless TDP is
+    swept, the capped columns equal the raw ones.
     """
-    rows = []
-    for x in spec.grid:
-        x = int(round(x)) if spec.param in INTEGER_PARAMS else float(x)
-        pim, cpu, w, power = _at(spec, x)
-        raw_pim = model.perf_pim(pim, w)
-        raw_cpu = model.perf_cpu(cpu, w)
-        pl_pim = model.pl_perf_pim(pim, w, power) if power is not None else raw_pim
-        pl_cpu = model.pl_perf_cpu(cpu, w, power) if power is not None else raw_cpu
-        rows.append(SweepRow(x, raw_pim.gops, raw_cpu.gops, pl_pim.gops, pl_cpu.gops))
-    return rows
+    x = np.array(spec.grid)
+    w = spec.workload
+    points = Points(w.oc_cycles, w.pac_cycles, w.dio_bits)
+    ev = evaluate(spec.pim, spec.cpu, points._replace(**{_COORDINATES[spec.param]: x}),
+                  spec.power)
+    return np.rec.fromarrays((x, ev.pim_gops, ev.cpu_gops, ev.pl_pim_gops, ev.pl_cpu_gops),
+                             names=("x", "pim_gops", "cpu_gops", "pl_pim_gops", "pl_cpu_gops"))

@@ -13,6 +13,11 @@ variable. Data outputs are deterministic: metadata lives on '#'-prefixed
 header lines, values are printed with six significant digits, files end
 with a newline and use LF endings.
 
+Commands that evaluate the model go through `model.evaluate`, once per
+command or per swept workload. CSV bodies are formatted as blocks: one
+printf pattern per row, repeated, and a single %-format over the block's
+cells in row-major order, so no Python code runs per cell.
+
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 3 output I/O failure.
 """
@@ -28,12 +33,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import model
-from .analysis import (INTEGER_PARAMS, SWEEP_PARAMS, SweepSpec, UnknownParameter,
-                       crossover_oc, energy_breakeven_oc, litmus, sweep)
+from .analysis import SWEEP_PARAMS, SweepSpec, litmus, sweep
 from .catalog import catalog_table
 from .config import Config, ConfigError, load_config
-from .machine import GBPS, CpuMachine, PimMachine, PowerBudget, WorkloadPoint
+from .machine import GBPS, TBPS, CpuMachine, PimMachine, PowerBudget
+from .model import NonFiniteResult, Points, evaluate, mat_power_cap
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -55,12 +59,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(meta: list[str], columns: list[str], rows: list[tuple]) -> str:
-    lines = [f"# {m}" for m in meta]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _block(pattern: str, rows) -> str:
+    """CSV lines for a 2-D array or a list of tuples; `pattern` formats one row."""
+    cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
+             else [v for row in rows for v in row])
+    return ((pattern + "\n") * len(rows)) % tuple(cells)
+
+
+def _csv(meta: list[str], columns: list[str], body: str) -> str:
+    return "".join(f"# {m}\n" for m in meta) + ",".join(columns) + "\n" + body
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -83,7 +90,7 @@ def _load(args) -> Config:
     return load_config(path)
 
 
-def _parse_grid(spec: str) -> tuple[np.ndarray, bool]:
+def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"grid must be lo:hi:steps[:log], got {spec!r}")
@@ -101,19 +108,19 @@ def _parse_grid(spec: str) -> tuple[np.ndarray, bool]:
     if log and lo <= 0:
         raise ValueError("log grids need a positive lower bound")
     if steps == 1:
-        return np.array([lo]), log
-    values = np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
-    return values, log
+        return np.array([lo])
+    return np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
 
 
-def _verdict_rows(cfg: Config):
-    for w in cfg.workloads:
-        yield litmus(cfg.pim, cfg.cpu, w, cfg.power)
+def _evaluate(cfg: Config, power: PowerBudget | None):
+    """Every workload of the config resolved, and the model at each."""
+    points = [w.resolve(cfg.pim) for w in cfg.workloads]
+    return points, evaluate(cfg.pim, cfg.cpu, Points.of(points), power)
 
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    verdicts = list(_verdict_rows(cfg))
+    verdicts = [litmus(cfg.pim, cfg.cpu, w, cfg.power) for w in cfg.workloads]
     human = []
     for v in verdicts:
         basis = "power-limited" if v.power_limited else "raw"
@@ -136,7 +143,8 @@ def cmd_eval(args) -> int:
                 "cpu_gops", "pl_pim_gops", "pl_cpu_gops", "winner", "speedup",
                 "crossover_oc", "energy_ratio"]
         doc = _csv(["bitlet eval"], cols,
-                   [tuple(p[c] for c in cols) for p in payload])
+                   _block("%s,%d,%d,%d,%.6g,%.6g,%.6g,%.6g,%s,%.6g,%.6g,%.6g",
+                          [[p[c] for c in cols] for p in payload]))
     if args.out:
         print("\n".join(human))
         return _emit(doc, args.out)
@@ -148,20 +156,17 @@ def cmd_eval(args) -> int:
 
 def cmd_crossover(args) -> int:
     cfg = _load(args)
-    rows = []
-    for w in cfg.workloads:
-        point = w.resolve(cfg.pim)
-        oc_star = crossover_oc(cfg.pim, cfg.cpu, point.dio_bits, point.pac_cycles)
-        rows.append((w.name, point.dio_bits, point.pac_cycles, oc_star,
-                     math.ceil(oc_star),
-                     energy_breakeven_oc(cfg.pim, cfg.cpu, point.dio_bits,
-                                         point.pac_cycles)))
+    points, ev = _evaluate(cfg, None)
+    rows = [(w.name, p.dio_bits, p.pac_cycles, oc_star, math.ceil(oc_star), even)
+            for w, p, oc_star, even in zip(cfg.workloads, points, ev.crossover_oc.tolist(),
+                                           ev.energy_breakeven_oc.tolist())]
     cols = ["name", "dio_bits", "pac_cycles", "crossover_oc",
             "cpu_wins_at_oc", "energy_breakeven_oc"]
     if args.format == "json":
         doc = json.dumps([dict(zip(cols, r)) for r in rows], indent=2) + "\n"
     else:
-        doc = _csv(["bitlet crossover"], cols, rows)
+        doc = _csv(["bitlet crossover"], cols,
+                   _block("%s,%d,%d,%.6g,%d,%.6g", rows))
     return _emit(doc, args.out)
 
 
@@ -171,36 +176,32 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs at least one workload in the config",
               file=sys.stderr)
         return EXIT_BAD_INPUT
+    param = args.param.upper()
+    scale = GBPS if param == "BW" else 1.0  # BW grids are written in Gbps
     try:
-        values, _ = _parse_grid(args.grid)
-        param = args.param.upper()
-        if param not in SWEEP_PARAMS:
-            raise UnknownParameter(f"unknown sweep parameter {args.param!r}; "
-                                   f"expected one of {', '.join(SWEEP_PARAMS)}")
-        scale = GBPS if param == "BW" else 1.0  # BW grids are written in Gbps
-        if param in INTEGER_PARAMS:
-            grid = tuple(dict.fromkeys(int(round(v)) for v in values))
-            if any(v < 1 for v in grid):
-                raise ValueError(f"{param} grid values must round to >= 1")
-        else:
-            grid = tuple(float(v) * scale for v in values)
-        rows = []
-        for w in cfg.workloads:
-            spec = SweepSpec(param=param, grid=grid, pim=cfg.pim, cpu=cfg.cpu,
-                             workload=w.resolve(cfg.pim), power=cfg.power)
-            for r in sweep(spec):
-                rows.append((w.name, r.x / scale, r.pim_gops, r.cpu_gops,
-                             r.pl_pim_gops, r.pl_cpu_gops))
-    except (UnknownParameter, ValueError) as exc:
+        grid = _parse_grid(args.grid) * scale
+        specs = [SweepSpec(param=param, grid=grid, pim=cfg.pim, cpu=cfg.cpu,
+                           workload=w.resolve(cfg.pim), power=cfg.power)
+                 for w in cfg.workloads]
+    except ValueError as exc:   # bad grid or parameter (UnknownParameter)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    # per workload, a (points x columns) table with x back in the grid's unit
+    tables = []
+    for w, spec in zip(cfg.workloads, specs):
+        r = sweep(spec)
+        tables.append((w.name, np.column_stack(
+            (r.x / scale, r.pim_gops, r.cpu_gops, r.pl_pim_gops, r.pl_cpu_gops))))
     x_col = "bw_gbps" if param == "BW" else param.lower()
     cols = ["workload", x_col, "pim_gops", "cpu_gops",
             "pl_pim_gops", "pl_cpu_gops"]
     if args.format == "json":
-        doc = json.dumps([dict(zip(cols, r)) for r in rows], indent=2) + "\n"
+        doc = json.dumps([dict(zip(cols, (name, *r))) for name, t in tables
+                          for r in t.tolist()], indent=2) + "\n"
     else:
-        doc = _csv([f"bitlet sweep param={param} grid={args.grid}"], cols, rows)
+        body = "".join(_block(name.replace("%", "%%") + ",%.6g" * 5, t)
+                       for name, t in tables)
+        doc = _csv([f"bitlet sweep param={param} grid={args.grid}"], cols, body)
     return _emit(doc, args.out)
 
 
@@ -210,17 +211,13 @@ def cmd_power(args) -> int:
         print("error: power analysis needs a power section in the config",
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    cap = model.mat_power_cap(cfg.pim, cfg.power)
-    rows = []
-    for w in cfg.workloads:
-        point = w.resolve(cfg.pim)
-        rows.append((w.name, point.oc_cycles, point.pac_cycles, point.dio_bits,
-                     model.perf_pim(cfg.pim, point).gops,
-                     model.pl_perf_pim(cfg.pim, point, cfg.power).gops,
-                     model.perf_cpu(cfg.cpu, point).gops,
-                     model.pl_perf_cpu(cfg.cpu, point, cfg.power).gops,
-                     model.energy_per_op_pim(cfg.pim, point),
-                     model.energy_per_op_cpu(cfg.cpu, point)))
+    cap = mat_power_cap(cfg.pim, cfg.power)
+    points, ev = _evaluate(cfg, cfg.power)
+    rows = [(w.name, p.oc_cycles, p.pac_cycles, p.dio_bits, *values)
+            for w, p, *values in zip(
+                cfg.workloads, points, ev.pim_gops.tolist(), ev.pl_pim_gops.tolist(),
+                ev.cpu_gops.tolist(), ev.pl_cpu_gops.tolist(),
+                ev.pim_pj_per_op.tolist(), ev.cpu_pj_per_op.tolist())]
     cols = ["name", "oc_cycles", "pac_cycles", "dio_bits", "pim_gops",
             "pl_pim_gops", "cpu_gops", "pl_cpu_gops", "pim_pj_per_op",
             "cpu_pj_per_op"]
@@ -231,7 +228,7 @@ def cmd_power(args) -> int:
                           "workloads": [dict(zip(cols, r)) for r in rows]},
                          indent=2) + "\n"
     else:
-        doc = _csv(meta, cols, rows)
+        doc = _csv(meta, cols, _block("%s,%d,%d,%d" + ",%.6g" * 6, rows))
     return _emit(doc, args.out)
 
 
@@ -241,21 +238,23 @@ def _fig_oc_grid() -> list[int]:
     return sorted(dict.fromkeys(int(round(v)) for v in raw))
 
 
-def _fig_machines():
-    pim_by_mat = {m: PimMachine(mats=m) for m in FIG_MATS}
-    cpu_by_bw = {bw: CpuMachine.from_tbps(bw) for bw in FIG_BWS_TBPS}
-    return pim_by_mat, cpu_by_bw
-
-
 def _reproduce_fig1() -> str:
     rows = [(r["n"], r["kind"], r["oc"]) for r in catalog_table()]
     rows.sort(key=lambda r: (r[1], r[0]))
     return _csv(["bitlet reproduce fig1: operation complexity in cycles"],
-                ["n", "op", "oc"], rows)
+                ["n", "op", "oc"],
+                _block("%d,%s,%d", rows))
 
 
 def _reproduce_fig2(power: PowerBudget | None = None) -> str:
-    pim_by_mat, cpu_by_bw = _fig_machines()
+    """Default machines, one column per MAT and per (DIO, BW) pair; OC at DIO 24."""
+    oc = np.array(_fig_oc_grid(), dtype=np.float64)[:, None]
+    pim_side = evaluate(PimMachine(), CpuMachine(),
+                        Points(oc, 0, FIG_DIOS[0], mats=np.array(FIG_MATS)), power)
+    dios, bws = zip(*((d, bw * TBPS) for d in FIG_DIOS for bw in FIG_BWS_TBPS))
+    cpu_side = evaluate(PimMachine(), CpuMachine(),
+                        Points(oc, 0, np.array(dios), bandwidth_bps=np.array(bws)), power)
+    table = [oc, pim_side.pim_gops, cpu_side.cpu_gops]
     cols = ["oc"]
     cols += [f"pim_gops_mat{m}" for m in FIG_MATS]
     cols += [f"cpu_gops_dio{d}_bw{bw}tbps" for d in FIG_DIOS for bw in FIG_BWS_TBPS]
@@ -263,21 +262,8 @@ def _reproduce_fig2(power: PowerBudget | None = None) -> str:
         cols += [f"pl_pim_gops_mat{m}" for m in FIG_MATS]
         cols += [f"pl_cpu_gops_dio{d}_bw{bw}tbps"
                  for d in FIG_DIOS for bw in FIG_BWS_TBPS]
-    rows = []
-    for oc in _fig_oc_grid():
-        w = WorkloadPoint(oc_cycles=oc, pac_cycles=0, dio_bits=FIG_DIOS[0])
-        row = [oc]
-        row += [model.perf_pim(pim_by_mat[m], w).gops for m in FIG_MATS]
-        row += [model.perf_cpu(cpu_by_bw[bw],
-                               WorkloadPoint(oc, 0, d)).gops
-                for d in FIG_DIOS for bw in FIG_BWS_TBPS]
-        if power is not None:
-            row += [model.pl_perf_pim(pim_by_mat[m], w, power).gops
-                    for m in FIG_MATS]
-            row += [model.pl_perf_cpu(cpu_by_bw[bw], WorkloadPoint(oc, 0, d),
-                                      power).gops
-                    for d in FIG_DIOS for bw in FIG_BWS_TBPS]
-        rows.append(tuple(row))
+        table += [pim_side.pl_pim_gops, cpu_side.pl_cpu_gops]
+    table = np.hstack(table)
     which = "fig3" if power is not None else "fig2"
     meta = [f"bitlet reproduce {which}: throughput vs operation complexity",
             f"mats={','.join(map(str, FIG_MATS))} "
@@ -285,7 +271,7 @@ def _reproduce_fig2(power: PowerBudget | None = None) -> str:
             f"bw_tbps={','.join(map(str, FIG_BWS_TBPS))}"]
     if power is not None:
         meta.append(f"tdp_watts={_fmt(power.tdp_watts)}")
-    return _csv(meta, cols, rows)
+    return _csv(meta, cols, _block("%d" + ",%.6g" * (len(cols) - 1), table))
 
 
 def cmd_reproduce(args) -> int:
@@ -366,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NonFiniteResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -277,3 +277,32 @@ class TestSweep:
             w = WorkloadPoint(int(r.x), 0, 48)
             assert r.pim_gops == perf_pim(pim, w).gops
             assert r.pl_pim_gops == pl_perf_pim(pim, w, budget).gops
+
+    def test_pac_grid_may_include_the_default_layout(self, pim, cpu, budget):
+        rows = sweep(self.spec(pim, cpu, "PAC", (0, 5, 1040), budget))
+        assert list(rows.x) == [0, 5, 1040]
+        w = WorkloadPoint(144, 0, 48)
+        assert rows[0].pim_gops == perf_pim(pim, w).gops
+        assert rows[0].pl_cpu_gops == pl_perf_cpu(cpu, w, budget).gops
+
+    def test_integer_grids_round_half_to_even_and_deduplicate(self, pim, cpu):
+        spec = self.spec(pim, cpu, "OC", (3.5, 4.5, 5.5, 6.5, 7.5, 4, 2.6))
+        assert spec.grid == (4.0, 6.0, 8.0, 3.0)
+        assert len(sweep(spec)) == 4
+        assert str(self.spec(pim, cpu, "PAC", (-0.4,)).grid[0]) == "0.0"  # not -0.0
+        # real-valued parameters keep every value
+        assert self.spec(pim, cpu, "TDP", (1.0, 1.0)).grid == (1.0, 1.0)
+
+    @pytest.mark.parametrize("param,low,ok", [
+        ("OC", 0.4, 0.6), ("MAT", 0.5, 0.51), ("DIO", -3, 1),
+        ("PAC", -0.6, -0.4), ("BW", 0.0, 1e-300), ("TDP", -1.0, 1e-3)])
+    def test_lower_bound_per_parameter(self, pim, cpu, param, low, ok):
+        assert len(self.spec(pim, cpu, param, (ok,)).grid) == 1
+        with pytest.raises(ValueError, match=f"{param} grid values must"):
+            self.spec(pim, cpu, param, (ok, low))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid_values_are_rejected(self, pim, cpu, bad):
+        for param in ("OC", "BW"):
+            with pytest.raises(ValueError, match="must be finite"):
+                self.spec(pim, cpu, param, (1.0, bad))

@@ -1,10 +1,16 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitlet import CpuMachine, PimMachine, PowerBudget, WorkloadPoint
-from bitlet.model import (energy_per_op_cpu, energy_per_op_pim, mat_power_cap,
-                          perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim)
+from bitlet.analysis import crossover_oc, energy_breakeven_oc
+from bitlet.model import (TIE_REL_TOL, NonFiniteResult, Points, energy_per_op_cpu,
+                          energy_per_op_pim, evaluate, mat_power_cap, perf_cpu,
+                          perf_pim, pl_perf_cpu, pl_perf_pim)
 
 
 def w(oc, pac=0, dio=48):
@@ -168,3 +174,108 @@ class TestEnergyPerOp:
         assert energy_per_op_cpu(cpu, w(1, 0, 48)) == pytest.approx(720.0)
         assert energy_per_op_cpu(CpuMachine(energy_per_bit_pj=1.0),
                                  w(1, 0, 1)) == pytest.approx(1.0)
+
+
+def _log_floats(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def kernel_scenarios(draw):
+    """Machines, a budget (or none) and 1-8 points that each set all six
+    coordinates; per-point TDPs, when drawn, replace the budget."""
+    pim = PimMachine(rows=draw(st.integers(1, 4096)),
+                     cycle_time_ns=draw(_log_floats(0.1, 100.0)),
+                     energy_per_cycle_pj=draw(_log_floats(0.01, 10.0)))
+    cpu = CpuMachine(energy_per_bit_pj=draw(_log_floats(0.1, 100.0)))
+    power = draw(st.none() | _log_floats(1e-3, 1e3).map(PowerBudget))
+    tdp = _log_floats(1e-3, 1e3) if draw(st.booleans()) else st.none()
+    coords = draw(st.lists(st.tuples(
+        st.integers(1, 100_000), st.integers(0, 10_000), st.integers(1, 512),
+        st.integers(1, 16384), _log_floats(1e9, 1e14), tdp), min_size=1, max_size=8))
+    return pim, cpu, power, coords
+
+
+def _reference(pim, cpu, power, coord):
+    """Every kernel column at one point, from the scalar closed forms."""
+    oc, pac, dio, mats, bw, tdp = coord
+    pim, cpu, w = replace(pim, mats=mats), replace(cpu, bandwidth_bps=bw), \
+        WorkloadPoint(oc, pac, dio)
+    power = PowerBudget(tdp) if tdp is not None else power
+    raw = (perf_pim(pim, w), perf_cpu(cpu, w))
+    capped = (pl_perf_pim(pim, w, power), pl_perf_cpu(cpu, w, power)) if power else raw
+    pim_ops, cpu_ops = (t.ops_per_second for t in capped)
+    if abs(pim_ops - cpu_ops) <= TIE_REL_TOL * max(pim_ops, cpu_ops):
+        winner, speedup = "TIE", 1.0
+    else:
+        winner, speedup = ("PIM" if pim_ops > cpu_ops else "CPU"), pim_ops / cpu_ops
+    e_pim, e_cpu = energy_per_op_pim(pim, w), energy_per_op_cpu(cpu, w)
+    return {"pim_gops": raw[0].gops, "cpu_gops": raw[1].gops,
+            "pl_pim_gops": capped[0].gops, "pl_cpu_gops": capped[1].gops,
+            "pim_pj_per_op": e_pim, "cpu_pj_per_op": e_cpu,
+            "crossover_oc": crossover_oc(pim, cpu, dio, pac),
+            "energy_breakeven_oc": energy_breakeven_oc(pim, cpu, dio, pac),
+            "winner": winner, "speedup": speedup, "energy_ratio": e_cpu / e_pim}
+
+
+# 1024 rows x 3 arrays at 1 ns and OC 1 against this bandwidth at DIO 1: the
+# gap is exactly TIE_REL_TOL times the faster side (a tie), and one ulp less
+# bandwidth makes it a memory-side win
+TIE_BW = 3071999996928.0
+TIE_AT_TOLERANCE = (PimMachine(rows=1024, cycle_time_ns=1.0), CpuMachine(), None,
+                    [(1, 0, 1, 3, TIE_BW, None),
+                     (1, 0, 1, 3, math.nextafter(TIE_BW, 0), None)])
+# 1 W * 10 ns / (0.1 pJ * 1000 rows) is exactly 100 arrays: at MAT 100 the
+# raw and capped branches meet
+AT_MAT_POWER_CAP = (PimMachine(rows=1000), CpuMachine(), PowerBudget(1.0),
+                    [(144, 0, 48, 100, 4 * 1024e9, None),
+                     (1, 0, 48, 100, 4 * 1024e9, None)])
+MAT_1E30 = (PimMachine(), CpuMachine(), PowerBudget(20.0),
+            [(144, 1040, 48, int(1e30), 4 * 1024e9, None)])
+# the crossover is 614.4 at DIO 24: OC 614 is a memory-side win, 615 a CPU one
+AROUND_CROSSOVER = (PimMachine(), CpuMachine(), None,
+                    [(614, 0, 24, 1024, 4 * 1024e9, None),
+                     (615, 0, 24, 1024, 4 * 1024e9, None)])
+
+
+class TestEvaluateKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_scenarios())
+    @example(TIE_AT_TOLERANCE)
+    @example(AT_MAT_POWER_CAP)
+    @example(MAT_1E30)
+    @example(AROUND_CROSSOVER)
+    def test_every_column_equals_the_closed_forms(self, scenario):
+        pim, cpu, power, coords = scenario
+        oc, pac, dio, mats, bw, tdp = (np.array(c) for c in zip(*coords))
+        points = Points(oc, pac, dio, mats=mats.astype(float), bandwidth_bps=bw,
+                        tdp_watts=None if tdp[0] is None else tdp.astype(float))
+        ev = evaluate(pim, cpu, points, power)
+        for i, coord in enumerate(coords):
+            got = {name: column[i].item() for name, column in ev._asdict().items()}
+            assert got == _reference(pim, cpu, power, coord)
+
+    def test_examples_sit_where_they_claim(self):
+        def winners(scenario):
+            pim, cpu, power, coords = scenario
+            return [_reference(pim, cpu, power, c)["winner"] for c in coords]
+        assert winners(TIE_AT_TOLERANCE) == ["TIE", "PIM"]
+        assert winners(AROUND_CROSSOVER) == ["PIM", "CPU"]
+        assert mat_power_cap(AT_MAT_POWER_CAP[0], AT_MAT_POWER_CAP[2]) == 100
+
+    def test_scalars_broadcast_against_arrays(self, pim, cpu, budget):
+        ev = evaluate(pim, cpu, Points(np.array([[1.0], [2.0]]), 0, 48,
+                                       mats=np.array([1, 16, 256])), budget)
+        assert all(column.shape == (2, 3) for column in ev)
+        assert (ev.cpu_gops == perf_cpu(cpu, w(1)).gops).all()
+        assert ev.pim_gops[1, 2] == perf_pim(replace(pim, mats=256), w(2)).gops
+
+    def test_overflow_raises_one_exception_class(self):
+        huge = PimMachine(mats=10 ** 15, cycle_time_ns=1e-300)
+        with pytest.raises(NonFiniteResult, match="pim_gops is inf at OC=1 "):
+            evaluate(huge, CpuMachine(), Points(1, 0, 1))
+        assert issubclass(NonFiniteResult, ValueError)
+
+    def test_mat_power_cap_overflow_raises_the_same_class(self):
+        with pytest.raises(NonFiniteResult, match="mat_power_cap is inf"):
+            mat_power_cap(PimMachine(cycle_time_ns=1e10), PowerBudget(1e300))
