@@ -28,10 +28,11 @@ the carry-in column of ADD_FANIN4 programs is active low (preset 1 means
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
-from .simulator import ColRange, ColumnOverflow, Instr, Nor, NorProgram
+import numpy as np
+
+from .simulator import OP_NOR, ColRange, ColumnOverflow, NorProgram
 
 WIDTH_CAP = 1024  # keeps generated programs within one array's columns
 
@@ -121,10 +122,6 @@ def catalog_table(widths=(4, 8, 16, 32, 64), kinds=None) -> list[dict]:
     return rows
 
 
-def to_json_table(widths=(4, 8, 16, 32, 64), kinds=None) -> str:
-    return json.dumps(catalog_table(widths, kinds), indent=2)
-
-
 # -- microprogram generation ---------------------------------------------
 
 class _Plan:
@@ -141,37 +138,45 @@ class _Plan:
         return r
 
 
-def _not_program(n: int) -> tuple[list[Instr], _Plan, list[str], list[str]]:
+def _per_bit(gates, n: int) -> np.ndarray:
+    """Rows (dest, src1..src4) of a gate template repeated for n bits, bit-major.
+
+    A gate is (dest, *srcs), and each entry is a column or an array holding
+    one column per bit. Rows are padded with -1 at the end.
+    """
+    cells = np.full((len(gates), 5, n), -1, dtype=np.int64)
+    for g, gate in enumerate(gates):
+        for c, column in enumerate(gate):
+            cells[g, c] = column
+    return cells.transpose(2, 0, 1).reshape(-1, 5)
+
+
+def _not_program(n: int) -> tuple[np.ndarray, _Plan, list[str], list[str]]:
     plan = _Plan()
     a = plan.block("a", n)
     out = plan.block("out", n)
-    instrs = [Nor(out.start + j, (a.start + j,)) for j in range(n)]
-    return instrs, plan, ["a"], ["out"]
+    j = np.arange(n)
+    return _per_bit([(out.start + j, a.start + j)], n), plan, ["a"], ["out"]
 
 
 def _or_program(n: int):
     plan = _Plan()
     a, b = plan.block("a", n), plan.block("b", n)
     out = plan.block("out", n)
-    t = plan.block("scratch", 1)
-    instrs: list[Instr] = []
-    for j in range(n):
-        instrs.append(Nor(t.start, (a.start + j, b.start + j)))
-        instrs.append(Nor(out.start + j, (t.start,)))
-    return instrs, plan, ["a", "b"], ["out"]
+    t = plan.block("scratch", 1).start
+    j = np.arange(n)
+    gates = [(t, a.start + j, b.start + j), (out.start + j, t)]
+    return _per_bit(gates, n), plan, ["a", "b"], ["out"]
 
 
 def _and_program(n: int):
     plan = _Plan()
     a, b = plan.block("a", n), plan.block("b", n)
     out = plan.block("out", n)
-    t = plan.block("scratch", 2)
-    instrs: list[Instr] = []
-    for j in range(n):
-        instrs.append(Nor(t.start, (a.start + j,)))
-        instrs.append(Nor(t.start + 1, (b.start + j,)))
-        instrs.append(Nor(out.start + j, (t.start, t.start + 1)))
-    return instrs, plan, ["a", "b"], ["out"]
+    t = plan.block("scratch", 2).start
+    j = np.arange(n)
+    gates = [(t, a.start + j), (t + 1, b.start + j), (out.start + j, t, t + 1)]
+    return _per_bit(gates, n), plan, ["a", "b"], ["out"]
 
 
 def _xor_program(n: int):
@@ -180,31 +185,21 @@ def _xor_program(n: int):
     out = plan.block("out", n)
     t = plan.block("scratch", 4)
     t1, t2, t3, t4 = (t.start + k for k in range(4))
-    instrs: list[Instr] = []
-    for j in range(n):
-        aj, bj = a.start + j, b.start + j
-        instrs.append(Nor(t1, (aj, bj)))
-        instrs.append(Nor(t2, (aj, t1)))
-        instrs.append(Nor(t3, (bj, t1)))
-        instrs.append(Nor(t4, (t2, t3)))        # XNOR
-        instrs.append(Nor(out.start + j, (t4,)))
-    return instrs, plan, ["a", "b"], ["out"]
+    j = np.arange(n)
+    aj, bj = a.start + j, b.start + j
+    gates = [(t1, aj, bj), (t2, aj, t1), (t3, bj, t1),
+             (t4, t2, t3),                      # XNOR
+             (out.start + j, t4)]
+    return _per_bit(gates, n), plan, ["a", "b"], ["out"]
 
 
-def _full_adder9(instrs: list[Instr], aj: int, bj: int, cin: int,
-                 sum_dest: int, cout_dest: int, t: int) -> None:
-    """Nine-gate two-input-NOR full adder; scratch columns t..t+4."""
-    n1, n2, n3, n4, n5 = t, t + 1, t + 2, t + 3, t + 4
-    n6, n7 = t + 5, t + 6
-    instrs.append(Nor(n1, (aj, bj)))
-    instrs.append(Nor(n2, (aj, n1)))
-    instrs.append(Nor(n3, (bj, n1)))
-    instrs.append(Nor(n4, (n2, n3)))            # XNOR(a, b)
-    instrs.append(Nor(n5, (n4, cin)))
-    instrs.append(Nor(n6, (n4, n5)))
-    instrs.append(Nor(n7, (cin, n5)))
-    instrs.append(Nor(sum_dest, (n6, n7)))
-    instrs.append(Nor(cout_dest, (n1, n5)))
+def _full_adder9(aj, bj, cin, sum_dest, cout_dest, t: int) -> list[tuple]:
+    """Nine-gate two-input-NOR full adder; scratch columns t..t+6."""
+    n1, n2, n3, n4, n5, n6, n7 = (t + k for k in range(7))
+    return [(n1, aj, bj), (n2, aj, n1), (n3, bj, n1),
+            (n4, n2, n3),                       # XNOR(a, b)
+            (n5, n4, cin), (n6, n4, n5), (n7, cin, n5),
+            (sum_dest, n6, n7), (cout_dest, n1, n5)]
 
 
 def _add_program(n: int):
@@ -213,11 +208,10 @@ def _add_program(n: int):
     out = plan.block("out", n)
     carry = plan.block("carry", 1)  # carry-in on entry, carry-out on exit
     t = plan.block("scratch", 7)
-    instrs: list[Instr] = []
-    for j in range(n):
-        _full_adder9(instrs, a.start + j, b.start + j, carry.start,
-                     out.start + j, carry.start, t.start)
-    return instrs, plan, ["a", "b", "carry"], ["out", "carry"]
+    j = np.arange(n)
+    gates = _full_adder9(a.start + j, b.start + j, carry.start,
+                         out.start + j, carry.start, t.start)
+    return _per_bit(gates, n), plan, ["a", "b", "carry"], ["out", "carry"]
 
 
 def _add_fanin4_program(n: int):
@@ -237,24 +231,17 @@ def _add_fanin4_program(n: int):
     out = plan.block("out", n)
     ncin = plan.block("ncin", 1)                # active low: 1 means carry-in 0
     banks = [plan.block("scratch_even", 6), plan.block("scratch_odd", 6)]
-    rail_cols: tuple[int, ...] = (ncin.start,)  # bit 0 reads ncin directly
-    ncout = ColRange("ncout", 0, 0)
-    instrs: list[Instr] = []
-    for j in range(n):
-        bank = banks[j % 2].start
-        p, q, r, s, t, u = (bank + k for k in range(6))
-        aj, bj = a.start + j, b.start + j
-        instrs.append(Nor(p, (*rail_cols, bj)))
-        instrs.append(Nor(q, (p, *rail_cols)))
-        instrs.append(Nor(r, (p, bj)))
-        instrs.append(Nor(s, (r, q, aj)))
-        instrs.append(Nor(t, (s, aj)))
-        instrs.append(Nor(u, (s, r, q)))
-        instrs.append(Nor(out.start + j, (t, u)))
-        rail_cols = (r, s)
-        ncout = ColRange("ncout", r, 2)         # r, s are adjacent
-    plan.ranges.append(ncout)
-    return instrs, plan, ["a", "b", "ncin"], ["out", "ncout"]
+    j = np.arange(n)
+    bank = np.where(j % 2, banks[1].start, banks[0].start)
+    p, q, r, s, t, u = (bank + k for k in range(6))
+    aj, bj = a.start + j, b.start + j
+    rail = (np.append(ncin.start, r[:-1]), np.append(-1, s[:-1]))
+    gates = _per_bit([(p, *rail, bj), (q, p, *rail), (r, p, bj), (s, r, q, aj),
+                      (t, s, aj), (u, s, r, q), (out.start + j, t, u)], n)
+    gates[:2, 1:] = [[ncin.start, b.start, -1, -1],   # bit 0 reads ncin alone
+                     [p[0], ncin.start, -1, -1]]
+    plan.ranges.append(ColRange("ncout", int(r[-1]), 2))  # r, s are adjacent
+    return gates, plan, ["a", "b", "ncin"], ["out", "ncout"]
 
 
 def _mpy_program(n: int):
@@ -266,23 +253,20 @@ def _mpy_program(n: int):
     out = plan.block("out", 2 * n)
     na = plan.block("not_a", n)
     pp = plan.block("partial", n)
-    nb = plan.block("not_b", 1)
+    nb = plan.block("not_b", 1).start
     zero = plan.block("zero", 1)                # never written, stays 0
-    cc = plan.block("carry", 1)
+    cc = plan.block("carry", 1).start
     t = plan.block("scratch", 7)
-    instrs: list[Instr] = []
-    for j in range(n):
-        instrs.append(Nor(na.start + j, (a.start + j,)))
+    j = np.arange(n)
+    cin = np.where(j == 0, zero.start, cc)
+    blocks = [_per_bit([(na.start + j, a.start + j)], n)]
     for i in range(n):
-        instrs.append(Nor(nb.start, (b.start + i,)))
-        for j in range(n):
-            instrs.append(Nor(pp.start + j, (na.start + j, nb.start)))
-        for j in range(n):
-            cin = zero.start if j == 0 else cc.start
-            cout = out.start + i + n if j == n - 1 else cc.start
-            _full_adder9(instrs, pp.start + j, out.start + i + j, cin,
-                         out.start + i + j, cout, t.start)
-    return instrs, plan, ["a", "b"], ["out"]
+        acc = out.start + i + j
+        cout = np.where(j == n - 1, out.start + i + n, cc)
+        blocks += [_per_bit([(nb, b.start + i)], 1),
+                   _per_bit([(pp.start + j, na.start + j, nb)], n),
+                   _per_bit(_full_adder9(pp.start + j, acc, cin, acc, cout, t.start), n)]
+    return np.concatenate(blocks), plan, ["a", "b"], ["out"]
 
 
 _GENERATORS = {
@@ -310,13 +294,13 @@ def microprogram_of(spec: OpSpec, cols: int | None = None) -> NorProgram:
     gen = _GENERATORS.get(spec.kind)
     if gen is None:
         raise UnsupportedOperation(f"no canonical microprogram for {spec.kind.name}")
-    instrs, plan, in_names, out_names = gen(spec.width_bits)
+    gates, plan, in_names, out_names = gen(spec.width_bits)
     if cols is not None and plan.next > cols:
         raise ColumnOverflow(f"{spec.kind.name} n={spec.width_bits} needs "
                              f"{plan.next} columns, budget is {cols}")
     by_name = {r.name: r for r in plan.ranges}
-    return NorProgram(
-        tuple(instrs),
+    return NorProgram.from_arrays(
+        OP_NOR, gates[:, 0], gates[:, 1:],
         inputs=tuple(by_name[x] for x in in_names),
         outputs=tuple(by_name[x] for x in out_names),
         max_fanin=4 if spec.kind is OpKind.ADD_FANIN4 else 2,

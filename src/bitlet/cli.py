@@ -59,6 +59,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _field(text: str) -> str:
+    """A CSV field, quoted per RFC 4180 only when it holds a comma, a quote,
+    CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _block(pattern: str, rows) -> str:
     """CSV lines for a 2-D array or a list of tuples; `pattern` formats one row."""
     cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
@@ -144,7 +152,8 @@ def cmd_eval(args) -> int:
                 "crossover_oc", "energy_ratio"]
         doc = _csv(["bitlet eval"], cols,
                    _block("%s,%d,%d,%d,%.6g,%.6g,%.6g,%.6g,%s,%.6g,%.6g,%.6g",
-                          [[p[c] for c in cols] for p in payload]))
+                          [[_field(p["name"]), *(p[c] for c in cols[1:])]
+                           for p in payload]))
     if args.out:
         print("\n".join(human))
         return _emit(doc, args.out)
@@ -166,7 +175,7 @@ def cmd_crossover(args) -> int:
         doc = json.dumps([dict(zip(cols, r)) for r in rows], indent=2) + "\n"
     else:
         doc = _csv(["bitlet crossover"], cols,
-                   _block("%s,%d,%d,%.6g,%d,%.6g", rows))
+                   _block("%s,%d,%d,%.6g,%d,%.6g", [(_field(r[0]), *r[1:]) for r in rows]))
     return _emit(doc, args.out)
 
 
@@ -199,7 +208,7 @@ def cmd_sweep(args) -> int:
         doc = json.dumps([dict(zip(cols, (name, *r))) for name, t in tables
                           for r in t.tolist()], indent=2) + "\n"
     else:
-        body = "".join(_block(name.replace("%", "%%") + ",%.6g" * 5, t)
+        body = "".join(_block(_field(name).replace("%", "%%") + ",%.6g" * 5, t)
                        for name, t in tables)
         doc = _csv([f"bitlet sweep param={param} grid={args.grid}"], cols, body)
     return _emit(doc, args.out)
@@ -228,7 +237,8 @@ def cmd_power(args) -> int:
                           "workloads": [dict(zip(cols, r)) for r in rows]},
                          indent=2) + "\n"
     else:
-        doc = _csv(meta, cols, _block("%s,%d,%d,%d" + ",%.6g" * 6, rows))
+        doc = _csv(meta, cols, _block("%s,%d,%d,%d" + ",%.6g" * 6,
+                                      [(_field(r[0]), *r[1:]) for r in rows]))
     return _emit(doc, args.out)
 
 
@@ -347,9 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grids(argv: list[str]) -> list[str]:
+    """Join ``--grid VALUE`` into ``--grid=VALUE`` when VALUE is a grid that
+    starts with '-', which argparse would otherwise take for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and arg.startswith("-") and ":" in arg:
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grids(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, NonFiniteResult) as exc:

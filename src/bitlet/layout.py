@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .machine import PimMachine
-from .simulator import ColRange, ColumnOverflow, HMove, Instr, NorProgram, VMove
+from .simulator import OP_HMOVE, OP_VMOVE, ColRange, ColumnOverflow, NorProgram
 
 
 class RowOverflow(ValueError):
@@ -59,9 +61,6 @@ class LayoutSpec:
     @property
     def has_override(self) -> bool:
         return self.hmove_override is not None
-
-
-PERFECT_LAYOUT = LayoutSpec(element_width_bits=1)
 
 
 def pac_of(layout: LayoutSpec, pim: PimMachine) -> int:
@@ -145,30 +144,42 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine,
             raise ColumnOverflow(f"element region [{lo}, {lo + n}) exceeds "
                                  f"{cols} columns")
 
-    instrs: list[Instr] = [HMove(dst + j, src + j) for src, dst in regions
-                           for j in range(n)]
-    if layout.needs_vertical_relocation:
-        off = assignment.vertical_offset
-        # element region of each row: one contiguous block of rows per subset
-        if k == 0:
-            region = [assignment.aligned_start] * rows
-        else:
-            bounds = [-(-g * rows // k) for g in range(k + 1)]
-            region = [t for g, t in enumerate(assignment.target_starts)
-                      for _ in range(bounds[g + 1] - bounds[g])]
-        # destinations in an order where no move reads a row already written;
-        # the last |off| of them take their element from the neighbouring array
-        dests = range(rows) if off < 0 else range(rows - 1, -1, -1)
-        inside = max(rows - abs(off), 0)
-        instrs += [VMove(off, region[d - off], region[d - off] + n - 1, d - off)
-                   for d in dests[:inside]]
-        instrs += [VMove(off, region[d], region[d] + n - 1, d - off, crosses_array=True)
-                   for d in dests[inside:]]
-
     inputs = tuple(ColRange(f"source_{g}", s, n)
                    for g, s in enumerate(assignment.source_starts))
     outputs = tuple(ColRange(f"target_{g}", t, n)
                     for g, t in enumerate(assignment.target_starts))
     if k == 0:
         outputs = (ColRange("aligned", assignment.aligned_start, n),)
-    return NorProgram(tuple(instrs), inputs=inputs, outputs=outputs)
+
+    # one HMove per bit of each region, then one VMove per row
+    bit = np.arange(n)
+    sources = (np.array(assignment.source_starts, dtype=np.int64)[:, None] + bit).ravel()
+    targets = (np.array(assignment.target_starts, dtype=np.int64)[:, None] + bit).ravel()
+    if not layout.needs_vertical_relocation:
+        return NorProgram.from_arrays(OP_HMOVE, targets, sources,
+                                      inputs=inputs, outputs=outputs)
+    off = assignment.vertical_offset
+    # element region of each row: one contiguous block of rows per subset
+    if k == 0:
+        region = np.full(rows, assignment.aligned_start, dtype=np.int64)
+    else:
+        bounds = [-(-g * rows // k) for g in range(k + 1)]
+        region = np.repeat(np.array(assignment.target_starts, dtype=np.int64),
+                           np.diff(bounds))
+    # destinations in an order where no move reads a row already written;
+    # the last |off| of them take their element from the neighbouring array,
+    # so their region is the destination row's, not the source row's
+    dests = np.arange(rows) if off < 0 else np.arange(rows - 1, -1, -1)
+    crosses = np.arange(rows) >= max(rows - abs(off), 0)
+    col_lo = region[np.where(crosses, dests, dests - off)]
+
+    def after_hmoves(moves, hmoves=0):
+        """A column: the HMoves' entries, then the VMoves'."""
+        return np.concatenate((np.broadcast_to(hmoves, len(sources)), moves))
+
+    return NorProgram.from_arrays(
+        np.repeat(np.array([OP_HMOVE, OP_VMOVE], dtype=np.int8), (len(sources), rows)),
+        after_hmoves(np.full(rows, -1), targets), after_hmoves(np.full(rows, -1), sources),
+        offset=after_hmoves(np.full(rows, off)), col_lo=after_hmoves(col_lo),
+        col_hi=after_hmoves(col_lo + n - 1), row=after_hmoves(dests - off),
+        crosses=after_hmoves(crosses, False), inputs=inputs, outputs=outputs)

@@ -26,13 +26,39 @@ runs and are cleared before ``run`` returns, so they are never seen. The
 constructor, the read-only ``ArrayState.bits`` and ``apply_instr``, which
 states the reference semantics the tests hold the packed engine to.
 
-VMove batching. Each stretch of consecutive VMoves is split into runs, and a
-run executes as one gather per distinct (col_lo, col_hi) on the unpacked
-columns and words it touches: every source is read before any destination
-is written. A run ends before the first move that reads or writes a row
-that an earlier move of the same run wrote (the hazard condition), so each
-read sees what sequential execution would show it and no row is written
-twice. Crossing moves take part in no run.
+Program form. A ``NorProgram`` is a set of read-only columns, one entry
+per instruction: ``op`` (``OP_NOR``, ``OP_HMOVE`` or ``OP_VMOVE``), ``dest``,
+``srcs`` (k x w, padded with -1, where w is the widest fan-in and at least
+1), ``fanin``, and the VMove fields ``offset``, ``col_lo``, ``col_hi``,
+``row`` and ``crosses``. An HMove keeps its source in ``srcs[:, 0]`` with
+fan-in 1; a VMove has ``dest`` -1 and fan-in 0. Generators build the
+columns directly (``NorProgram.from_arrays``). The ``Nor``/``HMove``/
+``VMove`` objects are the public reference form: a program built from them
+is converted to columns once, and ``NorProgram.instructions`` builds them
+back on each access. Validation is one boolean mask per rule; the first
+instruction any mask flags is materialized and described by ``_problem``.
+
+Execution. ``run`` splits a program where the op code changes. NOR and
+HMove segments loop over the columns as Python ints; a VMove segment is
+executed from its column arrays. Crossing moves in it change nothing. The
+rest split into runs, and a run executes as one gather per distinct
+(col_lo, col_hi) on the unpacked columns and words it touches: every
+source is read before any destination is written. A run ends before the
+first move that reads or writes a row that an earlier move of the same run
+wrote (the hazard condition), so each read sees what sequential execution
+would show it and no row is written twice.
+
+Shape rule. A segment whose in-array moves share one offset and one
+(col_lo, col_hi), with rows stepping by exactly -sign(offset), is
+hazard-free by construction and skips the split. With offset < 0 the rows
+ascend: move i writes row r0 + i + offset, below every row r0 + j (j > i)
+that a later move reads. With offset > 0 they descend, and the write
+r0 - i + offset lies above every later read r0 - j. The rows written are
+distinct, so no write repeats either. Such a segment is one overlapping
+row-slice copy of the unpacked block. Rows that ascend with a positive
+offset (or descend with a negative one) are not of this shape: sequential
+execution then copies the first row through the whole range, so they take
+the general path. The ROW-long vertical relocation has exactly this shape.
 
 A line-oriented text form is provided for golden files::
 
@@ -43,8 +69,7 @@ A line-oriented text form is provided for golden files::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +82,7 @@ class ColumnOverflow(ValueError):
     """A generated program or move plan does not fit the available columns."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nor:
     """One NOR cycle: dest <- NOR(src columns), applied to all rows."""
 
@@ -68,7 +93,7 @@ class Nor:
         object.__setattr__(self, "srcs", tuple(self.srcs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HMove:
     """One horizontal move cycle: column src copied to column dest, all rows."""
 
@@ -76,7 +101,7 @@ class HMove:
     src: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VMove:
     """One vertical move cycle: row's cells [col_lo, col_hi] go to row+offset."""
 
@@ -103,22 +128,139 @@ class ColRange:
         return self.start + self.width
 
 
-@dataclass(frozen=True)
+OP_NOR, OP_HMOVE, OP_VMOVE = 0, 1, 2
+
+
+def _check_max_fanin(max_fanin: int) -> None:
+    if not 1 <= max_fanin <= 4:
+        raise InvalidProgram(f"max_fanin must be in 1..4, got {max_fanin}")
+
+
+def _column(values, dtype, k: int) -> np.ndarray:
+    """A read-only copy of `values` (an array or a scalar) as k entries."""
+    col = np.empty(k, dtype=dtype)
+    col[...] = values
+    col.flags.writeable = False
+    return col
+
+
 class NorProgram:
-    """An ordered instruction sequence plus its declared column interface."""
+    """An ordered instruction sequence plus its declared column interface.
 
-    instructions: tuple[Instr, ...]
-    inputs: tuple[ColRange, ...] = ()
-    outputs: tuple[ColRange, ...] = ()
-    max_fanin: int = 2
+    The instructions are held as read-only columns (see the module
+    docstring). ``instructions`` is a view: each access builds a new tuple
+    of ``Nor``, ``HMove`` and ``VMove`` objects from the columns. A program
+    is built from such objects, or from columns by ``from_arrays``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "instructions", tuple(self.instructions))
-        if not 1 <= self.max_fanin <= 4:
-            raise InvalidProgram(f"max_fanin must be in 1..4, got {self.max_fanin}")
+    __slots__ = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi",
+                 "row", "crosses", "inputs", "outputs", "max_fanin")
+
+    def __init__(self, instructions=(), inputs=(), outputs=(), max_fanin: int = 2):
+        """Build from ``Nor``/``HMove``/``VMove`` objects; any other object
+        raises InvalidProgram."""
+        _check_max_fanin(max_fanin)
+        cols = []
+        for i, ins in enumerate(instructions):
+            if isinstance(ins, Nor):
+                cols.append((OP_NOR, ins.dest, ins.srcs, len(ins.srcs), 0, 0, 0, 0, False))
+            elif isinstance(ins, HMove):
+                cols.append((OP_HMOVE, ins.dest, (ins.src,), 1, 0, 0, 0, 0, False))
+            elif isinstance(ins, VMove):
+                cols.append((OP_VMOVE, -1, (), 0, ins.offset, ins.col_lo, ins.col_hi,
+                             ins.row, ins.crosses_array))
+            else:
+                raise InvalidProgram(f"instruction {i}: {ins!r}: unknown instruction type")
+        op, dest, srcs, fanin, *moves = zip(*cols) if cols else [()] * 9
+        w = max(fanin, default=1) or 1
+        srcs = [s + (-1,) * (w - len(s)) for s in srcs]
+        self._set(op, dest, np.array(srcs, dtype=np.int64).reshape(len(cols), w),
+                  fanin, *moves, inputs, outputs, max_fanin)
+
+    @classmethod
+    def from_arrays(cls, op, dest, srcs, fanin=None, offset=0, col_lo=0, col_hi=0,
+                    row=0, crosses=False, *, inputs=(), outputs=(),
+                    max_fanin: int = 2) -> "NorProgram":
+        """Build a program from its columns.
+
+        ``dest`` fixes the instruction count; every other column is an array
+        of that length or a scalar. ``srcs`` is k x w, or k for one source
+        each, padded at the end of each row with -1. ``fanin`` defaults to the
+        number of non-negative entries of each row of ``srcs``.
+        """
+        srcs = np.asarray(srcs, dtype=np.int64)
+        srcs = srcs[:, None] if srcs.ndim == 1 else srcs
+        if fanin is None:
+            fanin = (srcs >= 0).sum(axis=1)
+        _check_max_fanin(max_fanin)
+        program = cls.__new__(cls)
+        program._set(op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
+                     inputs, outputs, max_fanin)
+        return program
+
+    def _set(self, op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
+             inputs, outputs, max_fanin) -> None:
+        k = len(dest)
+        self.op = _column(op, np.int8, k)
+        self.dest = _column(dest, np.int64, k)
+        self.fanin = _column(fanin, np.int64, k)
+        w = max(int(self.fanin.max(initial=0)), 1)
+        self.srcs = np.array(srcs[:, :w], dtype=np.int64)
+        self.srcs.flags.writeable = False
+        self.offset = _column(offset, np.int64, k)
+        self.col_lo = _column(col_lo, np.int64, k)
+        self.col_hi = _column(col_hi, np.int64, k)
+        self.row = _column(row, np.int64, k)
+        self.crosses = _column(crosses, bool, k)
+        self.inputs, self.outputs = tuple(inputs), tuple(outputs)
+        self.max_fanin = max_fanin
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.op)
+
+    def __repr__(self) -> str:
+        return (f"NorProgram(<{len(self)} instructions>, inputs={self.inputs!r}, "
+                f"outputs={self.outputs!r}, max_fanin={self.max_fanin})")
+
+    def _key(self):
+        return to_text(self), self.inputs, self.outputs, self.max_fanin
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NorProgram):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
+    def instructions(self) -> tuple[Instr, ...]:
+        """Every instruction as an object, built anew on each access."""
+        return self._materialize(0, len(self))
+
+    def _segments(self, start: int, stop: int) -> list[tuple[int, int, int]]:
+        """(op, first, end) of each run of one op code within start..stop-1."""
+        op = self.op[start:stop]
+        if not len(op):
+            return []
+        cuts = [0, *(np.flatnonzero(op[1:] != op[:-1]) + 1).tolist(), len(op)]
+        return [(int(op[a]), start + a, start + b) for a, b in zip(cuts, cuts[1:])]
+
+    def _materialize(self, start: int, stop: int) -> tuple[Instr, ...]:
+        """Instructions start..stop-1 as objects holding Python ints."""
+        out: list[Instr] = []
+        for kind, a, b in self._segments(start, stop):
+            dest = self.dest[a:b]
+            if kind == OP_VMOVE:
+                out += map(VMove, self.offset[a:b].tolist(), self.col_lo[a:b].tolist(),
+                           self.col_hi[a:b].tolist(), self.row[a:b].tolist(),
+                           self.crosses[a:b].tolist())
+            elif kind == OP_HMOVE:
+                out += map(HMove, dest.tolist(), self.srcs[a:b, 0].tolist())
+            else:
+                out += [Nor(d, tuple(s[:f])) for d, s, f in zip(
+                    dest.tolist(), self.srcs[a:b].tolist(), self.fanin[a:b].tolist())]
+        return tuple(out)
 
     def range(self, name: str) -> ColRange:
         for r in self.inputs + self.outputs:
@@ -126,27 +268,47 @@ class NorProgram:
                 return r
         raise KeyError(name)
 
+    def _sources(self) -> np.ndarray:
+        """Mask of the ``srcs`` entries that are sources (within each fan-in)."""
+        return np.arange(self.srcs.shape[1]) < self.fanin[:, None]
+
     @property
     def cols_required(self) -> int:
         """Smallest column count this program fits in."""
-        top = 0
-        for ins in self.instructions:
-            if isinstance(ins, Nor):
-                top = max(top, ins.dest, *ins.srcs)
-            elif isinstance(ins, HMove):
-                top = max(top, ins.dest, ins.src)
-            else:
-                top = max(top, ins.col_hi)
-        for r in self.inputs + self.outputs:
-            top = max(top, r.stop - 1)
-        return top + 1
+        moves = self.op == OP_VMOVE
+        return 1 + max(int(self.dest.max(where=~moves, initial=0)),
+                       int(self.srcs.max(where=self._sources(), initial=0)),
+                       int(self.col_hi.max(where=moves, initial=0)),
+                       *(r.stop - 1 for r in self.inputs + self.outputs))
 
     def validate(self, rows: int, cols: int) -> None:
         """Raise InvalidProgram unless every instruction is legal for rows x cols."""
-        for i, ins in enumerate(self.instructions):
+        bad = self._illegal(rows, cols)
+        if bad.any():
+            i = int(bad.argmax())
+            ins = self._materialize(i, i + 1)[0]
             problem = _problem(ins, rows, cols, self.max_fanin)
-            if problem is not None:
-                raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
+            raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
+
+    def _illegal(self, rows: int, cols: int) -> np.ndarray:
+        """Mask of the instructions that break any rule of ``_problem``."""
+        moves = self.op == OP_VMOVE
+        used = self._sources()
+        srcs = self.srcs
+        outside = (srcs < 0) | (srcs >= cols)
+        cells = ((srcs == self.dest[:, None]) & used).any(axis=1)
+        cells |= (self.dest < 0) | (self.dest >= cols) | (outside & used).any(axis=1)
+        bad = ~moves & cells
+        bad |= (self.op == OP_NOR) & ((self.fanin < 1) | (self.fanin > self.max_fanin))
+        if not moves.any():
+            return bad
+        dst = self.row + self.offset
+        src_in = (self.row >= 0) & (self.row < rows)
+        dst_in = (dst >= 0) & (dst < rows)
+        lo, hi = self.col_lo, self.col_hi
+        bad |= moves & ((self.offset == 0) | (lo < 0) | (lo > hi) | (hi >= cols)
+                        | ~(src_in | dst_in) | (self.crosses == (src_in & dst_in)))
+        return bad
 
 
 def _problem(ins: Instr, rows: int, cols: int, max_fanin: int) -> str | None:
@@ -286,35 +448,59 @@ def _hazard_free_runs(src: np.ndarray, dst: np.ndarray) -> list[int]:
     return starts
 
 
-def _move_rows(planes: np.ndarray, moves: list[VMove]) -> None:
-    """Execute a stretch of consecutive VMoves as batched gathers.
+def _move_rows(planes: np.ndarray, offset: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, row: np.ndarray, crosses: np.ndarray) -> None:
+    """Execute a stretch of consecutive VMoves, given as column arrays.
 
-    Crossing moves change nothing. The rest split into hazard-free runs;
-    each run unpacks the column range and word span it touches once and
+    Crossing moves change nothing. A stretch of the shape rule's form is
+    one row-slice copy; any other splits into hazard-free runs, each of
+    which unpacks the column range and word span it touches once and
     gathers every distinct (col_lo, col_hi) from that snapshot before it
     writes any row back.
     """
-    moves = [m for m in moves if not m.crosses_array]
-    if not moves:
+    if crosses.any():
+        keep = ~crosses
+        offset, lo, hi, row = offset[keep], lo[keep], hi[keep], row[keep]
+    if not len(row):
         return
-    src = np.array([m.row for m in moves], dtype=np.intp)
-    dst = src + np.array([m.offset for m in moves], dtype=np.intp)
-    lo = np.array([m.col_lo for m in moves], dtype=np.intp)
-    hi = np.array([m.col_hi for m in moves], dtype=np.intp)
-    bounds = _hazard_free_runs(src, dst) + [len(moves)]
+    off, c0, c1 = int(offset[0]), int(lo[0]), int(hi[0]) + 1
+    if ((offset == off).all() and (lo == c0).all() and (hi == c1 - 1).all()
+            and (row[1:] - row[:-1] == (-1 if off > 0 else 1)).all()):
+        s0, s1 = int(row.min()), int(row.max()) + 1
+        block, base = _unpack(planes, c0, c1, min(s0, s0 + off), max(s1, s1 + off) - 1)
+        block[:, s0 + off - base:s1 + off - base] = block[:, s0 - base:s1 - base]
+        _pack(planes, block, c0, base)
+        return
+    dst = row + offset
+    bounds = _hazard_free_runs(row, dst) + [len(row)]
     for a, b in zip(bounds, bounds[1:]):
-        _gather_run(planes, lo[a:b], hi[a:b], src[a:b], dst[a:b])
+        _gather_run(planes, lo[a:b], hi[a:b], row[a:b], dst[a:b])
+
+
+def _unpack(planes: np.ndarray, c0: int, c1: int, first_row: int,
+            last_row: int) -> tuple[np.ndarray, int]:
+    """Columns c0..c1-1 unpacked to one byte per cell over the words that
+    hold rows first_row..last_row, and the row of the block's first bit."""
+    w0, w1 = first_row // WORD_BITS, last_row // WORD_BITS + 1
+    block = np.unpackbits(planes[c0:c1, w0:w1].view(np.uint8), axis=1, bitorder="little")
+    return block, w0 * WORD_BITS
+
+
+def _pack(planes: np.ndarray, block: np.ndarray, c0: int, base: int) -> None:
+    """Write a block from ``_unpack`` back into its planes."""
+    w0 = base // WORD_BITS
+    planes[c0:c0 + len(block), w0:w0 + block.shape[1] // WORD_BITS] = (
+        np.packbits(block, axis=1, bitorder="little").view(_WORD))
 
 
 def _gather_run(planes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 src: np.ndarray, dst: np.ndarray) -> None:
     """Execute one hazard-free run of in-array VMoves, given as index arrays."""
     c0, c1 = int(lo.min()), int(hi.max()) + 1
-    w0 = int(min(src.min(), dst.min())) // WORD_BITS
-    w1 = int(max(src.max(), dst.max())) // WORD_BITS + 1
-    block = np.unpackbits(planes[c0:c1, w0:w1].view(np.uint8), axis=1, bitorder="little")
-    src = src - w0 * WORD_BITS
-    dst = dst - w0 * WORD_BITS
+    block, base = _unpack(planes, c0, c1, int(min(src.min(), dst.min())),
+                          int(max(src.max(), dst.max())))
+    src = src - base
+    dst = dst - base
     span = c1 - c0
     ranges, which = np.unique((lo - c0) * span + (hi - c0), return_inverse=True)
     gathered = []
@@ -324,7 +510,7 @@ def _gather_run(planes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         gathered.append((cols, dst[sel], block[cols][:, src[sel]]))
     for cols, rows, values in gathered:
         block[cols, rows] = values
-    planes[c0:c1, w0:w1] = np.packbits(block, axis=1, bitorder="little").view(_WORD)
+    _pack(planes, block, c0, base)
 
 
 def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
@@ -332,20 +518,24 @@ def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
     program.validate(initial.rows, initial.cols)
     state = initial.copy()
     planes = list(state._planes)           # one view per column plane
-    for kind, group in groupby(program.instructions, type):
-        if issubclass(kind, VMove):
-            _move_rows(state._planes, list(group))
-        elif issubclass(kind, HMove):
-            for ins in group:
-                planes[ins.dest][...] = planes[ins.src]
+    for kind, a, b in program._segments(0, len(program)):
+        if kind == OP_VMOVE:
+            _move_rows(state._planes, program.offset[a:b], program.col_lo[a:b],
+                       program.col_hi[a:b], program.row[a:b], program.crosses[a:b])
+        elif kind == OP_HMOVE:
+            for dest, src in zip(program.dest[a:b].tolist(),
+                                 program.srcs[a:b, 0].tolist()):
+                planes[dest][...] = planes[src]
         else:
-            for ins in group:
-                out, srcs = planes[ins.dest], ins.srcs
-                if len(srcs) == 1:
+            for dest, srcs, fanin in zip(program.dest[a:b].tolist(),
+                                         program.srcs[a:b].tolist(),
+                                         program.fanin[a:b].tolist()):
+                out = planes[dest]
+                if fanin == 1:
                     np.invert(planes[srcs[0]], out=out)
                     continue
                 np.bitwise_or(planes[srcs[0]], planes[srcs[1]], out=out)
-                for s in srcs[2:]:
+                for s in srcs[2:fanin]:
                     np.bitwise_or(out, planes[s], out=out)
                 np.invert(out, out=out)
     tail = state.rows % WORD_BITS
@@ -418,16 +608,18 @@ def unpack_ints(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
 
 def to_text(program: NorProgram) -> str:
     """Serialize instructions, one per line (interface ranges are not stored)."""
-    lines = []
-    for ins in program.instructions:
-        if isinstance(ins, Nor):
-            lines.append(" ".join(["NOR", str(ins.dest), *map(str, ins.srcs)]))
-        elif isinstance(ins, HMove):
-            lines.append(f"HMOVE {ins.dest} {ins.src}")
-        else:
-            flag = " x" if ins.crosses_array else ""
-            lines.append(f"VMOVE {ins.offset} {ins.col_lo} {ins.col_hi} {ins.row}{flag}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    k, w = program.srcs.shape
+    moves = program.op == OP_VMOVE
+    cells = np.zeros((k, max(w + 1, 4)), dtype=np.int64)
+    cells[:, 0], cells[:, 1:w + 1] = program.dest, program.srcs
+    cells[moves, :4] = np.column_stack((program.offset, program.col_lo,
+                                        program.col_hi, program.row))[moves]
+    used = np.arange(cells.shape[1]) < np.where(moves, 4, program.fanin + 1)[:, None]
+    patterns = ["NOR" + " %d" * (1 + f) + "\n" for f in range(w + 1)]
+    patterns += ["HMOVE %d %d\n", "VMOVE %d %d %d %d\n", "VMOVE %d %d %d %d x\n"]
+    which = np.where(program.op == OP_NOR, program.fanin,
+                     np.where(moves, w + 2 + program.crosses, w + 1))
+    return "".join([patterns[i] for i in which.tolist()]) % tuple(cells[used].tolist())
 
 
 def from_text(text: str, max_fanin: int | None = None) -> NorProgram:

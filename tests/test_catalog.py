@@ -1,12 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 
 from bitlet.catalog import (ColumnOverflow, OpKind, OpSpec, UnsupportedOperation,
                             UnsupportedWidth, catalog_table, microprogram_of,
-                            oc_of, to_json_table)
-from bitlet.simulator import ArrayState, Nor, count_cycles, pack_ints, run, unpack_ints
+                            oc_of)
+from bitlet.simulator import (ArrayState, ColRange, Nor, NorProgram, count_cycles, pack_ints,
+                              run, to_text, unpack_ints)
 
 EXACT_KINDS = {
     OpKind.NOT: lambda n: n,
@@ -76,10 +75,6 @@ class TestCatalogTable:
         rows = catalog_table()
         assert {"kind": "AND", "n": 16, "oc": 48} in rows
         assert {"kind": "MPY", "n": 64, "oc": 13 * 64 * 64 - 14 * 64} in rows
-
-    def test_json_form_parses(self):
-        rows = json.loads(to_json_table(widths=(4, 8)))
-        assert all(set(r) == {"kind", "n", "oc"} for r in rows)
 
 
 def _run_program(prog, n, a, b=None, cin=None, ncin=None):
@@ -223,3 +218,94 @@ class TestMicroprograms:
             assert widest <= prog.max_fanin
             if kind is not OpKind.ADD_FANIN4:
                 assert prog.max_fanin == 2
+
+
+# -- object-built reference generators ----------------------------------------
+# The generators as they were written before programs became columnar: one
+# Nor object per gate, columns allocated in the same order.
+
+def _ref_full_adder9(out, aj, bj, cin, sum_dest, cout_dest, t):
+    n1, n2, n3, n4, n5, n6, n7 = (t + k for k in range(7))
+    out += [Nor(n1, (aj, bj)), Nor(n2, (aj, n1)), Nor(n3, (bj, n1)), Nor(n4, (n2, n3)),
+            Nor(n5, (n4, cin)), Nor(n6, (n4, n5)), Nor(n7, (cin, n5)),
+            Nor(sum_dest, (n6, n7)), Nor(cout_dest, (n1, n5))]
+
+
+def reference_program(kind, n):
+    """(instructions, {range name: (start, width)}, inputs, outputs, max_fanin)."""
+    starts, top = {}, 0
+
+    def block(name, width):
+        nonlocal top
+        starts[name] = (top, width)
+        top += width
+        return starts[name][0]
+
+    out = []
+    if kind is OpKind.NOT:
+        a, o = block("a", n), block("out", n)
+        out = [Nor(o + j, (a + j,)) for j in range(n)]
+        return out, starts, ["a"], ["out"], 2
+    if kind in (OpKind.OR, OpKind.AND, OpKind.XOR, OpKind.ADD):
+        a, b, o = block("a", n), block("b", n), block("out", n)
+    if kind is OpKind.OR:
+        t = block("scratch", 1)
+        for j in range(n):
+            out += [Nor(t, (a + j, b + j)), Nor(o + j, (t,))]
+    elif kind is OpKind.AND:
+        t = block("scratch", 2)
+        for j in range(n):
+            out += [Nor(t, (a + j,)), Nor(t + 1, (b + j,)), Nor(o + j, (t, t + 1))]
+    elif kind is OpKind.XOR:
+        t = block("scratch", 4)
+        for j in range(n):
+            out += [Nor(t, (a + j, b + j)), Nor(t + 1, (a + j, t)), Nor(t + 2, (b + j, t)),
+                    Nor(t + 3, (t + 1, t + 2)), Nor(o + j, (t + 3,))]
+    elif kind is OpKind.ADD:
+        c, t = block("carry", 1), block("scratch", 7)
+        for j in range(n):
+            _ref_full_adder9(out, a + j, b + j, c, o + j, c, t)
+        return out, starts, ["a", "b", "carry"], ["out", "carry"], 2
+    elif kind is OpKind.ADD_FANIN4:
+        a, b, o = block("a", n), block("b", n), block("out", n)
+        ncin = block("ncin", 1)
+        banks = [block("scratch_even", 6), block("scratch_odd", 6)]
+        rail = (ncin,)
+        for j in range(n):
+            p, q, r, s, t, u = (banks[j % 2] + k for k in range(6))
+            out += [Nor(p, (*rail, b + j)), Nor(q, (p, *rail)), Nor(r, (p, b + j)),
+                    Nor(s, (r, q, a + j)), Nor(t, (s, a + j)), Nor(u, (s, r, q)),
+                    Nor(o + j, (t, u))]
+            rail = (r, s)
+        starts["ncout"] = (rail[0], 2)
+        return out, starts, ["a", "b", "ncin"], ["out", "ncout"], 4
+    elif kind is OpKind.MPY:
+        a, b, o = block("a", n), block("b", n), block("out", 2 * n)
+        na, pp = block("not_a", n), block("partial", n)
+        nb, zero, cc, t = (block("not_b", 1), block("zero", 1), block("carry", 1),
+                           block("scratch", 7))
+        out = [Nor(na + j, (a + j,)) for j in range(n)]
+        for i in range(n):
+            out.append(Nor(nb, (b + i,)))
+            out += [Nor(pp + j, (na + j, nb)) for j in range(n)]
+            for j in range(n):
+                _ref_full_adder9(out, pp + j, o + i + j, zero if j == 0 else cc,
+                                 o + i + j, o + i + n if j == n - 1 else cc, t)
+    return out, starts, ["a", "b"], ["out"], 2
+
+
+class TestColumnarGenerators:
+    @pytest.mark.parametrize("kind", list(EXACT_KINDS) + [OpKind.MPY])
+    def test_array_built_programs_equal_the_object_built_reference(self, kind):
+        for n in range(2 if kind is OpKind.MPY else 1, 33):
+            prog = microprogram_of(OpSpec(kind, n))
+            instrs, starts, ins, outs, max_fanin = reference_program(kind, n)
+            ref = NorProgram(tuple(instrs), max_fanin=max_fanin,
+                             inputs=tuple(ColRange(x, *starts[x]) for x in ins),
+                             outputs=tuple(ColRange(x, *starts[x]) for x in outs))
+            assert to_text(prog) == to_text(ref), (kind, n)
+            assert len(prog) == len(ref)
+            assert prog.cols_required == ref.cols_required
+            assert prog.max_fanin == ref.max_fanin
+            assert (prog.inputs, prog.outputs) == (ref.inputs, ref.outputs)
+            assert prog == ref

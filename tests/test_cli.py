@@ -7,6 +7,7 @@ Both files are only read.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -129,3 +130,43 @@ class TestNonFiniteResults:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "overflow double precision" in captured.err
+
+
+class TestCsvQuoting:
+    NAMES = ["x,y", 'a"b', "odd%s,x"]
+
+    @pytest.mark.parametrize("argv", [["eval"], ["crossover"], ["power"],
+                                      ["sweep", "--param", "OC", "--grid", "32:33:2"]])
+    def test_names_needing_quotes_round_trip(self, tmp_path, argv):
+        path = write_config(tmp_path, {
+            "power": {"tdp_watts": 20},
+            "workloads": [{"name": name, "op": "OR", "width_bits": 16, "dio_bits": 48}
+                          for name in self.NAMES]})
+        out = tmp_path / "out.csv"
+        code, _ = run(argv[:1] + ["--config", path, "--out", str(out)] + argv[1:])
+        assert code == cli.EXIT_OK
+        lines = [line for line in out.read_text().splitlines(keepends=True)
+                 if not line.startswith("#")]
+        header, *rows = list(csv.reader(lines))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert sorted({row[0] for row in rows}) == sorted(self.NAMES)
+
+    def test_plain_names_stay_unquoted(self):
+        assert cli._field("add16_shifted") == "add16_shifted"
+        assert cli._field("a\nb") == '"a\nb"'
+        assert cli._field("a\rb") == '"a\rb"'
+
+
+class TestNegativeGrids:
+    def test_space_separated_negative_grid_reaches_the_grid_check(self, capsys):
+        code = cli.main(["sweep", "--config", CONFIG, "--param", "PAC",
+                         "--grid", "-1:5:3"])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: PAC grid values must round to >= 0\n"
+
+    def test_both_spellings_give_the_same_bytes(self):
+        base = ["sweep", "--config", CONFIG, "--param", "PAC"]
+        spaced = run(base + ["--grid", "-0.4:2:3"])
+        joined = run(base + ["--grid=-0.4:2:3"])
+        assert spaced[0] == joined[0] == cli.EXIT_OK
+        assert spaced[1] == joined[1]

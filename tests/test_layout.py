@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import bitlet
-from bitlet import PimMachine, WorkloadPoint, perf_pim
+from bitlet import PimMachine, WorkloadPoint, perf_pim, simulator
 from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow,
                            default_assignment, pac_of, relocation_program,
                            subset_of_row)
-from bitlet.simulator import ArrayState, HMove, VMove, count_cycles, pack_ints, run, unpack_ints
+from bitlet.simulator import (ArrayState, ColRange, HMove, NorProgram, VMove, count_cycles,
+                              pack_ints, run, to_text, unpack_ints)
 
 
 def layout(n=16, k=0, vertical=False, **kw):
@@ -178,3 +179,65 @@ class TestRelocationProgram:
         wrong = default_assignment(layout(4, 2))
         with pytest.raises(ValueError, match="regions"):
             relocation_program(layout(4, 3), pim, wrong)
+
+
+def reference_relocation(spec, pim, assignment):
+    """The move program built one object per move, as before programs were
+    columnar."""
+    n, k, rows = spec.element_width_bits, spec.misaligned_subsets, pim.rows
+    instrs = [HMove(t + j, s + j) for s, t in zip(assignment.source_starts,
+                                                  assignment.target_starts)
+              for j in range(n)]
+    if spec.needs_vertical_relocation:
+        off = assignment.vertical_offset
+        region = [assignment.target_starts[subset_of_row(r, rows, k)] if k
+                  else assignment.aligned_start for r in range(rows)]
+        dests = range(rows) if off < 0 else range(rows - 1, -1, -1)
+        inside = max(rows - abs(off), 0)
+        instrs += [VMove(off, region[d - off], region[d - off] + n - 1, d - off)
+                   for d in dests[:inside]]
+        instrs += [VMove(off, region[d], region[d] + n - 1, d - off, crosses_array=True)
+                   for d in dests[inside:]]
+    inputs = tuple(ColRange(f"source_{g}", s, n)
+                   for g, s in enumerate(assignment.source_starts))
+    outputs = tuple(ColRange(f"target_{g}", t, n)
+                    for g, t in enumerate(assignment.target_starts))
+    if k == 0:
+        outputs = (ColRange("aligned", assignment.aligned_start, n),)
+    return NorProgram(tuple(instrs), inputs=inputs, outputs=outputs)
+
+
+class TestColumnarRelocation:
+    @pytest.mark.parametrize("offset", [-1, 1, -3, 3, -70, 70])
+    @pytest.mark.parametrize("rows", [64, 13])
+    def test_array_built_programs_equal_the_object_built_reference(self, rows, offset):
+        # every layout of the validation suite's PAC agreement check
+        pim = PimMachine(rows=rows, cols=512)
+        for k in range(5):
+            for n in (1, 2, 3, 4, 8, 16, 32):
+                for vertical in (False, True):
+                    spec = layout(n, k, vertical)
+                    assignment = default_assignment(spec, vertical_offset=offset)
+                    prog = relocation_program(spec, pim, assignment)
+                    ref = reference_relocation(spec, pim, assignment)
+                    assert to_text(prog) == to_text(ref), (k, n, vertical)
+                    assert len(prog) == len(ref) == pac_of(spec, pim)
+                    assert prog.cols_required == ref.cols_required
+                    assert prog.max_fanin == ref.max_fanin
+                    assert prog == ref
+
+    def test_tall_relocation_runs_as_one_slice_copy(self, monkeypatch, rng):
+        # the ROW-long vertical pass has the shape rule's form
+        def no_split(*_):
+            raise AssertionError("the hazard split ran")
+
+        monkeypatch.setattr(simulator, "_hazard_free_runs", no_split)
+        pim = PimMachine(rows=4096, cols=32)
+        spec = layout(n=16, k=1, vertical=True)
+        prog = relocation_program(spec, pim)
+        values = rng.integers(0, 1 << 16, 4096, dtype=np.int64)
+        state = ArrayState.zeros(4096, 32)
+        pack_ints(state, 0, 16, values)
+        final, cycles = run(prog, state)
+        assert cycles == 16 + 4096
+        assert np.array_equal(unpack_ints(final, 16, 16)[:-1], values[1:])

@@ -1,14 +1,17 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitlet import simulator
 from bitlet.catalog import OpKind, OpSpec, microprogram_of
-from bitlet.simulator import (ArrayState, ColRange, HMove, InvalidProgram, Nor,
-                              NorProgram, VMove, apply_instr, count_cycles,
-                              from_text, pack_ints, run, to_text, unpack_ints)
+from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, HMove,
+                              InvalidProgram, Nor, NorProgram, VMove, _problem,
+                              apply_instr, count_cycles, from_text, pack_ints, run,
+                              to_text, unpack_ints)
 
 
 def prog(*instrs, max_fanin=2, **kw):
@@ -343,3 +346,229 @@ def test_large_array_run_is_fast():
     elapsed = time.monotonic() - start
     assert cycles == 3104
     assert elapsed < 10.0
+
+
+# -- the columnar program form ------------------------------------------------
+
+def reference_error(program_instrs, rows, cols, max_fanin):
+    """The text of the first instruction-by-instruction validation failure."""
+    for i, ins in enumerate(program_instrs):
+        problem = _problem(ins, rows, cols, max_fanin)
+        if problem is not None:
+            return f"instruction {i}: {ins!r}: {problem}"
+    return None
+
+
+@st.composite
+def bad_instruction(draw, rows, cols, max_fanin):
+    """One instruction that breaks a rule of validation."""
+    col = st.integers(0, cols - 1)
+    outside = st.sampled_from([-1, cols, cols + 7])
+    rule = draw(st.sampled_from(["column", "dest_is_src", "fanin", "offset", "flag",
+                                 "range", "neither", "hmove"]))
+    if rule == "column":
+        srcs = draw(st.lists(col | outside, min_size=1, max_size=max_fanin))
+        return Nor(draw(outside), tuple(srcs)) if draw(st.booleans()) else \
+            Nor(draw(col), tuple(draw(st.permutations([*srcs[1:], draw(outside)]))))
+    if rule == "dest_is_src":
+        dest = draw(col)
+        return Nor(dest, tuple(draw(st.permutations([dest, *draw(st.lists(col, max_size=3))]))))
+    if rule == "fanin":
+        size = draw(st.sampled_from([0, *range(max_fanin + 1, 7)]))
+        return Nor(draw(col), tuple(draw(st.lists(col, min_size=size, max_size=size))))
+    if rule == "hmove":
+        dest = draw(col | outside)
+        return HMove(dest, draw(st.just(dest) | outside))
+    row = draw(st.integers(0, rows - 1))
+    if rule == "offset":
+        return VMove(0, 0, draw(col), row)
+    if rule == "flag":
+        off = draw(st.sampled_from([-1, 1]))
+        row = draw(st.sampled_from([0, rows - 1]))
+        inside = 0 <= row + off < rows
+        return VMove(off, 0, draw(col), row, crosses_array=inside)
+    if rule == "range":
+        lo, hi = draw(st.sampled_from([(1, 0), (-1, 0), (0, cols), (cols, cols + 1)]))
+        return VMove(1 if row == 0 else -1, lo, hi, row)
+    return VMove(draw(st.sampled_from([-1, 1])), 0, 0, draw(st.sampled_from([-5, rows + 5])))
+
+
+@st.composite
+def mutated_programs(draw):
+    rows = draw(st.sampled_from(EDGE_ROWS))
+    cols = draw(st.integers(2, 10))
+    max_fanin = draw(st.integers(1, 4))
+    legal = nor_or_hmove(cols).filter(
+        lambda ins: not isinstance(ins, Nor) or len(ins.srcs) <= max_fanin)
+    instrs = draw(st.lists(vmove(rows, cols) | legal, max_size=12))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(instrs)))
+        instrs.insert(at, draw(bad_instruction(rows, cols, max_fanin)))
+    return instrs, rows, cols, max_fanin
+
+
+class TestColumnarValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_programs())
+    @example(([Nor(9, (0,)), Nor(1, ())], 4, 3, 2))        # rule 3 before rule 1
+    @example(([VMove(-1, 0, 1, 3, crosses_array=True), VMove(0, 0, 1, 1)], 4, 3, 2))
+    @example(([HMove(5, 0), Nor(1, (0, 1, 2))], 4, 3, 2))
+    def test_error_text_is_that_of_the_first_bad_instruction(self, case):
+        instrs, rows, cols, max_fanin = case
+        want = reference_error(instrs, rows, cols, max_fanin)
+        program = NorProgram(tuple(instrs), max_fanin=max_fanin)
+        assert want is not None
+        with pytest.raises(InvalidProgram) as err:
+            program.validate(rows, cols)
+        assert str(err.value) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_programs())
+    def test_legal_programs_pass(self, case):
+        program, bits = case
+        assert reference_error(program.instructions, *bits.shape, program.max_fanin) is None
+        program.validate(*bits.shape)
+
+    @pytest.mark.parametrize("junk", ["NOR 1 0", None, (1, (0,)), 3])
+    def test_unknown_object_fails_at_construction(self, junk):
+        with pytest.raises(InvalidProgram) as err:
+            NorProgram((Nor(1, (0,)), junk))
+        assert str(err.value) == f"instruction 1: {junk!r}: unknown instruction type"
+
+
+class TestColumnarForm:
+    INSTRS = (Nor(2, (0, 1)), Nor(3, (2,)), HMove(4, 3), Nor(5, (0, 1, 2, 3)),
+              VMove(-1, 0, 3, 1), VMove(1, 2, 4, 7, crosses_array=True))
+
+    def test_columns(self):
+        p = NorProgram(self.INSTRS, max_fanin=4)
+        assert p.op.tolist() == [OP_NOR, OP_NOR, OP_HMOVE, OP_NOR, OP_VMOVE, OP_VMOVE]
+        assert p.srcs.shape == (6, 4)
+        assert p.srcs[1].tolist() == [2, -1, -1, -1]
+        assert p.fanin.tolist() == [2, 1, 1, 4, 0, 0]
+        assert p.crosses.tolist() == [False] * 5 + [True]
+        with pytest.raises(ValueError):
+            p.dest[0] = 7                       # the columns are read-only
+
+    def test_instructions_are_rebuilt_as_plain_objects(self):
+        p = NorProgram(self.INSTRS, max_fanin=4)
+        got = p.instructions
+        assert got == self.INSTRS
+        assert got is not p.instructions        # a new tuple on each access
+        assert [type(i) for i in got] == [type(i) for i in self.INSTRS]
+        for ins in got:
+            for field in dataclasses.fields(ins):
+                value = getattr(ins, field.name)
+                for v in value if isinstance(value, tuple) else (value,):
+                    assert type(v) in (int, bool)
+        assert repr(got[0]) == "Nor(dest=2, srcs=(0, 1))"
+
+    def test_from_arrays_equals_the_object_form(self):
+        p = NorProgram.from_arrays(
+            [OP_NOR, OP_NOR, OP_HMOVE, OP_NOR, OP_VMOVE, OP_VMOVE],
+            [2, 3, 4, 5, -1, -1],
+            [[0, 1, -1, -1], [2, -1, -1, -1], [3, -1, -1, -1], [0, 1, 2, 3],
+             [-1] * 4, [-1] * 4],
+            offset=[0, 0, 0, 0, -1, 1], col_lo=[0, 0, 0, 0, 0, 2],
+            col_hi=[0, 0, 0, 0, 3, 4], row=[0, 0, 0, 0, 1, 7],
+            crosses=[False] * 5 + [True], max_fanin=4)
+        q = NorProgram(self.INSTRS, max_fanin=4)
+        assert p == q and hash(p) == hash(q)
+        assert p.instructions == self.INSTRS
+        assert to_text(p) == to_text(q)
+        assert p.cols_required == q.cols_required == 6
+
+    def test_fanin_column_keeps_out_of_range_sources(self):
+        # a source of -1 is a source, not padding: validation must see it
+        p = prog(Nor(1, (-1,)))
+        assert p.fanin.tolist() == [1]
+        with pytest.raises(InvalidProgram, match=r"^instruction 0: Nor\(dest=1, "
+                                                 r"srcs=\(-1,\)\): column -1 out of range$"):
+            p.validate(1, 3)
+
+    def test_equality_never_raises(self):
+        a, b = prog(Nor(1, (0,))), prog(Nor(1, (0,)))
+        assert a == b and not (a != b)
+        assert a != prog(Nor(2, (0,))) and a != "NOR 1 0"
+        assert a != prog(Nor(1, (0,)), max_fanin=3)
+
+    def test_empty_program(self):
+        p = prog()
+        assert len(p) == 0 and p.instructions == ()
+        assert p.cols_required == 1 and to_text(p) == ""
+        assert NorProgram((), outputs=(ColRange("x", 3, 4),)).cols_required == 7
+        state = ArrayState(np.eye(3, dtype=bool))
+        final, cycles = run(p, state)
+        assert cycles == 0 and final == state and final is not state
+
+
+@st.composite
+def move_stretches(draw):
+    """A stretch of VMoves with one offset and rows stepping by one.
+
+    Both offset signs and both row directions are drawn (only rows that
+    step by -sign(offset) have the shape rule's form), lengths across word
+    boundaries, offsets of 64 rows and more, mixed or shared column ranges,
+    and crossing moves at the ends.
+    """
+    rows = draw(st.sampled_from([63, 64, 65, 130, 200]))
+    cols = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([-1, 1, -2, 3, -64, 64, -70, 70])
+                  | st.integers(-rows, rows).filter(bool))
+    step = draw(st.sampled_from([-1, 1]))
+    length = draw(st.sampled_from([1, 2, 63, 64, 65, 130]) | st.integers(1, rows))
+    start = draw(st.integers(0, rows - 1))
+    lo = draw(st.integers(0, cols - 1))
+    hi = draw(st.integers(lo, cols - 1))
+    mixed = draw(st.booleans()) and cols > 1
+    moves = []
+    for i in range(length):
+        row = start + step * i
+        src_in, dst_in = 0 <= row < rows, 0 <= row + offset < rows
+        if not (src_in or dst_in):
+            continue
+        if mixed:
+            lo = draw(st.integers(0, cols - 1))
+            hi = draw(st.integers(lo, cols - 1))
+        moves.append(VMove(offset, lo, hi, row, crosses_array=not (src_in and dst_in)))
+    ends = [VMove(-1, 0, cols - 1, 0, crosses_array=True),
+            VMove(1, 0, cols - 1, rows - 1, crosses_array=True)]
+    moves = draw(st.lists(st.sampled_from(ends), max_size=2)) + moves
+    moves += draw(st.lists(st.sampled_from(ends), max_size=2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, (rows, cols)).astype(bool)
+    return prog(*moves), bits
+
+
+class TestShapeRule:
+    @settings(max_examples=300, deadline=None)
+    @given(move_stretches())
+    def test_run_equals_instruction_by_instruction(self, case):
+        program, bits = case
+        final, cycles = run(program, ArrayState(bits))
+        want, want_cycles = reference_run(program, bits)
+        assert cycles == want_cycles
+        assert np.array_equal(final.bits, want)
+        assert final == ArrayState(want)
+
+    @pytest.mark.parametrize("offset,step", [(-1, 1), (1, -1), (-70, 1), (70, -1)])
+    def test_stretch_of_the_form_skips_the_hazard_split(self, monkeypatch, offset, step):
+        rows = 130
+        start = -offset if step == 1 else rows - 1 - offset
+        moves = [VMove(offset, 1, 2, start + step * i) for i in range(rows - abs(offset))]
+        bits = np.random.default_rng(3).integers(0, 2, (rows, 4)).astype(bool)
+
+        def no_split(*_):
+            raise AssertionError("the hazard split ran")
+
+        monkeypatch.setattr(simulator, "_hazard_free_runs", no_split)
+        final, _ = run(prog(*moves), ArrayState(bits))
+        assert np.array_equal(final.bits, reference_run(prog(*moves), bits)[0])
+
+    def test_ascending_rows_with_a_positive_offset_take_the_general_path(self):
+        # sequential execution copies row 0 through the whole range
+        bits = np.zeros((65, 1), dtype=bool)
+        bits[0] = True
+        moves = [VMove(1, 0, 0, r) for r in range(64)]
+        final, _ = run(prog(*moves), ArrayState(bits))
+        assert final.bits[:, 0].all()
