@@ -25,6 +25,8 @@ message pointing at the offending line where possible.
 from __future__ import annotations
 
 import json
+import json.scanner
+import re
 from dataclasses import dataclass
 
 from .analysis import Workload
@@ -55,31 +57,84 @@ class Config:
     workloads: tuple[Workload, ...]
 
 
-def _line_of(text: str, key: str) -> int | None:
-    needle = f'"{key}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+class _Spanned(dict):
+    """A parsed JSON object with the offsets of its braces in the text."""
+
+    start = end = 0
+
+
+class _SpanDecoder(json.JSONDecoder):
+    """Decodes like ``json.loads`` but returns every object as a ``_Spanned``.
+
+    It runs the pure-Python scanner, which is slower than the default one,
+    so it is used only to place an error.
+    """
+
+    def __init__(self):
+        super().__init__()
+        parse_object = self.parse_object
+
+        def spanned(s_and_end, *args):
+            obj, end = parse_object(s_and_end, *args)
+            obj = _Spanned(obj)
+            obj.start, obj.end = s_and_end[1] - 1, end
+            return obj, end
+
+        self.parse_object = spanned
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+
+def _objects(value) -> list:
+    """The outermost objects inside a parsed JSON value."""
+    if isinstance(value, _Spanned):
+        return [value]
+    if isinstance(value, list):
+        return [obj for item in value for obj in _objects(item)]
+    return []
+
+
+def _line_of(text: str, at: tuple, key: str) -> int | None:
+    """Line of `key` in the object reached from the root by the keys and
+    list indices `at`; the object's first line if it has no such key, and
+    None if there is no such object."""
+    try:
+        node = _SpanDecoder().decode(text)
+    except RecursionError:                 # nesting the C scanner took but this one cannot
+        return None
+    for step in at:
+        try:
+            node = node[step]
+        except (KeyError, IndexError, TypeError):
+            return None
+    if not isinstance(node, _Spanned):
+        return None
+    inner = [(obj.start, obj.end) for obj in _objects(list(node.values()))]
+    pattern = re.compile(re.escape(json.dumps(key)) + r"\s*:")
+    for match in pattern.finditer(text, node.start, node.end):
+        if not any(a <= match.start() < b for a, b in inner):
+            return text.count("\n", 0, match.start()) + 1
+    return text.count("\n", 0, node.start) + 1
 
 
 class _Section:
     """One mapping level of the config, with path-anchored errors."""
 
-    def __init__(self, data: dict, path: str, source: str, json_path: str):
+    def __init__(self, data: dict, path: str, source: str, json_path: str,
+                 at: tuple = ()):
         if not isinstance(data, dict):
             raise ConfigError(path, f"{json_path or 'config'} must be an object")
         self.data = dict(data)
         self.path = path
         self.source = source
         self.json_path = json_path
+        self.at = at                       # keys and indices from the root
 
     def _name(self, key: str) -> str:
         return f"{self.json_path}.{key}" if self.json_path else key
 
     def fail(self, key: str, message: str):
         raise ConfigError(self.path, f"{self._name(key)}: {message}",
-                          _line_of(self.source, key))
+                          _line_of(self.source, self.at, key))
 
     def take(self, key: str, default=None):
         return self.data.pop(key, default)
@@ -103,7 +158,7 @@ class _Section:
         raw = self.data.pop(key, default)
         if raw is None:
             return None
-        return _Section(raw, self.path, self.source, self._name(key))
+        return _Section(raw, self.path, self.source, self._name(key), (*self.at, key))
 
 
 def _parse_layout(sec: _Section, fallback_width: int | None) -> LayoutSpec:
@@ -195,11 +250,11 @@ def parse_config(text: str, path: str = "<config>") -> Config:
     root.finish()
     if not isinstance(workloads_raw, list):
         raise ConfigError(path, "workloads must be a list",
-                          _line_of(text, "workloads"))
+                          _line_of(text, (), "workloads"))
     workloads = []
     for i, item in enumerate(workloads_raw):
         workloads.append(_parse_workload(
-            _Section(item, path, text, f"workloads[{i}]")))
+            _Section(item, path, text, f"workloads[{i}]", ("workloads", i))))
 
     try:
         pim = PimMachine(**pim_kwargs)

@@ -158,7 +158,7 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine,
     if not layout.needs_vertical_relocation:
         return NorProgram.from_arrays(OP_HMOVE, targets, sources,
                                       inputs=inputs, outputs=outputs)
-    off = assignment.vertical_offset
+    off, h = assignment.vertical_offset, len(sources)
     # element region of each row: one contiguous block of rows per subset
     if k == 0:
         region = np.full(rows, assignment.aligned_start, dtype=np.int64)
@@ -166,20 +166,34 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine,
         bounds = [-(-g * rows // k) for g in range(k + 1)]
         region = np.repeat(np.array(assignment.target_starts, dtype=np.int64),
                            np.diff(bounds))
-    # destinations in an order where no move reads a row already written;
-    # the last |off| of them take their element from the neighbouring array,
-    # so their region is the destination row's, not the source row's
-    dests = np.arange(rows) if off < 0 else np.arange(rows - 1, -1, -1)
-    crosses = np.arange(rows) >= max(rows - abs(off), 0)
-    col_lo = region[np.where(crosses, dests, dests - off)]
-
-    def after_hmoves(moves, hmoves=0):
-        """A column: the HMoves' entries, then the VMoves'."""
-        return np.concatenate((np.broadcast_to(hmoves, len(sources)), moves))
-
-    return NorProgram.from_arrays(
-        np.repeat(np.array([OP_HMOVE, OP_VMOVE], dtype=np.int8), (len(sources), rows)),
-        after_hmoves(np.full(rows, -1), targets), after_hmoves(np.full(rows, -1), sources),
-        offset=after_hmoves(np.full(rows, off)), col_lo=after_hmoves(col_lo),
-        col_hi=after_hmoves(col_lo + n - 1), row=after_hmoves(dests - off),
-        crosses=after_hmoves(crosses, False), inputs=inputs, outputs=outputs)
+    # the VMoves visit destinations in an order where no move reads a row
+    # already written: ascending for off < 0, descending for off > 0. The
+    # last |off| of them take their element from the neighbouring array, so
+    # their region is the destination row's, not the source row's. Each
+    # column is allocated once: the HMoves' entries, then the VMoves'.
+    inside = max(rows - abs(off), 0)
+    op = np.full(h + rows, OP_VMOVE, dtype=np.int8)
+    op[:h] = OP_HMOVE
+    dest = np.full(h + rows, -1, dtype=np.int64)
+    dest[:h] = targets
+    srcs = np.full((h + rows, 1), -1, dtype=np.int64)
+    srcs[:h, 0] = sources
+    offset = np.full(h + rows, off, dtype=np.int64)
+    offset[:h] = 0
+    crosses = np.zeros(h + rows, dtype=bool)
+    crosses[h + inside:] = True
+    col_lo = np.zeros(h + rows, dtype=np.int64)
+    if off < 0:
+        row = np.arange(-off - h, rows - off, dtype=np.int64)
+        col_lo[h:h + inside] = region[-off:]
+        col_lo[h + inside:] = region[inside:]
+    else:
+        row = np.arange(rows - 1 - off + h, -1 - off, -1, dtype=np.int64)
+        col_lo[h:h + inside] = region[:inside][::-1]
+        col_lo[h + inside:] = region[:rows - inside][::-1]
+    row[:h] = 0
+    col_hi = col_lo + (n - 1)
+    col_hi[:h] = 0
+    return NorProgram.from_arrays(op, dest, srcs, offset=offset, col_lo=col_lo,
+                                  col_hi=col_hi, row=row, crosses=crosses,
+                                  inputs=inputs, outputs=outputs)

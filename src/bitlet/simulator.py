@@ -26,6 +26,15 @@ runs and are cleared before ``run`` returns, so they are never seen. The
 constructor, the read-only ``ArrayState.bits`` and ``apply_instr``, which
 states the reference semantics the tests hold the packed engine to.
 
+Operands. ``pack_ints``/``unpack_ints`` move one int64 per row in and out
+of a block of up to 64 columns. Each row takes a lane of 1, 2, 4 or 8
+bytes, the smallest that holds the block, staged in one word array with a
+word per lane byte and group of 8 rows. Each word holds an 8 x 8 bit block
+(8 rows by 8 bits of the value, or 8 planes by 8 rows once transposed),
+turned over in place by three delta swaps. Byte b of every value is copied
+in one strided pass, and each plane's bytes in another, so no copy works
+one 2- to 8-byte row at a time and no full-size temporary is made twice.
+
 Program form. A ``NorProgram`` is a set of read-only columns, one entry
 per instruction: ``op`` (``OP_NOR``, ``OP_HMOVE`` or ``OP_VMOVE``), ``dest``,
 ``srcs`` (k x w, padded with -1, where w is the widest fan-in and at least
@@ -35,7 +44,8 @@ fan-in 1; a VMove has ``dest`` -1 and fan-in 0. Generators build the
 columns directly (``NorProgram.from_arrays``). The ``Nor``/``HMove``/
 ``VMove`` objects are the public reference form: a program built from them
 is converted to columns once, and ``NorProgram.instructions`` builds them
-back on each access. Validation is one boolean mask per rule; the first
+back on each access. Validation is one boolean mask per rule, over each
+run of VMoves or of NORs and HMoves for the rules of that kind; the first
 instruction any mask flags is materialized and described by ``_problem``.
 
 Execution. ``run`` splits a program where the op code changes. NOR and
@@ -54,11 +64,15 @@ hazard-free by construction and skips the split. With offset < 0 the rows
 ascend: move i writes row r0 + i + offset, below every row r0 + j (j > i)
 that a later move reads. With offset > 0 they descend, and the write
 r0 - i + offset lies above every later read r0 - j. The rows written are
-distinct, so no write repeats either. Such a segment is one overlapping
-row-slice copy of the unpacked block. Rows that ascend with a positive
-offset (or descend with a negative one) are not of this shape: sequential
-execution then copies the first row through the whole range, so they take
-the general path. The ROW-long vertical relocation has exactly this shape.
+distinct, so no write repeats either. Such a segment is one word shift:
+the words holding the source rows of the column planes are copied, shifted
+by the offset across word boundaries and merged into the planes under a
+mask of the destination rows, so no bit outside them changes. Rows that
+ascend with a positive offset (or descend with a negative one) are not of
+this shape: sequential execution then copies the first row through the
+whole range, so they take the general path. The ROW-long vertical
+relocation has exactly this shape; its crossing moves sit at the ends of
+the stretch and are sliced off, not filtered out.
 
 A line-oriented text form is provided for golden files::
 
@@ -136,12 +150,18 @@ def _check_max_fanin(max_fanin: int) -> None:
         raise InvalidProgram(f"max_fanin must be in 1..4, got {max_fanin}")
 
 
-def _column(values, dtype, k: int) -> np.ndarray:
-    """A read-only copy of `values` (an array or a scalar) as k entries."""
-    col = np.empty(k, dtype=dtype)
-    col[...] = values
-    col.flags.writeable = False
-    return col
+def _column(values, dtype, shape) -> np.ndarray:
+    """`values` (an array or a scalar) as a read-only column of `shape`.
+
+    An array of that dtype and shape that owns its data is taken over, not
+    copied; anything else is copied.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.shape == shape and values.base is None):
+        col, values = values, np.empty(shape, dtype=dtype)
+        values[...] = col
+    values.flags.writeable = False
+    return values
 
 
 class NorProgram:
@@ -186,7 +206,10 @@ class NorProgram:
         ``dest`` fixes the instruction count; every other column is an array
         of that length or a scalar. ``srcs`` is k x w, or k for one source
         each, padded at the end of each row with -1. ``fanin`` defaults to the
-        number of non-negative entries of each row of ``srcs``.
+        number of non-negative entries of each row of ``srcs``. A column given
+        as an array of its own dtype (``int8`` for ``op``, ``bool`` for
+        ``crosses``, ``int64`` for the others) and shape that owns its data
+        is taken over and made read-only instead of copied.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         srcs = srcs[:, None] if srcs.ndim == 1 else srcs
@@ -200,13 +223,12 @@ class NorProgram:
 
     def _set(self, op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
              inputs, outputs, max_fanin) -> None:
-        k = len(dest)
+        k = (len(dest),)
         self.op = _column(op, np.int8, k)
         self.dest = _column(dest, np.int64, k)
         self.fanin = _column(fanin, np.int64, k)
         w = max(int(self.fanin.max(initial=0)), 1)
-        self.srcs = np.array(srcs[:, :w], dtype=np.int64)
-        self.srcs.flags.writeable = False
+        self.srcs = _column(srcs if srcs.shape[1] == w else srcs[:, :w], np.int64, (*k, w))
         self.offset = _column(offset, np.int64, k)
         self.col_lo = _column(col_lo, np.int64, k)
         self.col_hi = _column(col_hi, np.int64, k)
@@ -240,11 +262,7 @@ class NorProgram:
 
     def _segments(self, start: int, stop: int) -> list[tuple[int, int, int]]:
         """(op, first, end) of each run of one op code within start..stop-1."""
-        op = self.op[start:stop]
-        if not len(op):
-            return []
-        cuts = [0, *(np.flatnonzero(op[1:] != op[:-1]) + 1).tolist(), len(op)]
-        return [(int(op[a]), start + a, start + b) for a, b in zip(cuts, cuts[1:])]
+        return [(int(self.op[a]), a, b) for a, b in _runs(self.op[start:stop], start)]
 
     def _materialize(self, start: int, stop: int) -> tuple[Instr, ...]:
         """Instructions start..stop-1 as objects holding Python ints."""
@@ -268,9 +286,10 @@ class NorProgram:
                 return r
         raise KeyError(name)
 
-    def _sources(self) -> np.ndarray:
-        """Mask of the ``srcs`` entries that are sources (within each fan-in)."""
-        return np.arange(self.srcs.shape[1]) < self.fanin[:, None]
+    def _sources(self, a: int = 0, b: int | None = None) -> np.ndarray:
+        """Mask of the ``srcs`` entries of instructions a..b-1 that are
+        sources (within each fan-in)."""
+        return np.arange(self.srcs.shape[1]) < self.fanin[a:b, None]
 
     @property
     def cols_required(self) -> int:
@@ -283,32 +302,42 @@ class NorProgram:
 
     def validate(self, rows: int, cols: int) -> None:
         """Raise InvalidProgram unless every instruction is legal for rows x cols."""
-        bad = self._illegal(rows, cols)
-        if bad.any():
-            i = int(bad.argmax())
-            ins = self._materialize(i, i + 1)[0]
-            problem = _problem(ins, rows, cols, self.max_fanin)
-            raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
-
-    def _illegal(self, rows: int, cols: int) -> np.ndarray:
-        """Mask of the instructions that break any rule of ``_problem``."""
         moves = self.op == OP_VMOVE
-        used = self._sources()
-        srcs = self.srcs
+        for a, b in _runs(moves):
+            bad = (self._illegal_moves(a, b, rows, cols) if moves[a]
+                   else self._illegal_cells(a, b, cols))
+            if bad.any():
+                i = a + int(bad.argmax())
+                ins = self._materialize(i, i + 1)[0]
+                problem = _problem(ins, rows, cols, self.max_fanin)
+                raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
+
+    def _illegal_cells(self, a: int, b: int, cols: int) -> np.ndarray:
+        """Mask of the NORs and HMoves a..b-1 that break a rule of ``_problem``."""
+        dest, srcs, fanin = self.dest[a:b], self.srcs[a:b], self.fanin[a:b]
+        used = self._sources(a, b)
         outside = (srcs < 0) | (srcs >= cols)
-        cells = ((srcs == self.dest[:, None]) & used).any(axis=1)
-        cells |= (self.dest < 0) | (self.dest >= cols) | (outside & used).any(axis=1)
-        bad = ~moves & cells
-        bad |= (self.op == OP_NOR) & ((self.fanin < 1) | (self.fanin > self.max_fanin))
-        if not moves.any():
-            return bad
-        dst = self.row + self.offset
-        src_in = (self.row >= 0) & (self.row < rows)
-        dst_in = (dst >= 0) & (dst < rows)
-        lo, hi = self.col_lo, self.col_hi
-        bad |= moves & ((self.offset == 0) | (lo < 0) | (lo > hi) | (hi >= cols)
-                        | ~(src_in | dst_in) | (self.crosses == (src_in & dst_in)))
+        bad = ((srcs == dest[:, None]) & used).any(axis=1)
+        bad |= (dest < 0) | (dest >= cols) | (outside & used).any(axis=1)
+        bad |= (self.op[a:b] == OP_NOR) & ((fanin < 1) | (fanin > self.max_fanin))
         return bad
+
+    def _illegal_moves(self, a: int, b: int, rows: int, cols: int) -> np.ndarray:
+        """Mask of the VMoves a..b-1 that break a rule of ``_problem``."""
+        row, offset, lo, hi = self.row[a:b], self.offset[a:b], self.col_lo[a:b], self.col_hi[a:b]
+        dst = row + offset
+        src_in = (row >= 0) & (row < rows)
+        dst_in = (dst >= 0) & (dst < rows)
+        return ((offset == 0) | (lo < 0) | (lo > hi) | (hi >= cols)
+                | ~(src_in | dst_in) | (self.crosses[a:b] == (src_in & dst_in)))
+
+
+def _runs(values: np.ndarray, start: int = 0) -> list[tuple[int, int]]:
+    """(first, end) of each run of equal entries of `values`, numbered from start."""
+    if not len(values):
+        return []
+    cuts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), len(values)]
+    return [(start + a, start + b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _problem(ins: Instr, rows: int, cols: int, max_fanin: int) -> str | None:
@@ -452,24 +481,27 @@ def _move_rows(planes: np.ndarray, offset: np.ndarray, lo: np.ndarray,
                hi: np.ndarray, row: np.ndarray, crosses: np.ndarray) -> None:
     """Execute a stretch of consecutive VMoves, given as column arrays.
 
-    Crossing moves change nothing. A stretch of the shape rule's form is
-    one row-slice copy; any other splits into hazard-free runs, each of
-    which unpacks the column range and word span it touches once and
-    gathers every distinct (col_lo, col_hi) from that snapshot before it
-    writes any row back.
+    Crossing moves change nothing; those at the ends of the stretch are
+    sliced off, any others dropped. A stretch of the shape rule's form is
+    one word shift of its column planes; any other splits into hazard-free
+    runs, each of which unpacks the column range and word span it touches
+    once and gathers every distinct (col_lo, col_hi) from that snapshot
+    before it writes any row back.
     """
-    if crosses.any():
+    a = int(crosses.argmin())              # the first move inside the array
+    if crosses[a]:
+        return                             # every move crosses
+    b = a + len(crosses) - np.count_nonzero(crosses)
+    if crosses[a:b].any():                 # not every crossing move is at an end
         keep = ~crosses
         offset, lo, hi, row = offset[keep], lo[keep], hi[keep], row[keep]
-    if not len(row):
-        return
+    else:
+        offset, lo, hi, row = offset[a:b], lo[a:b], hi[a:b], row[a:b]
     off, c0, c1 = int(offset[0]), int(lo[0]), int(hi[0]) + 1
     if ((offset == off).all() and (lo == c0).all() and (hi == c1 - 1).all()
             and (row[1:] - row[:-1] == (-1 if off > 0 else 1)).all()):
-        s0, s1 = int(row.min()), int(row.max()) + 1
-        block, base = _unpack(planes, c0, c1, min(s0, s0 + off), max(s1, s1 + off) - 1)
-        block[:, s0 + off - base:s1 + off - base] = block[:, s0 - base:s1 - base]
-        _pack(planes, block, c0, base)
+        first, last = sorted((int(row[0]), int(row[-1])))
+        _shift_rows(planes[c0:c1], first, last + 1, off)
         return
     dst = row + offset
     bounds = _hazard_free_runs(row, dst) + [len(row)]
@@ -477,30 +509,48 @@ def _move_rows(planes: np.ndarray, offset: np.ndarray, lo: np.ndarray,
         _gather_run(planes, lo[a:b], hi[a:b], row[a:b], dst[a:b])
 
 
-def _unpack(planes: np.ndarray, c0: int, c1: int, first_row: int,
-            last_row: int) -> tuple[np.ndarray, int]:
-    """Columns c0..c1-1 unpacked to one byte per cell over the words that
-    hold rows first_row..last_row, and the row of the block's first bit."""
-    w0, w1 = first_row // WORD_BITS, last_row // WORD_BITS + 1
-    block = np.unpackbits(planes[c0:c1, w0:w1].view(np.uint8), axis=1, bitorder="little")
-    return block, w0 * WORD_BITS
+_ONES = np.uint64(2**64 - 1)
 
 
-def _pack(planes: np.ndarray, block: np.ndarray, c0: int, base: int) -> None:
-    """Write a block from ``_unpack`` back into its planes."""
-    w0 = base // WORD_BITS
-    planes[c0:c0 + len(block), w0:w0 + block.shape[1] // WORD_BITS] = (
-        np.packbits(block, axis=1, bitorder="little").view(_WORD))
+def _shift_rows(planes: np.ndarray, s0: int, s1: int, off: int) -> None:
+    """Copy rows s0..s1-1 of every plane to rows s0+off..s1+off-1.
+
+    Every source bit is read before any is written, and only the words
+    holding source rows are read. Bits outside the destination rows keep
+    their values.
+    """
+    w0, w1 = s0 // WORD_BITS, (s1 - 1) // WORD_BITS + 1
+    src = np.zeros((len(planes), w1 - w0 + 2), dtype=_WORD)
+    src[:, 1:-1] = planes[:, w0:w1]        # a zero word on either side
+    d0, d1 = (s0 + off) // WORD_BITS, (s1 + off - 1) // WORD_BITS + 1
+    # destination word d0 starts at bit p of src: row 64 * d0 - off
+    p = WORD_BITS * (d0 - w0 + 1) - off
+    i, r = p // WORD_BITS, p % WORD_BITS
+    moved = src[:, i:i + d1 - d0]
+    if r:
+        moved = moved >> np.uint64(r)
+        moved |= src[:, i + 1:i + 1 + d1 - d0] << np.uint64(WORD_BITS - r)
+    mask = np.full(d1 - d0, _ONES)
+    mask[0] &= _ONES << np.uint64((s0 + off) % WORD_BITS)
+    mask[-1] &= _ONES >> np.uint64(-(s1 + off) % WORD_BITS)
+    dest = planes[:, d0:d1]
+    dest ^= (dest ^ moved) & mask
 
 
 def _gather_run(planes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 src: np.ndarray, dst: np.ndarray) -> None:
-    """Execute one hazard-free run of in-array VMoves, given as index arrays."""
+    """Execute one hazard-free run of in-array VMoves, given as index arrays.
+
+    The columns and words the run touches are unpacked to one byte per cell,
+    every source is gathered from that snapshot, and then every destination
+    is written and the block packed back.
+    """
     c0, c1 = int(lo.min()), int(hi.max()) + 1
-    block, base = _unpack(planes, c0, c1, int(min(src.min(), dst.min())),
-                          int(max(src.max(), dst.max())))
-    src = src - base
-    dst = dst - base
+    w0 = int(min(src.min(), dst.min())) // WORD_BITS
+    w1 = int(max(src.max(), dst.max())) // WORD_BITS + 1
+    block = np.unpackbits(planes[c0:c1, w0:w1].view(np.uint8), axis=1, bitorder="little")
+    src = src - w0 * WORD_BITS
+    dst = dst - w0 * WORD_BITS
     span = c1 - c0
     ranges, which = np.unique((lo - c0) * span + (hi - c0), return_inverse=True)
     gathered = []
@@ -510,14 +560,17 @@ def _gather_run(planes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         gathered.append((cols, dst[sel], block[cols][:, src[sel]]))
     for cols, rows, values in gathered:
         block[cols, rows] = values
-    _pack(planes, block, c0, base)
+    planes[c0:c1, w0:w1] = np.packbits(block, axis=1, bitorder="little").view(_WORD)
 
 
 def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
     """Execute a program on a copy of `initial`; return (final state, cycles)."""
     program.validate(initial.rows, initial.cols)
     state = initial.copy()
-    planes = list(state._planes)           # one view per column plane
+    # one view per plane up to the highest column any dest or srcs entry
+    # holds: a bound on what the NORs and HMoves name (VMoves hold -1)
+    top = max(int(program.dest.max(initial=-1)), int(program.srcs.max(initial=-1)))
+    planes = list(state._planes[:top + 1])
     for kind, a, b in program._segments(0, len(program)):
         if kind == OP_VMOVE:
             _move_rows(state._planes, program.offset[a:b], program.col_lo[a:b],
@@ -562,46 +615,86 @@ def _column_bytes(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
 
 
 # (shift, mask) steps that transpose the 8x8 bit matrix held in a uint64
-_TRANSPOSE8 = ((7, np.uint64(0x00AA00AA00AA00AA)), (14, np.uint64(0x0000CCCC0000CCCC)),
-               (28, np.uint64(0x00000000F0F0F0F0)))
+_TRANSPOSE8 = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
 
 
-def _bit_transpose(a: np.ndarray) -> np.ndarray:
-    """Transpose a bit matrix stored 8 bits to a byte, little bit order.
+def _bit_transpose(x: np.ndarray) -> None:
+    """Transpose, in place, the 8x8 bit matrix held in each word of `x`.
 
-    `a` is a (8m, n) uint8 array holding an 8m x 8n bit matrix; the result
-    is the (8n, m) uint8 array holding its 8n x 8m transpose.
+    Byte k of a word is row k of its matrix, bit j of the byte column j.
     """
-    m, n = a.shape[0] // 8, a.shape[1]
-    x = np.ascontiguousarray(a.reshape(m, 8, n).transpose(0, 2, 1)).view(_WORD)
-    for shift, mask in _TRANSPOSE8:
-        t = (x ^ (x >> shift)) & mask
-        x = x ^ t ^ (t << shift)
-    return x.view(np.uint8).transpose(1, 2, 0).reshape(8 * n, m)
+    t = np.empty_like(x)
+    for shift, mask in _TRANSPOSE8:        # delta swaps
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+
+
+# bytes per row that hold 8 * i bits (entry i): the smallest of 1, 2, 4 or 8
+_LANE_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)
+
+
+def _operand(state: ArrayState, col_lo: int, width: int):
+    """The staging of a `width`-bit block of columns for pack and unpack.
+
+    Returns a zeroed word array with one word per byte of the row's lane
+    (the smallest of 1, 2, 4 or 8 bytes that holds `width` bits) and per
+    group of 8 rows, and the pairs of (word bytes, plane bytes) that hold
+    the same bits while the words are transposed: byte k of word (b, q) is
+    byte q of plane 8b + k.
+    """
+    planes = _column_bytes(state, col_lo, width)
+    groups = planes.shape[1]
+    words = np.zeros((_LANE_BYTES[-(-width // 8)], groups), dtype=_WORD)
+    cells = words.view(np.uint8).reshape(len(words), groups, 8).transpose(0, 2, 1)
+    full = width // 8
+    pairs = [(cells[:full], planes[:8 * full].reshape(full, 8, groups))]
+    if width % 8:
+        pairs.append((cells[full, :width % 8], planes[8 * full:]))
+    return words, pairs
 
 
 def pack_ints(state: ArrayState, col_lo: int, width: int, values) -> None:
-    """Store values[r] little-endian into row r, columns col_lo..col_lo+width-1."""
-    values = np.asarray(values, dtype=np.int64)
+    """Store values[r] little-endian into row r, columns col_lo..col_lo+width-1.
+
+    Each value is taken as a two's-complement int64 and only its low
+    `width` bits are stored: a negative value or one wider than `width`
+    wraps modulo 2**width.
+    """
+    values = np.asarray(values, dtype="<i8")
     if values.shape != (state.rows,):
         raise ValueError(f"need one value per row ({state.rows}), got {values.shape}")
-    planes = _column_bytes(state, col_lo, width)
-    nbytes = -(-width // 8)
-    value_bytes = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    row_bytes = np.zeros((8 * planes.shape[1], nbytes), dtype=np.uint8)
-    row_bytes[:state.rows] = value_bytes[:, :nbytes]
-    planes[:] = _bit_transpose(row_bytes)[:width]
+    words, pairs = _operand(state, col_lo, width)
+    row_bytes = words.view(np.uint8)
+    value_bytes = np.ascontiguousarray(values).view(np.uint8).reshape(-1, 8)
+    for b in range(len(words)):            # byte b of every value into words[b]
+        row_bytes[b, :state.rows] = value_bytes[:, b]
+    _bit_transpose(words)
+    for cells, planes in pairs:
+        planes[...] = cells
 
 
 def unpack_ints(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
-    """Read one little-endian integer per row from a column block."""
-    planes = _column_bytes(state, col_lo, width)
-    nbytes = -(-width // 8)
-    col_bytes = np.zeros((8 * nbytes, planes.shape[1]), dtype=np.uint8)
-    col_bytes[:width] = planes
-    row_bytes = np.zeros((state.rows, 8), dtype=np.uint8)
-    row_bytes[:, :nbytes] = _bit_transpose(col_bytes)[:state.rows]
-    return row_bytes.view("<i8")[:, 0].astype(np.int64, copy=False)
+    """Read one little-endian integer per row from a column block.
+
+    The `width` bits are read as an unsigned number, except that a 64-bit
+    block is read as a two's-complement int64, so that ``pack_ints``
+    followed by ``unpack_ints`` returns every value modulo 2**width.
+    """
+    words, pairs = _operand(state, col_lo, width)
+    for cells, planes in pairs:
+        cells[...] = planes
+    _bit_transpose(words)
+    values = np.zeros(state.rows, dtype="<i8")
+    row_bytes = words.view(np.uint8)
+    value_bytes = values.view(np.uint8).reshape(-1, 8)
+    for b in range(len(words)):            # words[b] is byte b of every row
+        value_bytes[:, b] = row_bytes[b, :state.rows]
+    return values.astype(np.int64, copy=False)
 
 
 # -- text serialization ------------------------------------------------------

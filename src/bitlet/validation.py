@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import OpKind, OpSpec, microprogram_of
-from .layout import LayoutSpec, default_assignment, pac_of, relocation_program, subset_of_row
+from .layout import LayoutSpec, default_assignment, pac_of, relocation_program
 from .machine import PimMachine
 from .simulator import ArrayState, count_cycles, pack_ints, run, unpack_ints
 
@@ -180,7 +180,7 @@ def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
     rows = np.arange(pim.rows - 1 if layout.needs_vertical_relocation else pim.rows)
     src = rows + 1 if layout.needs_vertical_relocation else rows
     if k:
-        subset = np.array([subset_of_row(r, pim.rows, k) for r in src.tolist()])
+        subset = _subsets(src, pim.rows, k)
         region = np.array(assignment.target_starts)[subset]
         want = sources[subset, src]
     else:
@@ -196,6 +196,15 @@ def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
         return (f"row {rows[i]} region {region[i]}: got {got[i]}, want {want[i]} "
                 f"(k={k}, n={n}, vertical={layout.needs_vertical_relocation})")
     return None
+
+
+def _subsets(row: np.ndarray, rows: int, k: int) -> np.ndarray:
+    """``layout.subset_of_row`` of every entry of `row`, for k >= 1 subsets.
+
+    The formula is restated here rather than read from the relocation
+    program's own row blocks, so the check stays independent of the generator.
+    """
+    return np.minimum(row * k // rows, k - 1)
 
 
 def pac_checks() -> list[Check]:

@@ -107,6 +107,51 @@ class TestRejection:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_error_in_a_later_workload_points_at_its_line(self):
+        doc = """{
+  "workloads": [
+    {"name": "a", "oc_override": 1, "dio_bits": 8},
+    {"name": "b", "oc_override": 1, "dio_bits": 8},
+    {"name": "c", "oc_override": 1, "dio_bits": "x"}
+  ]
+}"""
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert str(err.value) == "cfg.json:5: workloads[2].dio_bits: expected a number, got 'x'"
+
+    @pytest.mark.parametrize("doc,message", [
+        # the same key inside a nested object comes first
+        ('{\n "workloads": [\n  {"name": "a", "oc_override": 1, "dio_bits": 8}\n ],\n'
+         ' "name": "b"\n}', "cfg.json:5: name: unknown key"),
+        # a string value that spells the key comes first
+        ('{\n "workloads": [\n  {"name": "dio_bits",\n   "oc_override": 1,'
+         ' "dio_bits": "x"}\n ]\n}',
+         "cfg.json:4: workloads[0].dio_bits: expected a number, got 'x'"),
+    ], ids=["nested-object", "string-value"])
+    def test_error_points_at_the_key_of_its_own_object(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert str(err.value) == message
+
+    def test_deep_nesting_still_gives_a_config_error(self):
+        # the scanner that places errors nests deeper per level than json.loads
+        depth = 600
+        doc = '{"pim": {"rowz": ' + "[" * depth + "]" * depth + "}}"
+        with pytest.raises(ConfigError, match=r"^<config>: pim\.rowz: unknown key$"):
+            parse_config(doc)
+
+    def test_missing_key_points_at_its_object(self):
+        doc = """{
+  "workloads": [
+    {"name": "a", "oc_override": 1, "dio_bits": 8},
+    {"name": "b",
+     "oc_override": 1}
+  ]
+}"""
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert str(err.value) == "cfg.json:4: workloads[1].dio_bits: required"
+
     def test_unknown_key_error_points_at_a_line(self):
         doc = '{\n "pim": {\n   "rowz": 3\n }\n}'
         with pytest.raises(ConfigError) as err:

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,38 @@ class TestPacking:
         with pytest.raises(ValueError):
             unpack_ints(state, col_lo, width)
 
+    @pytest.mark.parametrize("kernel", ["pack", "unpack"])
+    def test_peak_allocation_is_a_small_multiple_of_the_planes(self, kernel):
+        # Packing stages one word array of the block's bits plus one scratch
+        # array of the same size for the in-place transpose; unpacking also
+        # returns the int64 result. 2.5x the planes leaves room for small
+        # objects but not for a third full-size temporary.
+        rows, width = 65536, 32
+        state = ArrayState.zeros(rows, width + 2)
+        values = np.random.default_rng(1).integers(0, 1 << width, rows, dtype=np.int64)
+        planes_bytes = width * rows // 8
+        tracemalloc.start()
+        try:
+            if kernel == "pack":
+                pack_ints(state, 1, width, values)
+                out_bytes = 0
+            else:
+                out_bytes = unpack_ints(state, 1, width).nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * planes_bytes + out_bytes
+
+    def test_values_are_not_written(self):
+        values = np.arange(-64, 64, dtype=np.int64)
+        pack_ints(ArrayState.zeros(128, 9), 1, 8, values)
+        assert np.array_equal(values, np.arange(-64, 64))
+
+    def test_strided_values(self):
+        state = ArrayState.zeros(10, 9)
+        pack_ints(state, 1, 8, np.arange(20)[::2])
+        assert unpack_ints(state, 1, 8).tolist() == list(range(0, 20, 2))
+
     @settings(max_examples=100, deadline=None)
     @given(rows=st.sampled_from(EDGE_ROWS), width=st.integers(0, 64),
            col_lo=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
@@ -508,16 +541,18 @@ def move_stretches(draw):
 
     Both offset signs and both row directions are drawn (only rows that
     step by -sign(offset) have the shape rule's form), lengths across word
-    boundaries, offsets of 64 rows and more, mixed or shared column ranges,
-    and crossing moves at the ends.
+    boundaries, stretches that start and end inside a word, offsets just
+    below, at and above one and two words, mixed or shared column ranges,
+    crossing moves at the ends, and a NOR before the stretch.
     """
-    rows = draw(st.sampled_from([63, 64, 65, 130, 200]))
+    rows = draw(st.sampled_from([63, 64, 65, 130, 200, 256, 257]))
     cols = draw(st.integers(1, 5))
-    offset = draw(st.sampled_from([-1, 1, -2, 3, -64, 64, -70, 70])
+    offset = draw(st.sampled_from([-1, 1, -2, 3, -63, 63, -64, 64, -65, 65, -70, 70,
+                                   -128, 128, -129, 129])
                   | st.integers(-rows, rows).filter(bool))
     step = draw(st.sampled_from([-1, 1]))
     length = draw(st.sampled_from([1, 2, 63, 64, 65, 130]) | st.integers(1, rows))
-    start = draw(st.integers(0, rows - 1))
+    start = draw(st.sampled_from([5, 70, rows - 6]) | st.integers(0, rows - 1))
     lo = draw(st.integers(0, cols - 1))
     hi = draw(st.integers(lo, cols - 1))
     mixed = draw(st.booleans()) and cols > 1
@@ -535,6 +570,11 @@ def move_stretches(draw):
             VMove(1, 0, cols - 1, rows - 1, crosses_array=True)]
     moves = draw(st.lists(st.sampled_from(ends), max_size=2)) + moves
     moves += draw(st.lists(st.sampled_from(ends), max_size=2))
+    if cols > 1 and draw(st.booleans()):
+        # a NOR writes ones into the padding bits past the last row of its
+        # destination (its source's padding is zero) before the moves run
+        dest = draw(st.integers(0, cols - 1))
+        moves.insert(0, Nor(dest, ((dest + 1) % cols,)))
     seed = draw(st.integers(0, 2**32 - 1))
     bits = np.random.default_rng(seed).integers(0, 2, (rows, cols)).astype(bool)
     return prog(*moves), bits
