@@ -50,29 +50,29 @@ instruction any mask flags is materialized and described by ``_problem``.
 
 Execution. ``run`` splits a program where the op code changes. NOR and
 HMove segments loop over the columns as Python ints; a VMove segment is
-executed from its column arrays. Crossing moves in it change nothing. The
-rest split into runs, and a run executes as one gather per distinct
-(col_lo, col_hi) on the unpacked columns and words it touches: every
-source is read before any destination is written. A run ends before the
-first move that reads or writes a row that an earlier move of the same run
-wrote (the hazard condition), so each read sees what sequential execution
-would show it and no row is written twice.
+executed from its column arrays and cut into stretches of the shape rule's
+form: a stretch ends where the offset, the column range or the crossing
+flag changes, or where the rows do not step by -sign(offset). A stretch of
+crossing moves changes nothing; every other stretch is one word shift.
+Each stretch leaves the array as its own sequential execution would, so
+running the stretches in order is sequential execution.
 
-Shape rule. A segment whose in-array moves share one offset and one
-(col_lo, col_hi), with rows stepping by exactly -sign(offset), is
-hazard-free by construction and skips the split. With offset < 0 the rows
+Shape rule. In a stretch of in-array moves with one offset and one
+(col_lo, col_hi), whose rows step by exactly -sign(offset), no move reads
+or writes a row that an earlier move of the stretch wrote, so every source
+may be read before any destination is written. With offset < 0 the rows
 ascend: move i writes row r0 + i + offset, below every row r0 + j (j > i)
 that a later move reads. With offset > 0 they descend, and the write
 r0 - i + offset lies above every later read r0 - j. The rows written are
-distinct, so no write repeats either. Such a segment is one word shift:
+distinct, so no write repeats either. A stretch is thus one word shift:
 the words holding the source rows of the column planes are copied, shifted
 by the offset across word boundaries and merged into the planes under a
 mask of the destination rows, so no bit outside them changes. Rows that
-ascend with a positive offset (or descend with a negative one) are not of
-this shape: sequential execution then copies the first row through the
-whole range, so they take the general path. The ROW-long vertical
-relocation has exactly this shape; its crossing moves sit at the ends of
-the stretch and are sliced off, not filtered out.
+ascend with a positive offset (or descend with a negative one) break the
+rule at every move, so each move is a stretch of its own and sequential
+execution copies the first row through the whole range. The ROW-long
+vertical relocation is one stretch per subset's block of rows, followed
+by its crossing moves: k word shifts for k misaligned subsets.
 
 A line-oriented text form is provided for golden files::
 
@@ -324,12 +324,20 @@ class NorProgram:
 
     def _illegal_moves(self, a: int, b: int, rows: int, cols: int) -> np.ndarray:
         """Mask of the VMoves a..b-1 that break a rule of ``_problem``."""
-        row, offset, lo, hi = self.row[a:b], self.offset[a:b], self.col_lo[a:b], self.col_hi[a:b]
-        dst = row + offset
-        src_in = (row >= 0) & (row < rows)
-        dst_in = (dst >= 0) & (dst < rows)
-        return ((offset == 0) | (lo < 0) | (lo > hi) | (hi >= cols)
-                | ~(src_in | dst_in) | (self.crosses[a:b] == (src_in & dst_in)))
+        row, offset = self.row[a:b], self.offset[a:b]
+        # seen as uint64 a negative index exceeds every bound, so one
+        # compare checks both ends of a range
+        lo, hi = self.col_lo[a:b].view(np.uint64), self.col_hi[a:b].view(np.uint64)
+        src_in = np.less(row.view(np.uint64), rows)
+        dst_in = np.less(np.add(row, offset).view(np.uint64), rows)
+        bad = src_in & dst_in
+        np.equal(bad, self.crosses[a:b], out=bad)
+        rule = np.logical_or(src_in, dst_in, out=src_in)
+        bad |= np.logical_not(rule, out=rule)
+        bad |= np.equal(offset, 0, out=rule)
+        bad |= np.greater(lo, hi, out=rule)
+        bad |= np.greater_equal(hi, cols, out=rule)
+        return bad
 
 
 def _runs(values: np.ndarray, start: int = 0) -> list[tuple[int, int]]:
@@ -453,60 +461,31 @@ def apply_instr(bits: np.ndarray, ins: Instr) -> None:
         # cross-array endpoint: cycle is paid, no local cells change
 
 
-def _hazard_free_runs(src: np.ndarray, dst: np.ndarray) -> list[int]:
-    """Start indices of the runs a stretch of in-array VMoves splits into.
-
-    A run ends before the first move that reads or writes a row an earlier
-    move of the same run wrote, so each run may read all its sources before
-    it writes any destination.
-    """
-    n = len(src)
-    order = np.arange(n)
-    writes = np.sort(dst * n + order)          # (row, index) of every write
-
-    def last_write_before(rows: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(writes, rows * n + order) - 1
-        key = writes[np.maximum(pos, 0)]
-        return np.where((pos >= 0) & (key // n == rows), key % n, -1)
-
-    hazard = np.maximum(last_write_before(src), last_write_before(dst))
-    starts = [0]
-    for i in np.flatnonzero(hazard >= 0).tolist():
-        if hazard[i] >= starts[-1]:
-            starts.append(i)
-    return starts
-
-
 def _move_rows(planes: np.ndarray, offset: np.ndarray, lo: np.ndarray,
                hi: np.ndarray, row: np.ndarray, crosses: np.ndarray) -> None:
-    """Execute a stretch of consecutive VMoves, given as column arrays.
+    """Execute a segment of consecutive VMoves, given as column arrays.
 
-    Crossing moves change nothing; those at the ends of the stretch are
-    sliced off, any others dropped. A stretch of the shape rule's form is
-    one word shift of its column planes; any other splits into hazard-free
-    runs, each of which unpacks the column range and word span it touches
-    once and gathers every distinct (col_lo, col_hi) from that snapshot
-    before it writes any row back.
+    The segment is cut into the shape rule's stretches: a stretch ends
+    before a move whose offset, column range or crossing flag differs from
+    the previous move's, or whose row is not the previous move's row minus
+    sign(offset). A crossing stretch changes nothing; any other is one
+    ``_shift_rows``.
     """
-    a = int(crosses.argmin())              # the first move inside the array
-    if crosses[a]:
-        return                             # every move crosses
-    b = a + len(crosses) - np.count_nonzero(crosses)
-    if crosses[a:b].any():                 # not every crossing move is at an end
-        keep = ~crosses
-        offset, lo, hi, row = offset[keep], lo[keep], hi[keep], row[keep]
-    else:
-        offset, lo, hi, row = offset[a:b], lo[a:b], hi[a:b], row[a:b]
-    off, c0, c1 = int(offset[0]), int(lo[0]), int(hi[0]) + 1
-    if ((offset == off).all() and (lo == c0).all() and (hi == c1 - 1).all()
-            and (row[1:] - row[:-1] == (-1 if off > 0 else 1)).all()):
-        first, last = sorted((int(row[0]), int(row[-1])))
-        _shift_rows(planes[c0:c1], first, last + 1, off)
-        return
-    dst = row + offset
-    bounds = _hazard_free_runs(row, dst) + [len(row)]
-    for a, b in zip(bounds, bounds[1:]):
-        _gather_run(planes, lo[a:b], hi[a:b], row[a:b], dst[a:b])
+    # inside a stretch row[i] + sign(offset[i]) == row[i - 1]
+    back = np.sign(offset[1:])
+    back += row[1:]
+    cut = np.not_equal(back, row[:-1])
+    differ = np.empty_like(cut)
+    for col in (offset, lo, hi, crosses):
+        cut |= np.not_equal(col[1:], col[:-1], out=differ)
+    heads = np.flatnonzero(np.concatenate(([True], cut)))
+    tails = np.append(heads[1:] - 1, len(row) - 1)
+    for off, c_lo, c_hi, first, last, out in zip(
+            offset[heads].tolist(), lo[heads].tolist(), hi[heads].tolist(),
+            row[heads].tolist(), row[tails].tolist(), crosses[heads].tolist()):
+        if not out:
+            first, last = sorted((first, last))
+            _shift_rows(planes[c_lo:c_hi + 1], first, last + 1, off)
 
 
 _ONES = np.uint64(2**64 - 1)
@@ -535,32 +514,6 @@ def _shift_rows(planes: np.ndarray, s0: int, s1: int, off: int) -> None:
     mask[-1] &= _ONES >> np.uint64(-(s1 + off) % WORD_BITS)
     dest = planes[:, d0:d1]
     dest ^= (dest ^ moved) & mask
-
-
-def _gather_run(planes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                src: np.ndarray, dst: np.ndarray) -> None:
-    """Execute one hazard-free run of in-array VMoves, given as index arrays.
-
-    The columns and words the run touches are unpacked to one byte per cell,
-    every source is gathered from that snapshot, and then every destination
-    is written and the block packed back.
-    """
-    c0, c1 = int(lo.min()), int(hi.max()) + 1
-    w0 = int(min(src.min(), dst.min())) // WORD_BITS
-    w1 = int(max(src.max(), dst.max())) // WORD_BITS + 1
-    block = np.unpackbits(planes[c0:c1, w0:w1].view(np.uint8), axis=1, bitorder="little")
-    src = src - w0 * WORD_BITS
-    dst = dst - w0 * WORD_BITS
-    span = c1 - c0
-    ranges, which = np.unique((lo - c0) * span + (hi - c0), return_inverse=True)
-    gathered = []
-    for g, key in enumerate(ranges.tolist()):
-        cols = slice(key // span, key % span + 1)
-        sel = which == g
-        gathered.append((cols, dst[sel], block[cols][:, src[sel]]))
-    for cols, rows, values in gathered:
-        block[cols, rows] = values
-    planes[c0:c1, w0:w1] = np.packbits(block, axis=1, bitorder="little").view(_WORD)
 
 
 def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:

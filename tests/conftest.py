@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bitlet import CpuMachine, PimMachine, PowerBudget
+from bitlet import CpuMachine, PimMachine, PowerBudget, simulator
 
 
 @pytest.fixture
@@ -22,3 +22,17 @@ def budget():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xB17B17)
+
+
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """The (first row, end row, offset) of each word shift a run makes."""
+    calls = []
+    shift = simulator._shift_rows
+
+    def counted(planes, s0, s1, off):
+        calls.append((s0, s1, off))
+        shift(planes, s0, s1, off)
+
+    monkeypatch.setattr(simulator, "_shift_rows", counted)
+    return calls

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import bitlet
-from bitlet import PimMachine, WorkloadPoint, perf_pim, simulator
+from bitlet import PimMachine, WorkloadPoint, perf_pim
 from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow,
                            default_assignment, pac_of, relocation_program,
                            subset_of_row)
 from bitlet.simulator import (ArrayState, ColRange, HMove, NorProgram, VMove, count_cycles,
                               pack_ints, run, to_text, unpack_ints)
+from test_simulator import reference_run
 
 
 def layout(n=16, k=0, vertical=False, **kw):
@@ -226,18 +227,13 @@ class TestColumnarRelocation:
                     assert prog.max_fanin == ref.max_fanin
                     assert prog == ref
 
-    def test_tall_relocation_runs_as_one_slice_copy(self, monkeypatch, rng):
-        # the ROW-long vertical pass has the shape rule's form
-        def no_split(*_):
-            raise AssertionError("the hazard split ran")
-
-        monkeypatch.setattr(simulator, "_hazard_free_runs", no_split)
-        pim = PimMachine(rows=4096, cols=32)
-        spec = layout(n=16, k=1, vertical=True)
-        prog = relocation_program(spec, pim)
-        values = rng.integers(0, 1 << 16, 4096, dtype=np.int64)
-        state = ArrayState.zeros(4096, 32)
-        pack_ints(state, 0, 16, values)
-        final, cycles = run(prog, state)
-        assert cycles == 16 + 4096
-        assert np.array_equal(unpack_ints(final, 16, 16)[:-1], values[1:])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_tall_relocation_runs_one_word_shift_per_subset(self, shift_calls, rng, k):
+        # each subset's block of rows is one stretch of the shape rule's form
+        pim = PimMachine(rows=4096, cols=32 * k)
+        prog = relocation_program(layout(n=16, k=k, vertical=True), pim)
+        bits = rng.integers(0, 2, (4096, 32 * k)).astype(bool)
+        final, cycles = run(prog, ArrayState(bits))
+        assert cycles == 16 * k + 4096
+        assert len(shift_calls) == k
+        assert final == ArrayState(reference_run(prog, bits)[0])

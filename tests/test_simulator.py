@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitlet import simulator
 from bitlet.catalog import OpKind, OpSpec, microprogram_of
 from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, HMove,
                               InvalidProgram, Nor, NorProgram, VMove, _problem,
@@ -536,17 +535,15 @@ class TestColumnarForm:
 
 
 @st.composite
-def move_stretches(draw):
-    """A stretch of VMoves with one offset and rows stepping by one.
+def stretch_moves(draw, rows, cols):
+    """The VMoves of one stretch with one offset and rows stepping by one.
 
     Both offset signs and both row directions are drawn (only rows that
     step by -sign(offset) have the shape rule's form), lengths across word
     boundaries, stretches that start and end inside a word, offsets just
     below, at and above one and two words, mixed or shared column ranges,
-    crossing moves at the ends, and a NOR before the stretch.
+    and crossing moves at the ends or in the middle.
     """
-    rows = draw(st.sampled_from([63, 64, 65, 130, 200, 256, 257]))
-    cols = draw(st.integers(1, 5))
     offset = draw(st.sampled_from([-1, 1, -2, 3, -63, 63, -64, 64, -65, 65, -70, 70,
                                    -128, 128, -129, 129])
                   | st.integers(-rows, rows).filter(bool))
@@ -567,9 +564,24 @@ def move_stretches(draw):
             hi = draw(st.integers(lo, cols - 1))
         moves.append(VMove(offset, lo, hi, row, crosses_array=not (src_in and dst_in)))
     ends = [VMove(-1, 0, cols - 1, 0, crosses_array=True),
-            VMove(1, 0, cols - 1, rows - 1, crosses_array=True)]
+            VMove(1, 0, cols - 1, rows - 1, crosses_array=True),
+            # the stretch's own offset and columns, only the flag differs
+            VMove(offset, lo, hi, 0 if offset < 0 else rows - 1, crosses_array=True)]
+    for _ in range(draw(st.integers(0, 2))):
+        moves.insert(draw(st.integers(0, len(moves))), draw(st.sampled_from(ends)))
     moves = draw(st.lists(st.sampled_from(ends), max_size=2)) + moves
-    moves += draw(st.lists(st.sampled_from(ends), max_size=2))
+    return moves + draw(st.lists(st.sampled_from(ends), max_size=2))
+
+
+@st.composite
+def move_stretches(draw, stretches=st.just(1)):
+    """``stretch_moves`` stretches back to back, on one array, after an
+    optional NOR that dirties the padding bits."""
+    rows = draw(st.sampled_from([63, 64, 65, 130, 200, 256, 257]))
+    cols = draw(st.integers(1, 5))
+    moves = []
+    for _ in range(draw(stretches)):
+        moves += draw(stretch_moves(rows, cols))
     if cols > 1 and draw(st.booleans()):
         # a NOR writes ones into the padding bits past the last row of its
         # destination (its source's padding is zero) before the moves run
@@ -591,21 +603,27 @@ class TestShapeRule:
         assert np.array_equal(final.bits, want)
         assert final == ArrayState(want)
 
+    @settings(max_examples=50, deadline=None)
+    @given(move_stretches(st.integers(1, 4)))
+    def test_stretches_back_to_back_equal_instruction_by_instruction(self, case):
+        program, bits = case
+        final, cycles = run(program, ArrayState(bits))
+        want, want_cycles = reference_run(program, bits)
+        assert cycles == want_cycles
+        assert np.array_equal(final.bits, want)
+        assert final == ArrayState(want)
+
     @pytest.mark.parametrize("offset,step", [(-1, 1), (1, -1), (-70, 1), (70, -1)])
-    def test_stretch_of_the_form_skips_the_hazard_split(self, monkeypatch, offset, step):
+    def test_stretch_of_the_form_is_one_word_shift(self, shift_calls, offset, step):
         rows = 130
         start = -offset if step == 1 else rows - 1 - offset
         moves = [VMove(offset, 1, 2, start + step * i) for i in range(rows - abs(offset))]
         bits = np.random.default_rng(3).integers(0, 2, (rows, 4)).astype(bool)
-
-        def no_split(*_):
-            raise AssertionError("the hazard split ran")
-
-        monkeypatch.setattr(simulator, "_hazard_free_runs", no_split)
         final, _ = run(prog(*moves), ArrayState(bits))
+        assert len(shift_calls) == 1
         assert np.array_equal(final.bits, reference_run(prog(*moves), bits)[0])
 
-    def test_ascending_rows_with_a_positive_offset_take_the_general_path(self):
+    def test_ascending_rows_with_a_positive_offset_copy_the_first_row_through(self):
         # sequential execution copies row 0 through the whole range
         bits = np.zeros((65, 1), dtype=bool)
         bits[0] = True
