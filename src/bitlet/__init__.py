@@ -19,8 +19,7 @@ from .analysis import (SweepSpec, Verdict, Winner, Workload, crossover_oc,
                        energy_breakeven_oc, litmus, sweep)
 from .catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                       catalog_table, microprogram_of, oc_of)
-from .layout import (LayoutSpec, RelocationAssignment, default_assignment,
-                     pac_of, relocation_program)
+from .layout import LayoutSpec, pac_of, relocation_program
 from .machine import (CpuMachine, PimMachine, PowerBudget, Throughput,
                       WorkloadPoint)
 from .model import (Evaluation, NonFiniteResult, Points, energy_per_op_cpu,
@@ -36,12 +35,11 @@ __all__ = [
     "ArrayState", "ColRange", "ColumnOverflow", "CpuMachine", "Evaluation",
     "HMove", "InvalidProgram", "LayoutSpec", "NonFiniteResult", "Nor",
     "NorProgram", "OpKind", "OpSpec", "PimMachine", "Points", "PowerBudget",
-    "RelocationAssignment", "SweepSpec", "Throughput", "UnsupportedOperation",
-    "UnsupportedWidth", "VMove", "Verdict", "Winner", "Workload",
-    "WorkloadPoint", "catalog_table", "count_cycles", "crossover_oc",
-    "default_assignment", "energy_breakeven_oc", "energy_per_op_cpu",
-    "energy_per_op_pim", "evaluate", "from_text", "litmus", "mat_power_cap",
-    "microprogram_of", "oc_of",
-    "pac_of", "perf_cpu", "perf_pim", "pl_perf_cpu", "pl_perf_pim",
+    "SweepSpec", "Throughput", "UnsupportedOperation", "UnsupportedWidth",
+    "VMove", "Verdict", "Winner", "Workload", "WorkloadPoint",
+    "catalog_table", "count_cycles", "crossover_oc", "energy_breakeven_oc",
+    "energy_per_op_cpu", "energy_per_op_pim", "evaluate", "from_text",
+    "litmus", "mat_power_cap", "microprogram_of", "oc_of", "pac_of",
+    "perf_cpu", "perf_pim", "pl_perf_cpu", "pl_perf_pim",
     "relocation_program", "run", "sweep", "to_text",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import OP_NOR, ColRange, ColumnOverflow, NorProgram
+from .simulator import OP_NOR, ColRange, NorProgram
 
 WIDTH_CAP = 1024  # keeps generated programs within one array's columns
 
@@ -106,14 +106,16 @@ def oc_of(spec: OpSpec) -> int:
     return _POINT_VALUES[(spec.kind, spec.width_bits)]
 
 
-def catalog_table(widths=(4, 8, 16, 32, 64), kinds=None) -> list[dict]:
-    """Tabulate cycle counts as rows of {kind, n, oc} (skipping undefined pairs)."""
-    if kinds is None:
-        kinds = [OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
-                 OpKind.ADD, OpKind.ADD_FANIN4, OpKind.MPY]
+TABLE_KINDS = (OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
+               OpKind.ADD, OpKind.ADD_FANIN4, OpKind.MPY)
+TABLE_WIDTHS = (4, 8, 16, 32, 64)
+
+
+def catalog_table() -> list[dict]:
+    """Rows of {kind, n, oc} for TABLE_KINDS x TABLE_WIDTHS, skipping undefined pairs."""
     rows = []
-    for kind in kinds:
-        for n in widths:
+    for kind in TABLE_KINDS:
+        for n in TABLE_WIDTHS:
             try:
                 rows.append({"kind": kind.value, "n": n,
                              "oc": oc_of(OpSpec(kind, n))})
@@ -280,12 +282,12 @@ _GENERATORS = {
 }
 
 
-def microprogram_of(spec: OpSpec, cols: int | None = None) -> NorProgram:
+def microprogram_of(spec: OpSpec) -> NorProgram:
     """Build the executable NOR program for an operation.
 
-    Columns are packed from 0; `cols` bounds the budget (defaults to exactly
-    what the program needs). Raises ColumnOverflow if the budget is too
-    small and UnsupportedOperation for kinds with no canonical netlist.
+    Columns are packed from 0; ``NorProgram.cols_required`` says how many
+    the program needs. Raises UnsupportedOperation for kinds with no
+    canonical netlist.
 
     Programs expect every cell outside the declared input ranges to start
     at 0 (a blank array); scratch is overwritten before it is read except
@@ -295,9 +297,6 @@ def microprogram_of(spec: OpSpec, cols: int | None = None) -> NorProgram:
     if gen is None:
         raise UnsupportedOperation(f"no canonical microprogram for {spec.kind.name}")
     gates, plan, in_names, out_names = gen(spec.width_bits)
-    if cols is not None and plan.next > cols:
-        raise ColumnOverflow(f"{spec.kind.name} n={spec.width_bits} needs "
-                             f"{plan.next} columns, budget is {cols}")
     by_name = {r.name: r for r in plan.ranges}
     return NorProgram.from_arrays(
         OP_NOR, gates[:, 0], gates[:, 1:],

@@ -29,11 +29,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
-from .analysis import SWEEP_PARAMS, SweepSpec, litmus, sweep
+from .analysis import SWEEP_PARAMS, SweepSpec, Verdict, sweep
 from .catalog import catalog_table
 from .config import Config, ConfigError, load_config
 from .machine import GBPS, TBPS, CpuMachine, PimMachine, PowerBudget
@@ -128,22 +128,28 @@ def _evaluate(cfg: Config, power: PowerBudget | None):
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    verdicts = [litmus(cfg.pim, cfg.cpu, w, cfg.power) for w in cfg.workloads]
+    points, ev = _evaluate(cfg, cfg.power)
+    # records keyed in `Verdict` field order: the name, the resolved point,
+    # the model's columns and whether the power-limited pair decided
+    keys = [f.name for f in fields(Verdict)]
+    rows = zip(cfg.workloads, points, *(getattr(ev, key).tolist() for key in keys[4:-1]))
+    payload = [dict(zip(keys, (w.name, p.oc_cycles, p.pac_cycles, p.dio_bits,
+                               *values, cfg.power is not None)))
+               for w, p, *values in rows]
     human = []
-    for v in verdicts:
-        basis = "power-limited" if v.power_limited else "raw"
-        pim, cpu = ((v.pl_pim_gops, v.pl_cpu_gops) if v.power_limited
-                    else (v.pim_gops, v.cpu_gops))
-        human.append(f"{v.name}: winner {v.winner.value} ({basis})  "
+    for v in payload:
+        basis = "power-limited" if v["power_limited"] else "raw"
+        pim, cpu = ((v["pl_pim_gops"], v["pl_cpu_gops"]) if v["power_limited"]
+                    else (v["pim_gops"], v["cpu_gops"]))
+        human.append(f"{v['name']}: winner {v['winner']} ({basis})  "
                      f"pim {_fmt(pim)} GOPS vs cpu {_fmt(cpu)} GOPS  "
-                     f"speedup {_fmt(v.speedup)}")
-        human.append(f"    oc={v.oc_cycles} pac={v.pac_cycles} dio={v.dio_bits}  "
-                     f"crossover_oc={_fmt(v.crossover_oc)}  "
-                     f"energy_ratio={_fmt(v.energy_ratio)}x")
-    if not verdicts:
+                     f"speedup {_fmt(v['speedup'])}")
+        human.append(f"    oc={v['oc_cycles']} pac={v['pac_cycles']} dio={v['dio_bits']}  "
+                     f"crossover_oc={_fmt(v['crossover_oc'])}  "
+                     f"energy_ratio={_fmt(v['energy_ratio'])}x")
+    if not payload:
         human.append("no workloads in config")
 
-    payload = [{**asdict(v), "winner": v.winner.value} for v in verdicts]
     if args.format == "json":
         doc = json.dumps(payload, indent=2) + "\n"
     else:

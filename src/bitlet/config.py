@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import re
+import sys
 from dataclasses import dataclass
 
 from .analysis import Workload
@@ -145,6 +146,8 @@ class _Section:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(key, f"expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:   # NaN, Infinity, 1e400 or 10**400
+            self.fail(key, f"expected a finite number, got {value!r}")
         if integer and int(value) != value:
             self.fail(key, f"expected an integer, got {value!r}")
         return int(value) if integer else float(value)
@@ -189,6 +192,8 @@ def _parse_workload(sec: _Section) -> Workload:
     dio = sec.take_number("dio_bits", None, integer=True)
     if dio is None:
         sec.fail("dio_bits", "required")
+    if dio < 1:
+        sec.fail("dio_bits", f"must be >= 1, got {dio}")
     oc_override = sec.take_number("oc_override", None, integer=True)
 
     op = None
@@ -224,6 +229,8 @@ def parse_config(text: str, path: str = "<config>") -> Config:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc.msg}", exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise ConfigError(path, f"invalid JSON: {exc}") from None
     root = _Section(raw, path, text, "")
 
     pim_sec = root.sub("pim", {})

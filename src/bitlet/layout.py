@@ -11,9 +11,9 @@ be moved inside the array. Two move kinds exist, each one cycle:
     of how many column groups exist. The boundary elements that would
     arrive from a neighbouring array are billed but not simulated.
 
-The resulting cycle count feeds straight into the throughput model as the
-PAC term. Explicit overrides let callers price layouts the closed form
-cannot express; overridden layouts have no generated move program.
+The resulting cycle count is the throughput model's PAC term, backed by the
+simulated move program of `relocation_program`. Explicit overrides price
+layouts the closed form cannot express; they have no generated move program.
 """
 
 from __future__ import annotations
@@ -73,125 +73,66 @@ def pac_of(layout: LayoutSpec, pim: PimMachine) -> int:
     return cycles
 
 
-@dataclass(frozen=True)
-class RelocationAssignment:
-    """Column and row plan realizing a layout's moves on a concrete array.
-
-    Subset g's elements start at source_starts[g] and are aligned into
-    target_starts[g] (regions pairwise disjoint, handled per subset since
-    a horizontal move always shifts a full column across every row). Rows
-    are split into contiguous blocks, one per subset. When vertical
-    relocation is needed, every row's aligned element then moves to
-    row + vertical_offset; rows whose partner falls outside the array
-    exchange with a neighbouring array and are billed as ordinary moves.
-    """
-
-    source_starts: tuple[int, ...]
-    target_starts: tuple[int, ...]
-    aligned_start: int = 0          # element region when no alignment is needed
-    vertical_offset: int = -1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source_starts", tuple(self.source_starts))
-        object.__setattr__(self, "target_starts", tuple(self.target_starts))
-        if len(self.source_starts) != len(self.target_starts):
-            raise ValueError("need one target region per source region")
-        if self.vertical_offset == 0:
-            raise ValueError("vertical_offset must be non-zero")
-
-
-def default_assignment(layout: LayoutSpec, vertical_offset: int = -1
-                       ) -> RelocationAssignment:
-    """Pack subset regions side by side: sources first, then targets."""
-    n, k = layout.element_width_bits, layout.misaligned_subsets
-    return RelocationAssignment(
-        source_starts=tuple(g * n for g in range(k)),
-        target_starts=tuple((k + g) * n for g in range(k)),
-        aligned_start=0,
-        vertical_offset=vertical_offset,
-    )
-
-
 def subset_of_row(row: int, rows: int, k: int) -> int:
     """Contiguous-block row partition: which subset owns this row."""
     return min(row * k // rows, k - 1) if k > 0 else 0
 
 
-def relocation_program(layout: LayoutSpec, pim: PimMachine,
-                       assignment: RelocationAssignment | None = None
-                       ) -> NorProgram:
+def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     """Emit the move-only program realizing a layout's relocation.
 
+    The layout is fixed, and the program's declared ranges are the only
+    record of it. Subset g of k is aligned from column g*n (input
+    ``source_g``) to (k+g)*n (output ``target_g``), one HMove per bit, as a
+    horizontal move shifts a whole column across every row; with k = 0 the
+    elements sit at column 0 (output ``aligned``). Each output owns one
+    contiguous block of rows. Vertical relocation then moves every row's
+    element up one row, the last row's arriving from the neighbouring array.
     The instruction count always equals pac_of(layout, pim). Overridden
     layouts have no canonical move decomposition and are rejected.
     """
     if layout.has_override:
         raise ValueError("overridden layouts carry verbatim cycle counts; "
                          "there is no move program to generate")
-    if assignment is None:
-        assignment = default_assignment(layout)
     n, k = layout.element_width_bits, layout.misaligned_subsets
-    rows, cols = pim.rows, pim.cols
+    rows = pim.rows
     if k > rows:
         raise RowOverflow(f"{k} row groups need at least {k} rows, array has {rows}")
-    if len(assignment.source_starts) != k:
-        raise ValueError(f"assignment has {len(assignment.source_starts)} regions, "
-                         f"layout declares {k} subsets")
+    inputs = tuple(ColRange(f"source_{g}", g * n, n) for g in range(k))
+    outputs = (tuple(ColRange(f"target_{g}", (k + g) * n, n) for g in range(k))
+               or (ColRange("aligned", 0, n),))
+    for r in inputs[:1] + outputs:   # lowest first; later sources lie below target_0
+        if r.stop > pim.cols:
+            raise ColumnOverflow(f"element region [{r.start}, {r.stop}) exceeds "
+                                 f"{pim.cols} columns")
 
-    regions = list(zip(assignment.source_starts, assignment.target_starts))
-    for lo in [c for pair in regions for c in pair] + [assignment.aligned_start]:
-        if lo < 0 or lo + n > cols:
-            raise ColumnOverflow(f"element region [{lo}, {lo + n}) exceeds "
-                                 f"{cols} columns")
-
-    inputs = tuple(ColRange(f"source_{g}", s, n)
-                   for g, s in enumerate(assignment.source_starts))
-    outputs = tuple(ColRange(f"target_{g}", t, n)
-                    for g, t in enumerate(assignment.target_starts))
-    if k == 0:
-        outputs = (ColRange("aligned", assignment.aligned_start, n),)
-
-    # one HMove per bit of each region, then one VMove per row
-    bit = np.arange(n)
-    sources = (np.array(assignment.source_starts, dtype=np.int64)[:, None] + bit).ravel()
-    targets = (np.array(assignment.target_starts, dtype=np.int64)[:, None] + bit).ravel()
+    # one HMove per bit of each subset: columns 0..kn-1 to kn..2kn-1
+    h = k * n
+    sources = np.arange(h, dtype=np.int64)
     if not layout.needs_vertical_relocation:
-        return NorProgram.from_arrays(OP_HMOVE, targets, sources,
+        return NorProgram.from_arrays(OP_HMOVE, sources + h, sources,
                                       inputs=inputs, outputs=outputs)
-    off, h = assignment.vertical_offset, len(sources)
-    # element region of each row: one contiguous block of rows per subset
-    if k == 0:
-        region = np.full(rows, assignment.aligned_start, dtype=np.int64)
-    else:
-        bounds = [-(-g * rows // k) for g in range(k + 1)]
-        region = np.repeat(np.array(assignment.target_starts, dtype=np.int64),
-                           np.diff(bounds))
-    # the VMoves visit destinations in an order where no move reads a row
-    # already written: ascending for off < 0, descending for off > 0. The
-    # last |off| of them take their element from the neighbouring array, so
-    # their region is the destination row's, not the source row's. Each
-    # column is allocated once: the HMoves' entries, then the VMoves'.
-    inside = max(rows - abs(off), 0)
+    # then one VMove per destination row d, ascending, from row d+1, so none
+    # reads a row already written. VMove d moves the region of row
+    # min(d+1, rows-1): the last one reads the neighbouring array, so its
+    # region is its own row's. Each column is allocated once.
     op = np.full(h + rows, OP_VMOVE, dtype=np.int8)
     op[:h] = OP_HMOVE
     dest = np.full(h + rows, -1, dtype=np.int64)
-    dest[:h] = targets
+    dest[:h] = sources + h
     srcs = np.full((h + rows, 1), -1, dtype=np.int64)
     srcs[:h, 0] = sources
-    offset = np.full(h + rows, off, dtype=np.int64)
+    offset = np.full(h + rows, -1, dtype=np.int64)
     offset[:h] = 0
+    row = np.zeros(h + rows, dtype=np.int64)
+    row[h:] = np.arange(1, rows + 1)
     crosses = np.zeros(h + rows, dtype=bool)
-    crosses[h + inside:] = True
+    crosses[-1] = True
     col_lo = np.zeros(h + rows, dtype=np.int64)
-    if off < 0:
-        row = np.arange(-off - h, rows - off, dtype=np.int64)
-        col_lo[h:h + inside] = region[-off:]
-        col_lo[h + inside:] = region[inside:]
-    else:
-        row = np.arange(rows - 1 - off + h, -1 - off, -1, dtype=np.int64)
-        col_lo[h:h + inside] = region[:inside][::-1]
-        col_lo[h + inside:] = region[:rows - inside][::-1]
-    row[:h] = 0
+    for g, out in enumerate(outputs):   # VMoves d with d+1 in block g's [first, stop)
+        first, stop = (-(-b * rows // len(outputs)) for b in (g, g + 1))
+        col_lo[h + max(first - 1, 0):h + stop - 1] = out.start
+    col_lo[-1] = outputs[-1].start
     col_hi = col_lo + (n - 1)
     col_hi[:h] = 0
     return NorProgram.from_arrays(op, dest, srcs, offset=offset, col_lo=col_lo,

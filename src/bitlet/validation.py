@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import OpKind, OpSpec, microprogram_of
-from .layout import LayoutSpec, default_assignment, pac_of, relocation_program
+from .layout import LayoutSpec, pac_of, relocation_program
 from .machine import PimMachine
 from .simulator import ArrayState, count_cycles, pack_ints, run, unpack_ints
 
@@ -29,6 +29,7 @@ COUNT_KINDS = (OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
                OpKind.ADD, OpKind.ADD_FANIN4)
 EXHAUSTIVE_MAX_WIDTH = 4
 RANDOM_WIDTHS = (8, 16, 32)
+COUNT_MAX_WIDTH = 32       # gate counts are checked for every n = 1..COUNT_MAX_WIDTH
 RANDOM_ROWS = 1000
 SEED = 20240917
 
@@ -125,23 +126,23 @@ def _check_function(kind: OpKind, widths, rng) -> Check:
     return Check(f"function[{kind.name}]", True, mode)
 
 
-def catalog_checks(max_width: int = 32) -> list[Check]:
+def catalog_checks() -> list[Check]:
     """Gate-count and functional checks for every generated operation."""
     rng = np.random.default_rng(SEED)
     checks: list[Check] = []
 
     for kind in COUNT_KINDS:
         bad = []
-        for n in range(1, max_width + 1):
+        for n in range(1, COUNT_MAX_WIDTH + 1):
             spec = OpSpec(kind, n)
             got = count_cycles(microprogram_of(spec))
             want = catalog.oc_of(spec)
             if got != want:
                 bad.append(f"n={n}: program {got} vs catalog {want}")
         checks.append(Check(f"count[{kind.name}]", not bad,
-                            bad[0] if bad else f"exact for n=1..{max_width}"))
+                            bad[0] if bad else f"exact for n=1..{COUNT_MAX_WIDTH}"))
 
-    widths = [n for n in (1, 2, 3, 4, *RANDOM_WIDTHS) if n <= max_width]
+    widths = (*range(1, EXHAUSTIVE_MAX_WIDTH + 1), *RANDOM_WIDTHS)
     for kind in COUNT_KINDS:
         checks.append(_check_function(kind, widths, rng))
 
@@ -160,32 +161,29 @@ def catalog_checks(max_width: int = 32) -> list[Check]:
 def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
     """Run the move program and verify cells; returns an error or None."""
     n, k = layout.element_width_bits, layout.misaligned_subsets
-    assignment = default_assignment(layout)
-    prog = relocation_program(layout, pim, assignment)
+    vertical = layout.needs_vertical_relocation
+    prog = relocation_program(layout, pim)
     if count_cycles(prog) != pac_of(layout, pim):
         return (f"cycles {count_cycles(prog)} != pac {pac_of(layout, pim)} "
-                f"(k={k}, n={n}, vertical={layout.needs_vertical_relocation})")
-    cols = max(pim.cols, prog.cols_required if len(prog) else n)
-    state = ArrayState.zeros(pim.rows, cols)
-    sources = rng.integers(0, 1 << min(n, 48), (max(k, 1), pim.rows), dtype=np.int64)
-    for g in range(k):
-        pack_ints(state, assignment.source_starts[g], n, sources[g])
-    if k == 0:
-        pack_ints(state, assignment.aligned_start, n, sources[0])
+                f"(k={k}, n={n}, vertical={vertical})")
+    state = ArrayState.zeros(pim.rows, max(pim.cols, prog.cols_required))
+    # each subset's elements go into its source region; with no subsets to
+    # align, the elements already sit in the one output region
+    placed = prog.inputs or prog.outputs
+    sources = rng.integers(0, 1 << min(n, 48), (len(placed), pim.rows), dtype=np.int64)
+    for region, values in zip(placed, sources):
+        pack_ints(state, region.start, n, values)
     final, _ = run(prog, state)
 
-    # after alignment each row holds its own subset's element at the target
-    # region; a vertical pass then pulls row r+1's element into row r, and
-    # the last row's element comes from the neighbour array (not checked)
-    rows = np.arange(pim.rows - 1 if layout.needs_vertical_relocation else pim.rows)
-    src = rows + 1 if layout.needs_vertical_relocation else rows
-    if k:
-        subset = _subsets(src, pim.rows, k)
-        region = np.array(assignment.target_starts)[subset]
-        want = sources[subset, src]
-    else:
-        region = np.full(len(src), assignment.aligned_start)
-        want = sources[0][src]
+    # after alignment each row holds its own subset's element in that
+    # subset's output region; a vertical pass then pulls row r+1's element
+    # into row r, and the last row's comes from the neighbour array (not
+    # checked)
+    rows = np.arange(pim.rows - 1 if vertical else pim.rows)
+    src = rows + 1 if vertical else rows
+    subset = _subsets(src, pim.rows, len(prog.outputs))
+    region = np.array([r.start for r in prog.outputs])[subset]
+    want = sources[subset, src]
     got = np.empty_like(want)
     for start in np.unique(region).tolist():
         at = region == start
@@ -194,17 +192,17 @@ def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
     if len(bad):
         i = bad[0]
         return (f"row {rows[i]} region {region[i]}: got {got[i]}, want {want[i]} "
-                f"(k={k}, n={n}, vertical={layout.needs_vertical_relocation})")
+                f"(k={k}, n={n}, vertical={vertical})")
     return None
 
 
-def _subsets(row: np.ndarray, rows: int, k: int) -> np.ndarray:
-    """``layout.subset_of_row`` of every entry of `row`, for k >= 1 subsets.
+def _subsets(row: np.ndarray, rows: int, blocks: int) -> np.ndarray:
+    """``layout.subset_of_row(r, rows, blocks)`` of every entry r of `row`.
 
     The formula is restated here rather than read from the relocation
     program's own row blocks, so the check stays independent of the generator.
     """
-    return np.minimum(row * k // rows, k - 1)
+    return np.minimum(row * blocks // rows, blocks - 1)
 
 
 def pac_checks() -> list[Check]:

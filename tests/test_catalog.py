@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from bitlet.catalog import (ColumnOverflow, OpKind, OpSpec, UnsupportedOperation,
-                            UnsupportedWidth, catalog_table, microprogram_of,
-                            oc_of)
-from bitlet.simulator import (ArrayState, ColRange, Nor, NorProgram, count_cycles, pack_ints,
-                              run, to_text, unpack_ints)
+from bitlet.catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
+                            catalog_table, microprogram_of, oc_of)
+from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor, NorProgram,
+                              count_cycles, pack_ints, run, to_text, unpack_ints)
 
 EXACT_KINDS = {
     OpKind.NOT: lambda n: n,
@@ -199,10 +198,12 @@ class TestMicroprograms:
         assert np.array_equal(out, a * b)
 
     def test_column_budget_enforced(self):
-        needed = microprogram_of(OpSpec(OpKind.ADD, 16)).cols_required
-        with pytest.raises(ColumnOverflow):
-            microprogram_of(OpSpec(OpKind.ADD, 16), cols=needed - 1)
-        microprogram_of(OpSpec(OpKind.ADD, 16), cols=needed)
+        # a, b and out (16 each), the carry and seven scratch columns
+        prog = microprogram_of(OpSpec(OpKind.ADD, 16))
+        assert prog.cols_required == 3 * 16 + 1 + 7
+        prog.validate(8, prog.cols_required)
+        with pytest.raises(InvalidProgram, match="out of range"):
+            prog.validate(8, prog.cols_required - 1)
 
     def test_kinds_without_netlists(self):
         with pytest.raises(UnsupportedOperation):

@@ -11,11 +11,12 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from bitlet import WorkloadPoint, cli
+from bitlet import WorkloadPoint, cli, litmus
 from bitlet.config import load_config
 from bitlet.model import perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim
 
@@ -130,6 +131,48 @@ class TestNonFiniteResults:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "overflow double precision" in captured.err
+
+
+MODEL_COMMANDS = [["eval"], ["crossover"], ["power"],
+                  ["sweep", "--param", "OC", "--grid", "1:10:3"]]
+OUT_OF_RANGE = {   # config text -> the key its one error line names
+    '{"pim": {"rows": 1e400}, "power": {"tdp_watts": 20}}': "pim.rows",
+    '{"pim": {"rows": NaN}, "power": {"tdp_watts": 20}}': "pim.rows",
+    '{"pim": {"cycle_time_ns": Infinity}, "power": {"tdp_watts": 20}}': "pim.cycle_time_ns",
+    '{"power": {"tdp_watts": 20}, "workloads": [{"name": "w", "oc_override": 1, '
+    '"dio_bits": 0}]}': "workloads[0].dio_bits",
+}
+
+
+class TestOutOfRangeConfig:
+    @pytest.mark.parametrize("text", list(OUT_OF_RANGE),
+                             ids=["1e400", "NaN", "Infinity", "dio0"])
+    @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=[a[0] for a in MODEL_COMMANDS])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = cli.main(argv[:1] + ["--config", str(path)] + argv[1:])
+        assert code == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:1: {OUT_OF_RANGE[text]}: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestEvalJson:
+    @pytest.mark.parametrize("power", [True, False], ids=["power", "no-power"])
+    def test_records_are_the_litmus_verdicts(self, tmp_path, power):
+        doc = json.loads((BENCH / "config.json").read_text())
+        if not power:
+            del doc["power"]
+        path = write_config(tmp_path, doc)
+        code, stdout = run(["eval", "--config", path, "--format", "json"])
+        assert code == cli.EXIT_OK
+        cfg = load_config(path)
+        verdicts = [litmus(cfg.pim, cfg.cpu, w, cfg.power) for w in cfg.workloads]
+        want = [{**asdict(v), "winner": v.winner.value} for v in verdicts]
+        assert stdout == json.dumps(want, indent=2) + "\n"
+        assert [r["power_limited"] for r in json.loads(stdout)] == [power] * 3
 
 
 class TestCsvQuoting:

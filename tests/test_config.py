@@ -102,10 +102,42 @@ class TestRejection:
         '{"workloads": {"name": "w"}}',
         '{"workloads": [{"name": "w", "op": "MPY_LOWPREC", "width_bits": 8, '
         '"dio_bits": 8}]}',
+        '{"pim": {"rows": 1e400}}',
+        '{"pim": {"rows": Infinity}}',
+        '{"pim": {"rows": -Infinity}}',
+        '{"pim": {"rows": NaN}}',
+        '{"pim": {"cycle_time_ns": Infinity}}',
+        '{"cpu": {"energy_per_bit_pj": NaN}}',
+        '{"power": {"tdp_watts": Infinity}}',
+        '{"workloads": [{"name": "w", "oc_override": 1, "dio_bits": 0}]}',
+        '{"workloads": [{"name": "w", "oc_override": 1, "dio_bits": -3}]}',
     ])
     def test_bad_values_rejected(self, doc):
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{\n "pim": {\n  "rows": Infinity}}', "pim.rows: expected a finite number, got inf"),
+        ('{\n "pim": {\n  "rows": 1e400}}', "pim.rows: expected a finite number, got inf"),
+        ('{\n "cpu": {\n  "energy_per_bit_pj": NaN}}',
+         "cpu.energy_per_bit_pj: expected a finite number, got nan"),
+        ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 0}]}',
+         "workloads[0].dio_bits: must be >= 1, got 0"),
+    ])
+    def test_out_of_range_numbers_name_path_line_and_key(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert str(err.value) == f"cfg.json:3: {message}"
+
+    @pytest.mark.parametrize("doc", [
+        '{"pim": {"rows": 1' + '0' * 400 + '}}',
+        '{"pim": {"rows": 1' + '0' * 5000 + '}}',
+        '{"workloads": ' + '[' * 100000 + ']' * 100000 + '}',
+    ], ids=["int-past-float-range", "int-past-digit-limit", "deep-nesting"])
+    def test_oversized_documents_rejected(self, doc):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="big.json")
+        assert str(err.value).startswith("big.json")
 
     def test_error_in_a_later_workload_points_at_its_line(self):
         doc = """{

@@ -3,9 +3,8 @@ import pytest
 
 import bitlet
 from bitlet import PimMachine, WorkloadPoint, perf_pim
-from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow,
-                           default_assignment, pac_of, relocation_program,
-                           subset_of_row)
+from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow, pac_of,
+                           relocation_program, subset_of_row)
 from bitlet.simulator import (ArrayState, ColRange, HMove, NorProgram, VMove, count_cycles,
                               pack_ints, run, to_text, unpack_ints)
 from test_simulator import reference_run
@@ -98,67 +97,55 @@ class TestRelocationProgram:
     def test_relocation_moves_neighbour_elements_down(self, rng):
         # the canonical pattern: row r must end up with row r+1's element
         pim = PimMachine(rows=8, cols=64)
-        spec = layout(n=4, k=1, vertical=True)
-        assignment = default_assignment(spec)
-        prog = relocation_program(spec, pim, assignment)
+        prog = relocation_program(layout(n=4, k=1, vertical=True), pim)
+        source, target = prog.range("source_0"), prog.range("target_0")
         state = ArrayState.zeros(8, 64)
         values = rng.integers(0, 16, 8, dtype=np.int64)
-        pack_ints(state, assignment.source_starts[0], 4, values)
+        pack_ints(state, source.start, 4, values)
         final, cycles = run(prog, state)
         assert cycles == 4 + 8
-        landed = unpack_ints(final, assignment.target_starts[0], 4)
+        landed = unpack_ints(final, target.start, 4)
         assert np.array_equal(landed[:-1], values[1:])
         # sources untouched by the move program
-        assert np.array_equal(unpack_ints(final, assignment.source_starts[0], 4),
-                              values)
+        assert np.array_equal(unpack_ints(final, source.start, 4), values)
 
     def test_two_groups_align_into_their_own_regions(self, rng):
         pim = PimMachine(rows=8, cols=64)
-        spec = layout(n=4, k=2, vertical=False)
-        assignment = default_assignment(spec)
-        prog = relocation_program(spec, pim, assignment)
+        prog = relocation_program(layout(n=4, k=2, vertical=False), pim)
         state = ArrayState.zeros(8, 64)
         group_values = [rng.integers(0, 16, 8, dtype=np.int64) for _ in range(2)]
         for g in range(2):
-            pack_ints(state, assignment.source_starts[g], 4, group_values[g])
+            pack_ints(state, prog.range(f"source_{g}").start, 4, group_values[g])
         final, _ = run(prog, state)
         for row in range(8):
             g = subset_of_row(row, 8, 2)
-            got = int(unpack_ints(final, assignment.target_starts[g], 4)[row])
+            got = int(unpack_ints(final, prog.range(f"target_{g}").start, 4)[row])
             assert got == int(group_values[g][row])
 
-    def test_positive_offset_moves_rows_up(self, rng):
-        pim = PimMachine(rows=6, cols=32)
-        spec = layout(n=4, k=0, vertical=True)
-        assignment = default_assignment(spec, vertical_offset=1)
-        prog = relocation_program(spec, pim, assignment)
-        state = ArrayState.zeros(6, 32)
-        values = rng.integers(0, 16, 6, dtype=np.int64)
-        pack_ints(state, 0, 4, values)
-        final, cycles = run(prog, state)
-        assert cycles == 6
-        landed = unpack_ints(final, 0, 4)
-        assert np.array_equal(landed[1:], values[:-1])
-        assert landed[0] == values[0]  # boundary row: neighbour data not modelled
-
-    @pytest.mark.parametrize("rows", [5, 8, 13])
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("offset", [-3, -1, 1, 2, 20])
-    def test_each_vmove_uses_its_rows_region(self, rows, k, offset):
-        # the region is the subset's target region of the source row, or of
-        # the destination row when the source lies in a neighbouring array
+    @pytest.mark.parametrize("rows,k", [(rows, k) for rows in (1, 2, 5, 8, 13)
+                                        for k in range(min(rows, 4) + 1)])
+    def test_each_vmove_uses_its_rows_region(self, rows, k):
+        # VMove d moves row d+1's element in that row's output region; the
+        # last one reads the neighbouring array and uses its own row's
         spec = layout(n=2, k=k, vertical=True)
-        assignment = default_assignment(spec, vertical_offset=offset)
-        prog = relocation_program(spec, PimMachine(rows=rows, cols=64), assignment)
+        prog = relocation_program(spec, PimMachine(rows=rows, cols=64))
         moves = [ins for ins in prog.instructions if isinstance(ins, VMove)]
-        assert len(moves) == rows
-        assert sorted(m.row + m.offset for m in moves) == list(range(rows))
-        for m in moves:
-            assert m.crosses_array == (not 0 <= m.row < rows)
-            local = m.row + m.offset if m.crosses_array else m.row
-            want = (assignment.target_starts[subset_of_row(local, rows, k)] if k
-                    else assignment.aligned_start)
+        assert [(m.row, m.offset) for m in moves] == [(d + 1, -1) for d in range(rows)]
+        for d, m in enumerate(moves):
+            assert m.crosses_array == (d == rows - 1)
+            want = prog.outputs[subset_of_row(min(d + 1, rows - 1), rows, k)].start
             assert (m.col_lo, m.col_hi) == (want, want + 1)
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_declared_interface(self, k, vertical):
+        # sources side by side from column 0, then the targets; with nothing
+        # to align, the elements sit in one region at column 0
+        prog = relocation_program(layout(n=4, k=k, vertical=vertical),
+                                  PimMachine(rows=16, cols=64))
+        assert prog.inputs == tuple(ColRange(f"source_{g}", 4 * g, 4) for g in range(k))
+        assert prog.outputs == (tuple(ColRange(f"target_{g}", 4 * (k + g), 4)
+                                      for g in range(k)) or (ColRange("aligned", 0, 4),))
 
     def test_column_overflow(self):
         pim = PimMachine(rows=8, cols=16)
@@ -176,56 +163,42 @@ class TestRelocationProgram:
         with pytest.raises(RowOverflow):
             relocation_program(layout(n=4, k=5), pim)
 
-    def test_assignment_region_count_must_match(self, pim):
-        wrong = default_assignment(layout(4, 2))
-        with pytest.raises(ValueError, match="regions"):
-            relocation_program(layout(4, 3), pim, wrong)
 
-
-def reference_relocation(spec, pim, assignment):
+def reference_relocation(spec, pim):
     """The move program built one object per move, as before programs were
-    columnar."""
+    columnar: subset g moves from column g*n to (k+g)*n, then every row
+    takes the element of the row below, region by region."""
     n, k, rows = spec.element_width_bits, spec.misaligned_subsets, pim.rows
-    instrs = [HMove(t + j, s + j) for s, t in zip(assignment.source_starts,
-                                                  assignment.target_starts)
-              for j in range(n)]
+    sources = [g * n for g in range(k)]
+    targets = [(k + g) * n for g in range(k)] or [0]
+    instrs = [HMove(t + j, s + j) for s, t in zip(sources, targets) for j in range(n)]
     if spec.needs_vertical_relocation:
-        off = assignment.vertical_offset
-        region = [assignment.target_starts[subset_of_row(r, rows, k)] if k
-                  else assignment.aligned_start for r in range(rows)]
-        dests = range(rows) if off < 0 else range(rows - 1, -1, -1)
-        inside = max(rows - abs(off), 0)
-        instrs += [VMove(off, region[d - off], region[d - off] + n - 1, d - off)
-                   for d in dests[:inside]]
-        instrs += [VMove(off, region[d], region[d] + n - 1, d - off, crosses_array=True)
-                   for d in dests[inside:]]
-    inputs = tuple(ColRange(f"source_{g}", s, n)
-                   for g, s in enumerate(assignment.source_starts))
-    outputs = tuple(ColRange(f"target_{g}", t, n)
-                    for g, t in enumerate(assignment.target_starts))
-    if k == 0:
-        outputs = (ColRange("aligned", assignment.aligned_start, n),)
-    return NorProgram(tuple(instrs), inputs=inputs, outputs=outputs)
+        region = [targets[subset_of_row(r, rows, k)] for r in range(rows)]
+        instrs += [VMove(-1, region[d + 1], region[d + 1] + n - 1, d + 1)
+                   for d in range(rows - 1)]
+        instrs.append(VMove(-1, region[-1], region[-1] + n - 1, rows, crosses_array=True))
+    inputs = tuple(ColRange(f"source_{g}", s, n) for g, s in enumerate(sources))
+    outputs = tuple(ColRange(f"target_{g}", t, n) for g, t in enumerate(targets[:k]))
+    return NorProgram(tuple(instrs), inputs=inputs,
+                      outputs=outputs or (ColRange("aligned", 0, n),))
 
 
 class TestColumnarRelocation:
-    @pytest.mark.parametrize("offset", [-1, 1, -3, 3, -70, 70])
-    @pytest.mark.parametrize("rows", [64, 13])
-    def test_array_built_programs_equal_the_object_built_reference(self, rows, offset):
-        # every layout of the validation suite's PAC agreement check
+    @pytest.mark.parametrize("rows,k", [(rows, k) for rows in (1, 2, 3, 5, 8, 13, 64)
+                                        for k in range(min(rows, 5) + 1)])
+    def test_array_built_programs_equal_the_object_built_reference(self, rows, k):
+        # the widths of the validation suite's PAC agreement check
         pim = PimMachine(rows=rows, cols=512)
-        for k in range(5):
-            for n in (1, 2, 3, 4, 8, 16, 32):
-                for vertical in (False, True):
-                    spec = layout(n, k, vertical)
-                    assignment = default_assignment(spec, vertical_offset=offset)
-                    prog = relocation_program(spec, pim, assignment)
-                    ref = reference_relocation(spec, pim, assignment)
-                    assert to_text(prog) == to_text(ref), (k, n, vertical)
-                    assert len(prog) == len(ref) == pac_of(spec, pim)
-                    assert prog.cols_required == ref.cols_required
-                    assert prog.max_fanin == ref.max_fanin
-                    assert prog == ref
+        for n in (1, 2, 3, 4, 8, 16, 32):
+            for vertical in (False, True):
+                spec = layout(n, k, vertical)
+                prog = relocation_program(spec, pim)
+                ref = reference_relocation(spec, pim)
+                assert to_text(prog) == to_text(ref), (n, vertical)
+                assert len(prog) == len(ref) == pac_of(spec, pim)
+                assert prog.cols_required == ref.cols_required
+                assert prog.max_fanin == ref.max_fanin
+                assert prog == ref
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_tall_relocation_runs_one_word_shift_per_subset(self, shift_calls, rng, k):
