@@ -131,73 +131,79 @@ class _Plan:
 
     def __init__(self) -> None:
         self.next = 0
-        self.ranges: list[ColRange] = []
+        self.ranges: dict[str, tuple[int, int]] = {}   # name -> (start, width)
 
-    def block(self, name: str, width: int) -> ColRange:
-        r = ColRange(name, self.next, width)
+    def block(self, name: str, width: int) -> int:
+        """Allocate `width` columns under `name`; return the first."""
+        start = self.next
         self.next += width
-        self.ranges.append(r)
-        return r
+        self.ranges[name] = (start, width)
+        return start
 
 
-def _per_bit(gates, n: int) -> np.ndarray:
-    """Rows (dest, src1..src4) of a gate template repeated for n bits, bit-major.
+def _per_bit(gates, n: int, width: int | None = None):
+    """Columns (dest, srcs, fanin) of a gate template repeated for n bits, bit-major.
 
     A gate is (dest, *srcs), and each entry is a column or an array holding
-    one column per bit. Rows are padded with -1 at the end.
+    one column per bit. ``srcs`` has `width` columns (by default the widest
+    gate's fan-in), each row padded with -1 at the end. Each column is
+    allocated at its final shape and written through a (bit, gate) view, so
+    ``NorProgram.from_arrays`` takes it over without a copy.
     """
-    cells = np.full((len(gates), 5, n), -1, dtype=np.int64)
-    for g, gate in enumerate(gates):
-        for c, column in enumerate(gate):
-            cells[g, c] = column
-    return cells.transpose(2, 0, 1).reshape(-1, 5)
+    k = len(gates)
+    width = width or max(map(len, gates)) - 1
+    dest = np.empty(n * k, dtype=np.int64)
+    srcs = np.full((n * k, width), -1, dtype=np.int64)
+    fanin = np.empty(n * k, dtype=np.int64)
+    fanin.reshape(n, k)[...] = [len(gate) - 1 for gate in gates]
+    dest_by_bit, srcs_by_bit = dest.reshape(n, k), srcs.reshape(n, k, width)
+    for g, (out, *ins) in enumerate(gates):
+        dest_by_bit[:, g] = out
+        for c, column in enumerate(ins):
+            srcs_by_bit[:, g, c] = column
+    return dest, srcs, fanin
 
 
-def _not_program(n: int) -> tuple[np.ndarray, _Plan, list[str], list[str]]:
+def _not_program(n: int):
     plan = _Plan()
-    a = plan.block("a", n)
-    out = plan.block("out", n)
+    a, out = plan.block("a", n), plan.block("out", n)
     j = np.arange(n)
-    return _per_bit([(out.start + j, a.start + j)], n), plan, ["a"], ["out"]
+    return _per_bit([(out + j, a + j)], n), plan, ["a"], ["out"]
 
 
 def _or_program(n: int):
     plan = _Plan()
-    a, b = plan.block("a", n), plan.block("b", n)
-    out = plan.block("out", n)
-    t = plan.block("scratch", 1).start
+    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
+    t = plan.block("scratch", 1)
     j = np.arange(n)
-    gates = [(t, a.start + j, b.start + j), (out.start + j, t)]
+    gates = [(t, a + j, b + j), (out + j, t)]
     return _per_bit(gates, n), plan, ["a", "b"], ["out"]
 
 
 def _and_program(n: int):
     plan = _Plan()
-    a, b = plan.block("a", n), plan.block("b", n)
-    out = plan.block("out", n)
-    t = plan.block("scratch", 2).start
+    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
+    t = plan.block("scratch", 2)
     j = np.arange(n)
-    gates = [(t, a.start + j), (t + 1, b.start + j), (out.start + j, t, t + 1)]
+    gates = [(t, a + j), (t + 1, b + j), (out + j, t, t + 1)]
     return _per_bit(gates, n), plan, ["a", "b"], ["out"]
 
 
 def _xor_program(n: int):
     plan = _Plan()
-    a, b = plan.block("a", n), plan.block("b", n)
-    out = plan.block("out", n)
-    t = plan.block("scratch", 4)
-    t1, t2, t3, t4 = (t.start + k for k in range(4))
+    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
+    t1, t2, t3, t4 = range(plan.block("scratch", 4), plan.next)
     j = np.arange(n)
-    aj, bj = a.start + j, b.start + j
+    aj, bj = a + j, b + j
     gates = [(t1, aj, bj), (t2, aj, t1), (t3, bj, t1),
              (t4, t2, t3),                      # XNOR
-             (out.start + j, t4)]
+             (out + j, t4)]
     return _per_bit(gates, n), plan, ["a", "b"], ["out"]
 
 
 def _full_adder9(aj, bj, cin, sum_dest, cout_dest, t: int) -> list[tuple]:
     """Nine-gate two-input-NOR full adder; scratch columns t..t+6."""
-    n1, n2, n3, n4, n5, n6, n7 = (t + k for k in range(7))
+    n1, n2, n3, n4, n5, n6, n7 = range(t, t + 7)
     return [(n1, aj, bj), (n2, aj, n1), (n3, bj, n1),
             (n4, n2, n3),                       # XNOR(a, b)
             (n5, n4, cin), (n6, n4, n5), (n7, cin, n5),
@@ -206,13 +212,11 @@ def _full_adder9(aj, bj, cin, sum_dest, cout_dest, t: int) -> list[tuple]:
 
 def _add_program(n: int):
     plan = _Plan()
-    a, b = plan.block("a", n), plan.block("b", n)
-    out = plan.block("out", n)
+    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
     carry = plan.block("carry", 1)  # carry-in on entry, carry-out on exit
     t = plan.block("scratch", 7)
     j = np.arange(n)
-    gates = _full_adder9(a.start + j, b.start + j, carry.start,
-                         out.start + j, carry.start, t.start)
+    gates = _full_adder9(a + j, b + j, carry, out + j, carry, t)
     return _per_bit(gates, n), plan, ["a", "b", "carry"], ["out", "carry"]
 
 
@@ -229,21 +233,21 @@ def _add_fanin4_program(n: int):
     #     out = NOR(t, u)         a ^ b ^ c
     # Two scratch banks alternate so bit i+1 can still read bit i's rail.
     plan = _Plan()
-    a, b = plan.block("a", n), plan.block("b", n)
-    out = plan.block("out", n)
+    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
     ncin = plan.block("ncin", 1)                # active low: 1 means carry-in 0
-    banks = [plan.block("scratch_even", 6), plan.block("scratch_odd", 6)]
+    even, odd = plan.block("scratch_even", 6), plan.block("scratch_odd", 6)
     j = np.arange(n)
-    bank = np.where(j % 2, banks[1].start, banks[0].start)
+    bank = np.where(j % 2, odd, even)
     p, q, r, s, t, u = (bank + k for k in range(6))
-    aj, bj = a.start + j, b.start + j
-    rail = (np.append(ncin.start, r[:-1]), np.append(-1, s[:-1]))
-    gates = _per_bit([(p, *rail, bj), (q, p, *rail), (r, p, bj), (s, r, q, aj),
-                      (t, s, aj), (u, s, r, q), (out.start + j, t, u)], n)
-    gates[:2, 1:] = [[ncin.start, b.start, -1, -1],   # bit 0 reads ncin alone
-                     [p[0], ncin.start, -1, -1]]
-    plan.ranges.append(ColRange("ncout", int(r[-1]), 2))  # r, s are adjacent
-    return gates, plan, ["a", "b", "ncin"], ["out", "ncout"]
+    aj, bj = a + j, b + j
+    rail = (np.append(ncin, r[:-1]), np.append(-1, s[:-1]))
+    dest, srcs, fanin = _per_bit([(p, *rail, bj), (q, p, *rail), (r, p, bj), (s, r, q, aj),
+                                  (t, s, aj), (u, s, r, q), (out + j, t, u)], n)
+    srcs[:2] = [[ncin, b, -1],                  # bit 0 reads ncin alone
+                [p[0], ncin, -1]]
+    fanin[:2] = 2
+    plan.ranges["ncout"] = (int(r[-1]), 2)      # r, s are adjacent
+    return (dest, srcs, fanin), plan, ["a", "b", "ncin"], ["out", "ncout"]
 
 
 def _mpy_program(n: int):
@@ -251,24 +255,22 @@ def _mpy_program(n: int):
     # per partial product. Functionally exact; the cycle count is this
     # construction's own, not the catalog's 13n^2-14n.
     plan = _Plan()
-    a, b = plan.block("a", n), plan.block("b", n)
-    out = plan.block("out", 2 * n)
-    na = plan.block("not_a", n)
-    pp = plan.block("partial", n)
-    nb = plan.block("not_b", 1).start
+    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", 2 * n)
+    na, pp = plan.block("not_a", n), plan.block("partial", n)
+    nb = plan.block("not_b", 1)
     zero = plan.block("zero", 1)                # never written, stays 0
-    cc = plan.block("carry", 1).start
+    cc = plan.block("carry", 1)
     t = plan.block("scratch", 7)
     j = np.arange(n)
-    cin = np.where(j == 0, zero.start, cc)
-    blocks = [_per_bit([(na.start + j, a.start + j)], n)]
+    cin = np.where(j == 0, zero, cc)
+    blocks = [_per_bit([(na + j, a + j)], n, 2)]
     for i in range(n):
-        acc = out.start + i + j
-        cout = np.where(j == n - 1, out.start + i + n, cc)
-        blocks += [_per_bit([(nb, b.start + i)], 1),
-                   _per_bit([(pp.start + j, na.start + j, nb)], n),
-                   _per_bit(_full_adder9(pp.start + j, acc, cin, acc, cout, t.start), n)]
-    return np.concatenate(blocks), plan, ["a", "b"], ["out"]
+        acc = out + i + j
+        cout = np.where(j == n - 1, out + i + n, cc)
+        blocks += [_per_bit([(nb, b + i)], 1, 2),
+                   _per_bit([(pp + j, na + j, nb)], n),
+                   _per_bit(_full_adder9(pp + j, acc, cin, acc, cout, t), n)]
+    return tuple(map(np.concatenate, zip(*blocks))), plan, ["a", "b"], ["out"]
 
 
 _GENERATORS = {
@@ -296,11 +298,10 @@ def microprogram_of(spec: OpSpec) -> NorProgram:
     gen = _GENERATORS.get(spec.kind)
     if gen is None:
         raise UnsupportedOperation(f"no canonical microprogram for {spec.kind.name}")
-    gates, plan, in_names, out_names = gen(spec.width_bits)
-    by_name = {r.name: r for r in plan.ranges}
+    (dest, srcs, fanin), plan, in_names, out_names = gen(spec.width_bits)
     return NorProgram.from_arrays(
-        OP_NOR, gates[:, 0], gates[:, 1:],
-        inputs=tuple(by_name[x] for x in in_names),
-        outputs=tuple(by_name[x] for x in out_names),
+        OP_NOR, dest, srcs, fanin,
+        inputs=tuple([ColRange(x, *plan.ranges[x]) for x in in_names]),
+        outputs=tuple([ColRange(x, *plan.ranges[x]) for x in out_names]),
         max_fanin=4 if spec.kind is OpKind.ADD_FANIN4 else 2,
     )

@@ -224,12 +224,33 @@ def _parse_workload(sec: _Section) -> Workload:
         raise ConfigError(sec.path, str(exc)) from None
 
 
+# a JSON string, or a number: an integer part and the fraction and exponent
+# that would make it a float
+_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?')
+
+
+def _long_integer_error(text: str, path: str) -> ConfigError | None:
+    """A ConfigError at the first integer literal with more digits than the
+    interpreter converts (``sys.get_int_max_str_digits``), or None."""
+    limit = sys.get_int_max_str_digits()
+    for match in _LITERAL.finditer(text):
+        digits, fraction, exponent = match.groups()
+        if digits and not (fraction or exponent) and len(digits) > limit > 0:
+            return ConfigError(path, f"invalid JSON: an integer of {len(digits)} digits, "
+                                     f"past the limit of {limit}",
+                               text.count("\n", 0, match.start()) + 1)
+    return None
+
+
 def parse_config(text: str, path: str = "<config>") -> Config:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc.msg}", exc.lineno) from None
-    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+    except ValueError as exc:                   # an integer past the digit limit
+        raise _long_integer_error(text, path) or ConfigError(
+            path, f"invalid JSON: {exc}") from None
+    except RecursionError as exc:               # nesting too deep for the decoder
         raise ConfigError(path, f"invalid JSON: {exc}") from None
     root = _Section(raw, path, text, "")
 

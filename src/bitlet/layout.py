@@ -116,25 +116,27 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     # reads a row already written. VMove d moves the region of row
     # min(d+1, rows-1): the last one reads the neighbouring array, so its
     # region is its own row's. Each column is allocated once.
-    op = np.full(h + rows, OP_VMOVE, dtype=np.int8)
-    op[:h] = OP_HMOVE
-    dest = np.full(h + rows, -1, dtype=np.int64)
-    dest[:h] = sources + h
-    srcs = np.full((h + rows, 1), -1, dtype=np.int64)
-    srcs[:h, 0] = sources
-    offset = np.full(h + rows, -1, dtype=np.int64)
+    m = h + rows
+    op = np.empty(m, dtype=np.int8)
+    op[:h], op[h:] = OP_HMOVE, OP_VMOVE
+    dest = np.arange(h, h + m, dtype=np.int64)      # HMove i writes column h + i
+    dest[h:] = -1
+    srcs = np.empty((m, 1), dtype=np.int64)
+    srcs[:h, 0], srcs[h:] = sources, -1
+    fanin = np.zeros(m, dtype=np.int64)
+    fanin[:h] = 1
+    offset = np.full(m, -1, dtype=np.int64)
     offset[:h] = 0
-    row = np.zeros(h + rows, dtype=np.int64)
-    row[h:] = np.arange(1, rows + 1)
-    crosses = np.zeros(h + rows, dtype=bool)
+    row = np.arange(1 - h, 1 + rows, dtype=np.int64)   # VMove h + d reads row d + 1
+    row[:h] = 0
+    crosses = np.zeros(m, dtype=bool)
     crosses[-1] = True
-    col_lo = np.zeros(h + rows, dtype=np.int64)
+    col_lo = np.zeros(m, dtype=np.int64)
     for g, out in enumerate(outputs):   # VMoves d with d+1 in block g's [first, stop)
         first, stop = (-(-b * rows // len(outputs)) for b in (g, g + 1))
         col_lo[h + max(first - 1, 0):h + stop - 1] = out.start
     col_lo[-1] = outputs[-1].start
     col_hi = col_lo + (n - 1)
     col_hi[:h] = 0
-    return NorProgram.from_arrays(op, dest, srcs, offset=offset, col_lo=col_lo,
-                                  col_hi=col_hi, row=row, crosses=crosses,
-                                  inputs=inputs, outputs=outputs)
+    return NorProgram.from_arrays(op, dest, srcs, fanin, offset, col_lo, col_hi, row,
+                                  crosses, inputs=inputs, outputs=outputs)

@@ -20,8 +20,8 @@ Storage. A MAGIC NOR writes one column of every row at once, so the state is
 held column-major and bit-packed: one plane of ceil(ROW / 64) 64-bit words
 per column, row r at bit r % 64 of word r // 64. A NOR ORs its source planes
 into the destination plane and inverts it in place; an HMove copies one
-plane. Padding bits past the last row may take any value while a program
-runs and are cleared before ``run`` returns, so they are never seen. The
+plane. Padding bits past the last row may take any value once a NOR has
+run and are then cleared before ``run`` returns, so they are never seen. The
 ``bool`` matrix form exists only at the boundary: the ``ArrayState``
 constructor, the read-only ``ArrayState.bits`` and ``apply_instr``, which
 states the reference semantics the tests hold the packed engine to.
@@ -44,18 +44,37 @@ fan-in 1; a VMove has ``dest`` -1 and fan-in 0. Generators build the
 columns directly (``NorProgram.from_arrays``). The ``Nor``/``HMove``/
 ``VMove`` objects are the public reference form: a program built from them
 is converted to columns once, and ``NorProgram.instructions`` builds them
-back on each access. Validation is one boolean mask per rule, over each
-run of VMoves or of NORs and HMoves for the rules of that kind; the first
-instruction any mask flags is materialized and described by ``_problem``.
+back on each access. Validation builds one boolean mask over each run of
+one op code, from the rules of that kind; the first instruction the mask
+flags is materialized and described by ``_problem``.
 
-Execution. ``run`` splits a program where the op code changes. NOR and
-HMove segments loop over the columns as Python ints; a VMove segment is
-executed from its column arrays and cut into stretches of the shape rule's
-form: a stretch ends where the offset, the column range or the crossing
-flag changes, or where the rows do not step by -sign(offset). A stretch of
-crossing moves changes nothing; every other stretch is one word shift.
-Each stretch leaves the array as its own sequential execution would, so
-running the stretches in order is sequential execution.
+Execution. ``run`` splits a program where the op code changes. A NOR
+segment loops over its columns as Python ints. An HMove segment is cut
+into stretches whose dest and src both step by one, each one block copy
+of planes unless a move of it reads a column an earlier one wrote. A
+VMove segment is executed from its column arrays and cut into stretches
+of the shape rule's form: a stretch ends where the offset, the column
+range or the crossing flag changes, or where the rows do not step by
+-sign(offset). A stretch of crossing moves changes nothing; every other
+stretch is one word shift. Each stretch leaves the array as its own
+sequential execution would, so running the stretches in order is
+sequential execution.
+
+Fixed cost. Most programs are small (the validation suite builds about
+300, on at most 1000 rows), so what a call costs before it touches a row
+matters as much as its row bandwidth, and the same code serves both:
+  * ``from_arrays`` takes over every column its caller built as an owned
+    array of the right dtype, so a generator that does (``catalog``,
+    ``layout``) pays one flag per column and no copy, and the VMove fields
+    a program leaves out share one zero column;
+  * no mask is reduced along a short last axis (``_any_per_row``): numpy
+    pays a loop setup per row there, far more than an OR per column;
+  * constant operands of ufunc calls are 0-d arrays (``_TRANSPOSE8``,
+    ``_SHIFTS``), which skip the conversion a numpy scalar costs per call;
+  * ``validate`` and ``run`` do per op-code run only the work of that
+    kind, and ``run`` makes plane views only for a program with NORs;
+  * each delta swap of ``pack_ints``/``unpack_ints`` is five in-place
+    ufunc calls, and ``_shift_rows`` reads its source words in place.
 
 Shape rule. In a stretch of in-array moves with one offset and one
 (col_lo, col_hi), whose rows step by exactly -sign(offset), no move reads
@@ -65,9 +84,10 @@ ascend: move i writes row r0 + i + offset, below every row r0 + j (j > i)
 that a later move reads. With offset > 0 they descend, and the write
 r0 - i + offset lies above every later read r0 - j. The rows written are
 distinct, so no write repeats either. A stretch is thus one word shift:
-the words holding the source rows of the column planes are copied, shifted
-by the offset across word boundaries and merged into the planes under a
-mask of the destination rows, so no bit outside them changes. Rows that
+the words holding the source rows of the column planes are shifted by the
+offset across word boundaries into a new array and written back, the
+first and the last destination word under a mask of the destination
+rows, so no bit outside them changes. Rows that
 ascend with a positive offset (or descend with a negative one) break the
 rule at every move, so each move is a stretch of its own and sequential
 execution copies the first row through the whole range. The ROW-long
@@ -150,17 +170,20 @@ def _check_max_fanin(max_fanin: int) -> None:
         raise InvalidProgram(f"max_fanin must be in 1..4, got {max_fanin}")
 
 
-def _column(values, dtype, shape) -> np.ndarray:
+_INT8, _INT64, _BOOL = np.dtype(np.int8), np.dtype(np.int64), np.dtype(bool)
+
+
+def _column(values, dtype: np.dtype, shape: tuple) -> np.ndarray:
     """`values` (an array or a scalar) as a read-only column of `shape`.
 
     An array of that dtype and shape that owns its data is taken over, not
     copied; anything else is copied.
     """
-    if not (isinstance(values, np.ndarray) and values.dtype == dtype
-            and values.shape == shape and values.base is None):
+    if not (isinstance(values, np.ndarray) and values.base is None
+            and values.dtype == dtype and values.shape == shape):
         col, values = values, np.empty(shape, dtype=dtype)
         values[...] = col
-    values.flags.writeable = False
+    values.setflags(write=False)
     return values
 
 
@@ -198,23 +221,27 @@ class NorProgram:
                   fanin, *moves, inputs, outputs, max_fanin)
 
     @classmethod
-    def from_arrays(cls, op, dest, srcs, fanin=None, offset=0, col_lo=0, col_hi=0,
-                    row=0, crosses=False, *, inputs=(), outputs=(),
+    def from_arrays(cls, op, dest, srcs, fanin=None, offset=None, col_lo=None,
+                    col_hi=None, row=None, crosses=None, *, inputs=(), outputs=(),
                     max_fanin: int = 2) -> "NorProgram":
         """Build a program from its columns.
 
         ``dest`` fixes the instruction count; every other column is an array
         of that length or a scalar. ``srcs`` is k x w, or k for one source
         each, padded at the end of each row with -1. ``fanin`` defaults to the
-        number of non-negative entries of each row of ``srcs``. A column given
-        as an array of its own dtype (``int8`` for ``op``, ``bool`` for
-        ``crosses``, ``int64`` for the others) and shape that owns its data
-        is taken over and made read-only instead of copied.
+        number of non-negative entries of each row of ``srcs``. The VMove
+        fields default to 0 (``crosses`` to False), and the int ones left out
+        share one zero column. A column given as an array of its own dtype
+        (``int8`` for ``op``, ``bool`` for ``crosses``, ``int64`` for the
+        others) and shape that owns its data is taken over and made
+        read-only instead of copied.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         srcs = srcs[:, None] if srcs.ndim == 1 else srcs
         if fanin is None:
-            fanin = (srcs >= 0).sum(axis=1)
+            fanin = np.zeros(len(srcs), dtype=np.int64)
+            for column in srcs.T:              # see _any_per_row
+                fanin += column >= 0
         _check_max_fanin(max_fanin)
         program = cls.__new__(cls)
         program._set(op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
@@ -224,16 +251,16 @@ class NorProgram:
     def _set(self, op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
              inputs, outputs, max_fanin) -> None:
         k = (len(dest),)
-        self.op = _column(op, np.int8, k)
-        self.dest = _column(dest, np.int64, k)
-        self.fanin = _column(fanin, np.int64, k)
+        self.op = _column(op, _INT8, k)
+        self.dest = _column(dest, _INT64, k)
+        self.fanin = _column(fanin, _INT64, k)
         w = max(int(self.fanin.max(initial=0)), 1)
-        self.srcs = _column(srcs if srcs.shape[1] == w else srcs[:, :w], np.int64, (*k, w))
-        self.offset = _column(offset, np.int64, k)
-        self.col_lo = _column(col_lo, np.int64, k)
-        self.col_hi = _column(col_hi, np.int64, k)
-        self.row = _column(row, np.int64, k)
-        self.crosses = _column(crosses, bool, k)
+        self.srcs = _column(srcs if srcs.shape[1] == w else srcs[:, :w], _INT64, (*k, w))
+        moves = (offset, col_lo, col_hi, row)
+        zeros = _column(0, _INT64, k) if any([v is None for v in moves]) else None
+        self.offset, self.col_lo, self.col_hi, self.row = [
+            zeros if v is None else _column(v, _INT64, k) for v in moves]
+        self.crosses = _column(False if crosses is None else crosses, _BOOL, k)
         self.inputs, self.outputs = tuple(inputs), tuple(outputs)
         self.max_fanin = max_fanin
 
@@ -294,32 +321,36 @@ class NorProgram:
     @property
     def cols_required(self) -> int:
         """Smallest column count this program fits in."""
-        moves = self.op == OP_VMOVE
-        return 1 + max(int(self.dest.max(where=~moves, initial=0)),
+        # a VMove reaches column col_hi, a NOR or an HMove its dest and sources
+        reach = np.where(self.op == OP_VMOVE, self.col_hi, self.dest)
+        return 1 + max(int(reach.max(initial=0)),
                        int(self.srcs.max(where=self._sources(), initial=0)),
-                       int(self.col_hi.max(where=moves, initial=0)),
                        *(r.stop - 1 for r in self.inputs + self.outputs))
 
     def validate(self, rows: int, cols: int) -> None:
         """Raise InvalidProgram unless every instruction is legal for rows x cols."""
-        moves = self.op == OP_VMOVE
-        for a, b in _runs(moves):
-            bad = (self._illegal_moves(a, b, rows, cols) if moves[a]
-                   else self._illegal_cells(a, b, cols))
-            if bad.any():
-                i = a + int(bad.argmax())
+        for kind, a, b in self._segments(0, len(self)):
+            bad = (self._illegal_moves(a, b, rows, cols) if kind == OP_VMOVE
+                   else self._illegal_cells(a, b, cols, kind == OP_NOR))
+            i = int(bad.argmax())
+            if bad[i]:
+                i += a
                 ins = self._materialize(i, i + 1)[0]
                 problem = _problem(ins, rows, cols, self.max_fanin)
                 raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
 
-    def _illegal_cells(self, a: int, b: int, cols: int) -> np.ndarray:
-        """Mask of the NORs and HMoves a..b-1 that break a rule of ``_problem``."""
-        dest, srcs, fanin = self.dest[a:b], self.srcs[a:b], self.fanin[a:b]
-        used = self._sources(a, b)
-        outside = (srcs < 0) | (srcs >= cols)
-        bad = ((srcs == dest[:, None]) & used).any(axis=1)
-        bad |= (dest < 0) | (dest >= cols) | (outside & used).any(axis=1)
-        bad |= (self.op[a:b] == OP_NOR) & ((fanin < 1) | (fanin > self.max_fanin))
+    def _illegal_cells(self, a: int, b: int, cols: int, nor: bool) -> np.ndarray:
+        """Mask of the NORs (or the HMoves) a..b-1 that break a rule of ``_problem``."""
+        dest, srcs = self.dest[a:b], self.srcs[a:b]
+        # seen as uint64 a negative column exceeds every bound, so one
+        # compare checks both ends of a range
+        bad_src = np.greater_equal(srcs.view(np.uint64), cols)
+        bad_src |= srcs == dest[:, None]
+        bad_src &= self._sources(a, b)
+        bad = _any_per_row(bad_src)
+        bad |= np.greater_equal(dest.view(np.uint64), cols)
+        if nor:   # fan-in in 1..max_fanin, so fan-in - 1 as uint64 is below max_fanin
+            bad |= np.greater_equal((self.fanin[a:b] - 1).view(np.uint64), self.max_fanin)
         return bad
 
     def _illegal_moves(self, a: int, b: int, rows: int, cols: int) -> np.ndarray:
@@ -340,12 +371,25 @@ class NorProgram:
         return bad
 
 
+def _any_per_row(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=1)`` as one OR per column.
+
+    A numpy reduction along a short last axis pays a loop setup per row,
+    several times the cost of an OR per column for a few hundred rows and
+    for 65536 alike.
+    """
+    out = mask[:, 0].copy()
+    for column in mask.T[1:]:
+        out |= column
+    return out
+
+
 def _runs(values: np.ndarray, start: int = 0) -> list[tuple[int, int]]:
     """(first, end) of each run of equal entries of `values`, numbered from start."""
     if not len(values):
         return []
-    cuts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), len(values)]
-    return [(start + a, start + b) for a, b in zip(cuts, cuts[1:])]
+    cuts = [start + c + 1 for c in (values[1:] != values[:-1]).nonzero()[0].tolist()]
+    return list(zip([start, *cuts], [*cuts, start + len(values)]))
 
 
 def _problem(ins: Instr, rows: int, cols: int, max_fanin: int) -> str | None:
@@ -471,82 +515,121 @@ def _move_rows(planes: np.ndarray, offset: np.ndarray, lo: np.ndarray,
     sign(offset). A crossing stretch changes nothing; any other is one
     ``_shift_rows``.
     """
-    # inside a stretch row[i] + sign(offset[i]) == row[i - 1]
-    back = np.sign(offset[1:])
-    back += row[1:]
-    cut = np.not_equal(back, row[:-1])
+    # a stretch starts at move 0 and wherever row[i] + sign(offset[i]) !=
+    # row[i - 1] or a field differs from move i - 1's
+    step = np.sign(offset[1:])
+    step += row[1:]
+    head = np.empty(len(row), dtype=bool)
+    head[0] = True
+    cut = np.not_equal(step, row[:-1], out=head[1:])
     differ = np.empty_like(cut)
     for col in (offset, lo, hi, crosses):
         cut |= np.not_equal(col[1:], col[:-1], out=differ)
-    heads = np.flatnonzero(np.concatenate(([True], cut)))
-    tails = np.append(heads[1:] - 1, len(row) - 1)
-    for off, c_lo, c_hi, first, last, out in zip(
-            offset[heads].tolist(), lo[heads].tolist(), hi[heads].tolist(),
-            row[heads].tolist(), row[tails].tolist(), crosses[heads].tolist()):
+    heads = head.nonzero()[0]
+    ends = heads[1:].tolist() + [len(row)]
+    for a, b, off, c_lo, c_hi, first, out in zip(
+            heads.tolist(), ends, offset[heads].tolist(), lo[heads].tolist(),
+            hi[heads].tolist(), row[heads].tolist(), crosses[heads].tolist()):
         if not out:
-            first, last = sorted((first, last))
-            _shift_rows(planes[c_lo:c_hi + 1], first, last + 1, off)
+            # the b - a rows step by -sign(off) from the first move's row,
+            # which is the lowest with off < 0 and the highest with off > 0
+            s0 = first if off < 0 else first - (b - a - 1)
+            _shift_rows(planes[c_lo:c_hi + 1], s0, s0 + b - a, off)
 
 
-_ONES = np.uint64(2**64 - 1)
+_ONES = 2**64 - 1
+_SHIFTS = tuple(np.array(s, dtype=_WORD) for s in range(WORD_BITS))   # see _TRANSPOSE8
 
 
 def _shift_rows(planes: np.ndarray, s0: int, s1: int, off: int) -> None:
     """Copy rows s0..s1-1 of every plane to rows s0+off..s1+off-1.
 
-    Every source bit is read before any is written, and only the words
-    holding source rows are read. Bits outside the destination rows keep
-    their values.
+    Every source bit is read before any is written. The destination words
+    between the first and the last are overwritten whole; those two keep
+    their bits outside the destination rows, under masks built from two
+    Python ints.
     """
-    w0, w1 = s0 // WORD_BITS, (s1 - 1) // WORD_BITS + 1
-    src = np.zeros((len(planes), w1 - w0 + 2), dtype=_WORD)
-    src[:, 1:-1] = planes[:, w0:w1]        # a zero word on either side
     d0, d1 = (s0 + off) // WORD_BITS, (s1 + off - 1) // WORD_BITS + 1
-    # destination word d0 starts at bit p of src: row 64 * d0 - off
-    p = WORD_BITS * (d0 - w0 + 1) - off
-    i, r = p // WORD_BITS, p % WORD_BITS
-    moved = src[:, i:i + d1 - d0]
+    n = d1 - d0
+    # bit 0 of destination word d0 is bit r of source word q; the n + 1
+    # words from q on are read
+    q, r = divmod(WORD_BITS * d0 - off, WORD_BITS)
+    if 0 <= q and q + n < planes.shape[1]:
+        src = planes[:, q:q + n + 1]
+    else:   # a word past an end of the array reads as that end's word: the
+            # bits it lends fall outside the destination rows
+        src = planes.take(np.arange(q, q + n + 1), axis=1, mode="clip")
     if r:
-        moved = moved >> np.uint64(r)
-        moved |= src[:, i + 1:i + 1 + d1 - d0] << np.uint64(WORD_BITS - r)
-    mask = np.full(d1 - d0, _ONES)
-    mask[0] &= _ONES << np.uint64((s0 + off) % WORD_BITS)
-    mask[-1] &= _ONES >> np.uint64(-(s1 + off) % WORD_BITS)
+        moved = src[:, :-1] >> _SHIFTS[r]
+        moved |= src[:, 1:] << _SHIFTS[WORD_BITS - r]
+    else:
+        moved = src[:, :-1].copy()
+    first = (_ONES << (s0 + off) % WORD_BITS) & _ONES
+    last = _ONES >> -(s1 + off) % WORD_BITS
+    masks = np.array([first, last] if n > 1 else [first & last], dtype=_WORD)
     dest = planes[:, d0:d1]
-    dest ^= (dest ^ moved) & mask
+    ends = slice(0, None, max(n - 1, 1))   # the first and the last word
+    edge, kept = moved[:, ends], dest[:, ends]
+    edge ^= kept
+    edge &= masks
+    edge ^= kept
+    dest[...] = moved
+
+
+def _copy_columns(planes: np.ndarray, dests: list[int], srcs: list[int]) -> None:
+    """Execute a segment of consecutive HMoves, dests[i] <- srcs[i] in order.
+
+    A stretch of moves whose dest and src both step by one is one block
+    copy, as long as no move of it reads a column an earlier one wrote:
+    that needs dest - src outside 1..len - 1 (numpy reads an overlapping
+    block in full before writing it).
+    """
+    i, end = 0, len(dests)
+    while i < end:
+        delta, j = dests[i] - srcs[i], i + 1
+        while (j < end and dests[j] == dests[j - 1] + 1 and srcs[j] == srcs[j - 1] + 1
+               and not 0 < delta <= j - i):
+            j += 1
+        planes[dests[i]:dests[i] + j - i] = planes[srcs[i]:srcs[i] + j - i]
+        i = j
 
 
 def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
     """Execute a program on a copy of `initial`; return (final state, cycles)."""
     program.validate(initial.rows, initial.cols)
     state = initial.copy()
-    # one view per plane up to the highest column any dest or srcs entry
-    # holds: a bound on what the NORs and HMoves name (VMoves hold -1)
-    top = max(int(program.dest.max(initial=-1)), int(program.srcs.max(initial=-1)))
-    planes = list(state._planes[:top + 1])
+    planes = None        # per-column plane views, made at the first NOR
+    bitwise_or, invert = np.bitwise_or, np.invert
     for kind, a, b in program._segments(0, len(program)):
         if kind == OP_VMOVE:
             _move_rows(state._planes, program.offset[a:b], program.col_lo[a:b],
                        program.col_hi[a:b], program.row[a:b], program.crosses[a:b])
-        elif kind == OP_HMOVE:
-            for dest, src in zip(program.dest[a:b].tolist(),
-                                 program.srcs[a:b, 0].tolist()):
-                planes[dest][...] = planes[src]
-        else:
-            for dest, srcs, fanin in zip(program.dest[a:b].tolist(),
-                                         program.srcs[a:b].tolist(),
-                                         program.fanin[a:b].tolist()):
-                out = planes[dest]
-                if fanin == 1:
-                    np.invert(planes[srcs[0]], out=out)
-                    continue
-                np.bitwise_or(planes[srcs[0]], planes[srcs[1]], out=out)
+            continue
+        if kind == OP_HMOVE:
+            _copy_columns(state._planes, program.dest[a:b].tolist(),
+                          program.srcs[a:b, 0].tolist())
+            continue
+        if planes is None:
+            # one view per plane up to the highest column any dest or srcs
+            # entry holds: a bound on what the NORs name
+            top = max(int(program.dest.max()), int(program.srcs.max()))
+            planes = list(state._planes[:top + 1])
+        for dest, srcs, fanin in zip(program.dest[a:b].tolist(),
+                                     program.srcs[a:b].tolist(),
+                                     program.fanin[a:b].tolist()):
+            out = planes[dest]
+            if fanin == 1:
+                invert(planes[srcs[0]], out)
+                continue
+            bitwise_or(planes[srcs[0]], planes[srcs[1]], out)
+            if fanin > 2:
                 for s in srcs[2:fanin]:
-                    np.bitwise_or(out, planes[s], out=out)
-                np.invert(out, out=out)
+                    bitwise_or(out, planes[s], out)
+            invert(out, out)
     tail = state.rows % WORD_BITS
-    if tail:                               # clear the padding NOR wrote
-        state._planes[:, -1] &= np.uint64((1 << tail) - 1)
+    if tail and planes is not None:        # clear the padding a NOR wrote
+        last = state._planes[:, -1]
+        np.bitwise_and(last, (1 << tail) - 1, out=last)
     return state, len(program)
 
 
@@ -557,33 +640,28 @@ def count_cycles(program: NorProgram) -> int:
 
 # -- operand packing helpers -------------------------------------------------
 
-def _column_bytes(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
-    """Byte view of the planes of columns col_lo..col_lo+width-1."""
-    if not 0 <= width <= 64:
-        raise ValueError(f"width must be in 0..64, got {width}")
-    if not 0 <= col_lo <= col_lo + width <= state.cols:
-        raise ValueError(f"columns [{col_lo}, {col_lo + width}) exceed "
-                         f"{state.cols} columns")
-    return state._bytes()[col_lo:col_lo + width]
-
-
-# (shift, mask) steps that transpose the 8x8 bit matrix held in a uint64
-_TRANSPOSE8 = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
-    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+# (shift, mask, 1 + 2**shift) of the delta swaps that transpose the 8x8 bit
+# matrix held in a uint64, as 0-d arrays: a numpy scalar operand costs a
+# conversion on every ufunc call, a 0-d array does not
+_TRANSPOSE8 = tuple(tuple(np.array(v, dtype=_WORD) for v in (shift, mask, 1 + (1 << shift)))
+                    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                                        (28, 0x00000000F0F0F0F0)))
 
 
 def _bit_transpose(x: np.ndarray) -> None:
     """Transpose, in place, the 8x8 bit matrix held in each word of `x`.
 
     Byte k of a word is row k of its matrix, bit j of the byte column j.
+    Each delta swap is five in-place ufunc calls on one scratch array: the
+    swapped bits t are merged back as x ^= t * (1 + 2**shift), which is
+    x ^ t ^ (t << shift) because t and t << shift never share a bit.
     """
     t = np.empty_like(x)
-    for shift, mask in _TRANSPOSE8:        # delta swaps
-        np.right_shift(x, shift, out=t)
+    for shift, mask, spread in _TRANSPOSE8:
+        np.right_shift(x, shift, t)
         t ^= x
         t &= mask
-        x ^= t
-        t <<= shift
+        t *= spread
         x ^= t
 
 
@@ -596,19 +674,27 @@ def _operand(state: ArrayState, col_lo: int, width: int):
 
     Returns a zeroed word array with one word per byte of the row's lane
     (the smallest of 1, 2, 4 or 8 bytes that holds `width` bits) and per
-    group of 8 rows, and the pairs of (word bytes, plane bytes) that hold
-    the same bits while the words are transposed: byte k of word (b, q) is
-    byte q of plane 8b + k.
+    group of 8 rows, its bytes (byte b of row r at [b, r]), and the pairs
+    of (word bytes, plane bytes) that hold the same bits while the words
+    are transposed: byte k of word (b, q) is byte q of plane 8b + k.
     """
-    planes = _column_bytes(state, col_lo, width)
+    if not 0 <= width <= 64:
+        raise ValueError(f"width must be in 0..64, got {width}")
+    if not 0 <= col_lo <= col_lo + width <= state.cols:
+        raise ValueError(f"columns [{col_lo}, {col_lo + width}) exceed "
+                         f"{state.cols} columns")
+    planes = state._planes[col_lo:col_lo + width].view(np.uint8)   # byte q: rows 8q..8q+7
     groups = planes.shape[1]
     words = np.zeros((_LANE_BYTES[-(-width // 8)], groups), dtype=_WORD)
-    cells = words.view(np.uint8).reshape(len(words), groups, 8).transpose(0, 2, 1)
-    full = width // 8
-    pairs = [(cells[:full], planes[:8 * full].reshape(full, 8, groups))]
-    if width % 8:
-        pairs.append((cells[full, :width % 8], planes[8 * full:]))
-    return words, pairs
+    row_bytes = words.view(np.uint8)
+    cells = row_bytes.reshape(len(words), groups, 8).transpose(0, 2, 1)
+    full, part = divmod(width, 8)
+    pairs = []
+    if full:
+        pairs.append((cells[:full], planes[:8 * full].reshape(full, 8, groups)))
+    if part:
+        pairs.append((cells[full, :part], planes[8 * full:]))
+    return words, row_bytes, pairs
 
 
 def pack_ints(state: ArrayState, col_lo: int, width: int, values) -> None:
@@ -621,11 +707,10 @@ def pack_ints(state: ArrayState, col_lo: int, width: int, values) -> None:
     values = np.asarray(values, dtype="<i8")
     if values.shape != (state.rows,):
         raise ValueError(f"need one value per row ({state.rows}), got {values.shape}")
-    words, pairs = _operand(state, col_lo, width)
-    row_bytes = words.view(np.uint8)
+    words, row_bytes, pairs = _operand(state, col_lo, width)
     value_bytes = np.ascontiguousarray(values).view(np.uint8).reshape(-1, 8)
-    for b in range(len(words)):            # byte b of every value into words[b]
-        row_bytes[b, :state.rows] = value_bytes[:, b]
+    # byte b of every value into row_bytes[b], in one strided copy
+    row_bytes[:, :state.rows] = value_bytes[:, :len(words)].T
     _bit_transpose(words)
     for cells, planes in pairs:
         planes[...] = cells
@@ -638,14 +723,13 @@ def unpack_ints(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
     block is read as a two's-complement int64, so that ``pack_ints``
     followed by ``unpack_ints`` returns every value modulo 2**width.
     """
-    words, pairs = _operand(state, col_lo, width)
+    words, row_bytes, pairs = _operand(state, col_lo, width)
     for cells, planes in pairs:
         cells[...] = planes
     _bit_transpose(words)
     values = np.zeros(state.rows, dtype="<i8")
-    row_bytes = words.view(np.uint8)
     value_bytes = values.view(np.uint8).reshape(-1, 8)
-    for b in range(len(words)):            # words[b] is byte b of every row
+    for b in range(len(words)):            # row_bytes[b] is byte b of every row
         value_bytes[:, b] = row_bytes[b, :state.rows]
     return values.astype(np.int64, copy=False)
 

@@ -60,10 +60,9 @@ def _reference(kind: OpKind, n: int, a, b, cin):
     raise ValueError(kind)
 
 
-def _run_op(kind: OpKind, n: int, a: np.ndarray, b: np.ndarray | None,
+def _run_op(prog, kind: OpKind, n: int, a: np.ndarray, b: np.ndarray | None,
             cin: np.ndarray | None):
-    """Pack operands, run the generated program, return (result, carry_out)."""
-    prog = microprogram_of(OpSpec(kind, n))
+    """Pack operands, run a generated program, return (result, carry_out)."""
     state = ArrayState.zeros(len(a), prog.cols_required)
     pack_ints(state, prog.range("a").start, n, a)
     if b is not None:
@@ -107,11 +106,12 @@ def _operand_sets(kind: OpKind, n: int, exhaustive: bool, rng: np.random.Generat
     return a, b, cin
 
 
-def _check_function(kind: OpKind, widths, rng) -> Check:
-    for n in widths:
+def _check_function(kind: OpKind, programs: dict, rng) -> Check:
+    """Run the programs of `kind`, keyed by width, on reference operands."""
+    for n, prog in programs.items():
         exhaustive = n <= EXHAUSTIVE_MAX_WIDTH
         a, b, cin = _operand_sets(kind, n, exhaustive, rng)
-        got, got_carry = _run_op(kind, n, a, b, cin)
+        got, got_carry = _run_op(prog, kind, n, a, b, cin)
         want, want_carry = _reference(kind, n, a,
                                       b if b is not None else 0,
                                       cin if cin is not None else 0)
@@ -127,34 +127,39 @@ def _check_function(kind: OpKind, widths, rng) -> Check:
 
 
 def catalog_checks() -> list[Check]:
-    """Gate-count and functional checks for every generated operation."""
+    """Gate-count and functional checks for every generated operation.
+
+    Each (kind, n) program is generated once per call and serves both its
+    count check and its function check.
+    """
     rng = np.random.default_rng(SEED)
     checks: list[Check] = []
+    programs = {}
 
     for kind in COUNT_KINDS:
         bad = []
         for n in range(1, COUNT_MAX_WIDTH + 1):
             spec = OpSpec(kind, n)
-            got = count_cycles(microprogram_of(spec))
-            want = catalog.oc_of(spec)
+            programs[kind, n] = prog = microprogram_of(spec)
+            got, want = count_cycles(prog), catalog.oc_of(spec)
             if got != want:
                 bad.append(f"n={n}: program {got} vs catalog {want}")
         checks.append(Check(f"count[{kind.name}]", not bad,
                             bad[0] if bad else f"exact for n=1..{COUNT_MAX_WIDTH}"))
 
-    widths = (*range(1, EXHAUSTIVE_MAX_WIDTH + 1), *RANDOM_WIDTHS)
+    widths = (*range(1, EXHAUSTIVE_MAX_WIDTH + 1), *RANDOM_WIDTHS)   # all <= COUNT_MAX_WIDTH
     for kind in COUNT_KINDS:
-        checks.append(_check_function(kind, widths, rng))
+        checks.append(_check_function(kind, {n: programs[kind, n] for n in widths}, rng))
 
     mpy_n = 4
+    prog = microprogram_of(OpSpec(OpKind.MPY, mpy_n))
     a, b, cin = _operand_sets(OpKind.MPY, mpy_n, True, rng)
-    got, _ = _run_op(OpKind.MPY, mpy_n, a, b, cin)
+    got, _ = _run_op(prog, OpKind.MPY, mpy_n, a, b, cin)
     want, _ = _reference(OpKind.MPY, mpy_n, a, b, 0)
-    generated = count_cycles(microprogram_of(OpSpec(OpKind.MPY, mpy_n)))
     formula = catalog.oc_of(OpSpec(OpKind.MPY, mpy_n))
     checks.append(Check("function[MPY]", bool(np.array_equal(got, want)),
-                        f"exhaustive n={mpy_n}; generated program {generated} cycles, "
-                        f"catalog {formula} (informational)"))
+                        f"exhaustive n={mpy_n}; generated program {count_cycles(prog)} "
+                        f"cycles, catalog {formula} (informational)"))
     return checks
 
 
@@ -163,9 +168,9 @@ def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
     n, k = layout.element_width_bits, layout.misaligned_subsets
     vertical = layout.needs_vertical_relocation
     prog = relocation_program(layout, pim)
-    if count_cycles(prog) != pac_of(layout, pim):
-        return (f"cycles {count_cycles(prog)} != pac {pac_of(layout, pim)} "
-                f"(k={k}, n={n}, vertical={vertical})")
+    cycles, pac = count_cycles(prog), pac_of(layout, pim)
+    if cycles != pac:
+        return f"cycles {cycles} != pac {pac} (k={k}, n={n}, vertical={vertical})"
     state = ArrayState.zeros(pim.rows, max(pim.cols, prog.cols_required))
     # each subset's elements go into its source region; with no subsets to
     # align, the elements already sit in the one output region
@@ -178,21 +183,17 @@ def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
     # after alignment each row holds its own subset's element in that
     # subset's output region; a vertical pass then pulls row r+1's element
     # into row r, and the last row's comes from the neighbour array (not
-    # checked)
+    # checked). Each output region is unpacked once.
     rows = np.arange(pim.rows - 1 if vertical else pim.rows)
     src = rows + 1 if vertical else rows
     subset = _subsets(src, pim.rows, len(prog.outputs))
-    region = np.array([r.start for r in prog.outputs])[subset]
+    got = np.array([unpack_ints(final, r.start, n) for r in prog.outputs])[subset, rows]
     want = sources[subset, src]
-    got = np.empty_like(want)
-    for start in np.unique(region).tolist():
-        at = region == start
-        got[at] = unpack_ints(final, start, n)[rows[at]]
     bad = np.flatnonzero(got != want)
     if len(bad):
         i = bad[0]
-        return (f"row {rows[i]} region {region[i]}: got {got[i]}, want {want[i]} "
-                f"(k={k}, n={n}, vertical={vertical})")
+        return (f"row {rows[i]} region {prog.outputs[subset[i]].start}: got {got[i]}, "
+                f"want {want[i]} (k={k}, n={n}, vertical={vertical})")
     return None
 
 

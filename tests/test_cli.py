@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -157,6 +158,19 @@ class TestOutOfRangeConfig:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}:1: {OUT_OF_RANGE[text]}: ")
         assert captured.err.count("\n") == 1
+
+
+class TestIntegerPastTheDigitLimit:
+    @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=[a[0] for a in MODEL_COMMANDS])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "config.json"
+        path.write_text('{"power": {"tdp_watts": 20},\n "pim": {"rows": 1' + "0" * 5000 + "}}")
+        code = cli.main(argv[:1] + ["--config", str(path)] + argv[1:])
+        assert code == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}:2: invalid JSON: an integer of 5001 digits, "
+                                f"past the limit of {sys.get_int_max_str_digits()}\n")
 
 
 class TestEvalJson:

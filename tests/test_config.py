@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from bitlet.config import ConfigError, parse_config
@@ -129,15 +131,28 @@ class TestRejection:
             parse_config(doc, path="cfg.json")
         assert str(err.value) == f"cfg.json:3: {message}"
 
-    @pytest.mark.parametrize("doc", [
-        '{"pim": {"rows": 1' + '0' * 400 + '}}',
-        '{"pim": {"rows": 1' + '0' * 5000 + '}}',
-        '{"workloads": ' + '[' * 100000 + ']' * 100000 + '}',
+    @pytest.mark.parametrize("doc,where", [
+        ('{"pim": {"rows": 1' + '0' * 400 + '}}', "big.json:1: pim.rows: "),
+        ('{"pim": {"rows": 1' + '0' * 5000 + '}}', "big.json:1: invalid JSON: "),
+        ('{"workloads": ' + '[' * 100000 + ']' * 100000 + '}', "big.json"),
     ], ids=["int-past-float-range", "int-past-digit-limit", "deep-nesting"])
-    def test_oversized_documents_rejected(self, doc):
+    def test_oversized_documents_rejected(self, doc, where):
         with pytest.raises(ConfigError) as err:
             parse_config(doc, path="big.json")
-        assert str(err.value).startswith("big.json")
+        assert str(err.value).startswith(where)
+        assert "set_int_max_str_digits" not in str(err.value)
+
+    def test_integer_past_the_digit_limit_names_its_line_and_size(self):
+        # a string of digits and a float with as many digits come before
+        # it; neither is an integer literal
+        limit = sys.get_int_max_str_digits()
+        doc = ('{\n "name": "' + "7" * (limit + 5) + '",\n "pim": {"mats": 4,\n'
+               '  "cycle_time_ns": 1' + "0" * limit + '.5,\n  "rows": -'
+               + "9" * (limit + 1) + '}}')
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert str(err.value) == (f"cfg.json:5: invalid JSON: an integer of {limit + 1} "
+                                  f"digits, past the limit of {limit}")
 
     def test_error_in_a_later_workload_points_at_its_line(self):
         doc = """{

@@ -69,6 +69,8 @@ class TestMoves:
 
 
 EDGE_ROWS = (1, 63, 64, 65, 130)
+# the word edges, and any row count in between
+ROWS = st.sampled_from(EDGE_ROWS) | st.integers(1, 130)
 
 
 def reference_run(program, bits):
@@ -106,7 +108,7 @@ def vmove(draw, rows, cols):
 
 @st.composite
 def random_programs(draw):
-    rows = draw(st.sampled_from(EDGE_ROWS))
+    rows = draw(ROWS)
     cols = draw(st.integers(2, 10))
     instr = vmove(rows, cols) | vmove(rows, cols) | nor_or_hmove(cols)
     program = NorProgram(tuple(draw(st.lists(instr, max_size=40))), max_fanin=4)
@@ -315,7 +317,7 @@ class TestPacking:
         assert unpack_ints(state, 1, 8).tolist() == list(range(0, 20, 2))
 
     @settings(max_examples=100, deadline=None)
-    @given(rows=st.sampled_from(EDGE_ROWS), width=st.integers(0, 64),
+    @given(rows=ROWS, width=st.integers(0, 64),
            col_lo=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     def test_matches_bitwise_layout(self, rows, width, col_lo, seed):
         values = np.random.default_rng(seed).integers(-2**63, 2**63 - 1, rows,
@@ -427,7 +429,7 @@ def bad_instruction(draw, rows, cols, max_fanin):
 
 @st.composite
 def mutated_programs(draw):
-    rows = draw(st.sampled_from(EDGE_ROWS))
+    rows = draw(ROWS)
     cols = draw(st.integers(2, 10))
     max_fanin = draw(st.integers(1, 4))
     legal = nor_or_hmove(cols).filter(
@@ -524,6 +526,56 @@ class TestColumnarForm:
         assert a != prog(Nor(2, (0,))) and a != "NOR 1 0"
         assert a != prog(Nor(1, (0,)), max_fanin=3)
 
+    def test_from_arrays_takes_over_owned_columns_and_copies_the_rest(self):
+        op = np.full(3, OP_NOR, dtype=np.int8)
+        dest = np.array([2, 3, 4], dtype=np.int64)
+        srcs = np.array([[0, 1], [1, -1], [2, 3]], dtype=np.int64)
+        fanin = np.array([2, 1, 2], dtype=np.int64)
+        crosses = np.zeros(3, dtype=bool)
+        owned = {"op": op, "dest": dest, "srcs": srcs, "fanin": fanin, "crosses": crosses}
+        view = np.arange(9, dtype=np.int64)[::3]           # base is not None
+        wrong = np.array([0, 1, 2], dtype=np.int32)        # not int64
+        wide = np.array([[0, 1, -1], [1, -1, -1], [2, 3, -1]])   # wider than any fan-in
+        kept = {name: a.copy() for name, a in {**owned, "view": view, "wrong": wrong}.items()}
+        p = NorProgram.from_arrays(op, dest, srcs, fanin, offset=view, col_lo=wrong,
+                                   crosses=crosses)
+        q = NorProgram.from_arrays(op.copy(), dest.copy(), wide)
+        for name, given in owned.items():
+            assert getattr(p, name) is given and not given.flags.writeable
+        for given, column in ((view, p.offset), (wrong, p.col_lo), (wide, q.srcs)):
+            assert not np.shares_memory(given, column) and given.flags.writeable
+        assert q.srcs.shape == (3, 2) and q.srcs.tolist() == srcs.tolist()
+        assert p.offset.tolist() == [0, 3, 6] and p.col_lo.tolist() == [0, 1, 2]
+        assert p.col_lo.dtype == np.int64
+        # running the program writes no column and no caller array
+        run(p, ArrayState.zeros(5, 5))
+        run(q, ArrayState.zeros(5, 5))
+        for name, given in {**owned, "view": view, "wrong": wrong}.items():
+            assert np.array_equal(given, kept[name]), name
+        assert wide[:, 2].tolist() == [-1, -1, -1]
+
+    @pytest.mark.parametrize("scalars", [True, False], ids=["scalars", "lists"])
+    def test_scalar_and_list_columns_are_read_only(self, scalars):
+        if scalars:
+            p = NorProgram.from_arrays(OP_VMOVE, [-1, -1], [-1, -1], 0, -1, 1, 2, 5, False)
+        else:
+            p = NorProgram.from_arrays([OP_VMOVE] * 2, [-1, -1], [[-1], [-1]], [0, 0],
+                                       [-1, -1], [1, 1], [2, 2], [5, 6], [False, True])
+        assert p.instructions[0] == VMove(-1, 1, 2, 5)
+        for name in ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row",
+                     "crosses"):
+            column = getattr(p, name)
+            assert len(column) == 2 and not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_omitted_move_fields_are_read_only_zeros(self):
+        p = NorProgram.from_arrays(OP_NOR, [2, 3], [[0, 1], [2, -1]])
+        for name in ("offset", "col_lo", "col_hi", "row", "crosses"):
+            column = getattr(p, name)
+            assert column.tolist() == [0, 0] and not column.flags.writeable, name
+        assert p.fanin.tolist() == [2, 1] and p.srcs.shape == (2, 2)
+
     def test_empty_program(self):
         p = prog()
         assert len(p) == 0 and p.instructions == ()
@@ -590,6 +642,45 @@ def move_stretches(draw, stretches=st.just(1)):
     seed = draw(st.integers(0, 2**32 - 1))
     bits = np.random.default_rng(seed).integers(0, 2, (rows, cols)).astype(bool)
     return prog(*moves), bits
+
+
+@st.composite
+def hmove_stretches(draw):
+    """Runs of HMoves whose dest and src both step by one, with dest - src
+    drawn on both sides of zero, inside and outside 1..len - 1 (where a move
+    reads a column an earlier move of the run wrote), and with a NOR or a
+    lone move between runs."""
+    rows = draw(ROWS)
+    cols = draw(st.integers(3, 12))
+    instrs = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, cols - 1))
+        delta = draw(st.integers(length - cols, cols - length).filter(bool))
+        first = draw(st.integers(max(0, -delta), min(cols - length, cols - length - delta)))
+        instrs += [HMove(first + delta + t, first + t) for t in range(length)]
+        if draw(st.booleans()):
+            instrs.append(draw(nor_or_hmove(cols)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, (rows, cols)).astype(bool)
+    return prog(*instrs, max_fanin=4), bits
+
+
+class TestHMoveStretches:
+    @settings(max_examples=200, deadline=None)
+    @given(hmove_stretches())
+    def test_run_equals_instruction_by_instruction(self, case):
+        program, bits = case
+        final, cycles = run(program, ArrayState(bits))
+        want, want_cycles = reference_run(program, bits)
+        assert cycles == want_cycles
+        assert final == ArrayState(want)
+
+    def test_a_run_reading_what_it_wrote_is_not_one_copy(self):
+        # column 0 is copied through columns 1..3 one move at a time
+        bits = np.zeros((5, 4), dtype=bool)
+        bits[:, 0] = True
+        final, _ = run(prog(HMove(1, 0), HMove(2, 1), HMove(3, 2)), ArrayState(bits))
+        assert final.bits.all()
 
 
 class TestShapeRule:
