@@ -20,8 +20,8 @@ from .analysis import (SweepSpec, Verdict, Winner, Workload, crossover_oc,
 from .catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                       catalog_table, microprogram_of, oc_of)
 from .layout import LayoutSpec, pac_of, relocation_program
-from .machine import (CpuMachine, PimMachine, PowerBudget, Throughput,
-                      WorkloadPoint)
+from .machine import (CpuMachine, InputError, PimMachine, PowerBudget,
+                      Throughput, WorkloadPoint)
 from .model import (Evaluation, NonFiniteResult, Points, energy_per_op_cpu,
                     energy_per_op_pim, evaluate, mat_power_cap, perf_cpu,
                     perf_pim, pl_perf_cpu, pl_perf_pim)
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayState", "ColRange", "ColumnOverflow", "CpuMachine", "Evaluation",
-    "HMove", "InvalidProgram", "LayoutSpec", "NonFiniteResult", "Nor",
-    "NorProgram", "OpKind", "OpSpec", "PimMachine", "Points", "PowerBudget",
+    "HMove", "InputError", "InvalidProgram", "LayoutSpec", "NonFiniteResult",
+    "Nor", "NorProgram", "OpKind", "OpSpec", "PimMachine", "Points", "PowerBudget",
     "SweepSpec", "Throughput", "UnsupportedOperation", "UnsupportedWidth",
     "VMove", "Verdict", "Winner", "Workload", "WorkloadPoint",
     "catalog_table", "count_cycles", "crossover_oc", "energy_breakeven_oc",

@@ -18,11 +18,11 @@ import numpy as np
 
 from .catalog import OpSpec, oc_of
 from .layout import LayoutSpec, pac_of
-from .machine import CpuMachine, PimMachine, PowerBudget, WorkloadPoint
+from .machine import CpuMachine, InputError, PimMachine, PowerBudget, WorkloadPoint
 from .model import TIE_REL_TOL, Points, evaluate  # noqa: F401  (TIE_REL_TOL re-exported)
 
 
-class UnknownParameter(ValueError):
+class UnknownParameter(InputError):
     """Sweep parameter name is not one the model knows."""
 
 
@@ -173,16 +173,16 @@ class SweepSpec:
                                    f"expected one of {', '.join(SWEEP_PARAMS)}")
         grid = np.array(self.grid, dtype=np.float64).ravel()
         if not grid.size:
-            raise ValueError("sweep grid must not be empty")
+            raise InputError("sweep grid must not be empty")
         if not np.isfinite(grid).all():
-            raise ValueError("sweep grid values must be finite")
+            raise InputError("sweep grid values must be finite")
         if param in INTEGER_PARAMS:
             grid = np.rint(grid) + 0.0   # + 0.0 turns a rounded -0.0 into 0.0
             grid = grid[np.sort(np.unique(grid, return_index=True)[1])]
             if grid.min() < _LOWEST[param]:
-                raise ValueError(f"{param} grid values must round to >= {_LOWEST[param]}")
+                raise InputError(f"{param} grid values must round to >= {_LOWEST[param]}")
         elif grid.min() <= 0:
-            raise ValueError(f"{param} grid values must be > 0")
+            raise InputError(f"{param} grid values must be > 0")
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "grid", tuple(grid.tolist()))
 

@@ -19,7 +19,8 @@ printf pattern per row, repeated, and a single %-format over the block's
 cells in row-major order, so no Python code runs per cell.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
-3 output I/O failure.
+3 output I/O failure. Every bad input raises `InputError`, which `main`
+alone reports, as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 from .analysis import SWEEP_PARAMS, SweepSpec, Verdict, sweep
 from .catalog import catalog_table
 from .config import Config, ConfigError, load_config
-from .machine import GBPS, TBPS, CpuMachine, PimMachine, PowerBudget
-from .model import NonFiniteResult, Points, evaluate, mat_power_cap
+from .machine import GBPS, TBPS, CpuMachine, InputError, PimMachine, PowerBudget
+from .model import Points, evaluate, mat_power_cap
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -101,23 +102,25 @@ def _load(args) -> Config:
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) not in (3, 4):
-        raise ValueError(f"grid must be lo:hi:steps[:log], got {spec!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    steps = int(parts[2])
-    log = False
-    if len(parts) == 4:
-        if parts[3] not in ("log", "lin"):
-            raise ValueError(f"grid scale must be 'log' or 'lin', got {parts[3]!r}")
-        log = parts[3] == "log"
+        raise InputError(f"grid must be lo:hi:steps[:log], got {spec!r}")
+    try:
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    scale = parts[3] if len(parts) == 4 else "lin"
+    if scale not in ("log", "lin"):
+        raise InputError(f"grid scale must be 'log' or 'lin', got {scale!r}")
+    log = scale == "log"
     if steps < 1:
-        raise ValueError("grid needs at least one step")
+        raise InputError("grid needs at least one step")
     if hi < lo:
-        raise ValueError("grid upper bound below lower bound")
-    if log and lo <= 0:
-        raise ValueError("log grids need a positive lower bound")
+        raise InputError("grid upper bound below lower bound")
+    if log and not lo > 0:                # NaN included
+        raise InputError("log grids need a positive lower bound")
     if steps == 1:
         return np.array([lo])
-    return np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
+    with np.errstate(all="ignore"):   # SweepSpec refuses a grid that overflows
+        return np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
 
 
 def _evaluate(cfg: Config, power: PowerBudget | None):
@@ -188,19 +191,13 @@ def cmd_crossover(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     if not cfg.workloads:
-        print("error: sweep needs at least one workload in the config",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise InputError("sweep needs at least one workload in the config")
     param = args.param.upper()
     scale = GBPS if param == "BW" else 1.0  # BW grids are written in Gbps
-    try:
-        grid = _parse_grid(args.grid) * scale
-        specs = [SweepSpec(param=param, grid=grid, pim=cfg.pim, cpu=cfg.cpu,
-                           workload=w.resolve(cfg.pim), power=cfg.power)
-                 for w in cfg.workloads]
-    except ValueError as exc:   # bad grid or parameter (UnknownParameter)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    grid = _parse_grid(args.grid) * scale
+    specs = [SweepSpec(param=param, grid=grid, pim=cfg.pim, cpu=cfg.cpu,
+                       workload=w.resolve(cfg.pim), power=cfg.power)
+             for w in cfg.workloads]
     # per workload, a (points x columns) table with x back in the grid's unit
     tables = []
     for w, spec in zip(cfg.workloads, specs):
@@ -223,9 +220,7 @@ def cmd_sweep(args) -> int:
 def cmd_power(args) -> int:
     cfg = _load(args)
     if cfg.power is None:
-        print("error: power analysis needs a power section in the config",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise InputError("power analysis needs a power section in the config")
     cap = mat_power_cap(cfg.pim, cfg.power)
     points, ev = _evaluate(cfg, cfg.power)
     rows = [(w.name, p.oc_cycles, p.pac_cycles, p.dio_bits, *values)
@@ -380,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_grids(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ConfigError, NonFiniteResult) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -18,7 +18,8 @@ list of workloads:
 Bandwidth is integer gigabits per second on purpose: one terabit here is
 1024 Gbps, so spelling the number out in Gbps leaves no room for unit
 drift. Omitted fields fall back to the defaults shown above (no power
-section means no power cap). Unknown keys are rejected, with the error
+section means no power cap); an explicit `null` reads as an absent key,
+a whole section included. Unknown keys are rejected, with the error
 message pointing at the offending line where possible.
 """
 
@@ -33,14 +34,14 @@ from dataclasses import dataclass
 from .analysis import Workload
 from .catalog import OpKind, OpSpec
 from .layout import LayoutSpec
-from .machine import CpuMachine, PimMachine, PowerBudget
+from .machine import CpuMachine, InputError, PimMachine, PowerBudget
 
 DEFAULT_PIM = {"rows": 1024, "cols": 1024, "mats": 1024,
                "cycle_time_ns": 10.0, "energy_per_cycle_pj": 0.1}
 DEFAULT_CPU = {"bandwidth_gbps": 4096, "energy_per_bit_pj": 15.0}
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Config file failed to parse or validate."""
 
     def __init__(self, path: str, message: str, line: int | None = None):
@@ -117,6 +118,12 @@ def _line_of(text: str, at: tuple, key: str) -> int | None:
     return text.count("\n", 0, node.start) + 1
 
 
+def _shown(value) -> str:
+    """`repr(value)` for an error line, cut after 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}… ({len(text)} characters)"
+
+
 class _Section:
     """One mapping level of the config, with path-anchored errors."""
 
@@ -138,18 +145,20 @@ class _Section:
                           _line_of(self.source, self.at, key))
 
     def take(self, key: str, default=None):
-        return self.data.pop(key, default)
+        """The key's value, removed; `default` if it is absent or null."""
+        value = self.data.pop(key, None)
+        return default if value is None else value
 
     def take_number(self, key: str, default, integer=False):
-        value = self.data.pop(key, default)
+        value = self.take(key, default)
         if value is None:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(key, f"expected a number, got {value!r}")
+            self.fail(key, f"expected a number, got {_shown(value)}")
         if not abs(value) <= sys.float_info.max:   # NaN, Infinity, 1e400 or 10**400
-            self.fail(key, f"expected a finite number, got {value!r}")
+            self.fail(key, f"expected a finite number, got {_shown(value)}")
         if integer and int(value) != value:
-            self.fail(key, f"expected an integer, got {value!r}")
+            self.fail(key, f"expected an integer, got {_shown(value)}")
         return int(value) if integer else float(value)
 
     def finish(self):
@@ -158,7 +167,7 @@ class _Section:
             self.fail(key, "unknown key")
 
     def sub(self, key: str, default=None) -> "_Section | None":
-        raw = self.data.pop(key, default)
+        raw = self.take(key, default)
         if raw is None:
             return None
         return _Section(raw, self.path, self.source, self._name(key), (*self.at, key))
@@ -193,17 +202,17 @@ def _parse_workload(sec: _Section) -> Workload:
     if dio is None:
         sec.fail("dio_bits", "required")
     if dio < 1:
-        sec.fail("dio_bits", f"must be >= 1, got {dio}")
+        sec.fail("dio_bits", f"must be >= 1, got {_shown(dio)}")
     oc_override = sec.take_number("oc_override", None, integer=True)
 
     op = None
     if op_name is not None:
         if not isinstance(op_name, str):
-            sec.fail("op", f"expected an operation name, got {op_name!r}")
+            sec.fail("op", f"expected an operation name, got {_shown(op_name)}")
         try:
             kind = OpKind[op_name.upper()]
         except KeyError:
-            sec.fail("op", f"unknown operation {op_name!r}; known: "
+            sec.fail("op", f"unknown operation {_shown(op_name)}; known: "
                            f"{', '.join(k.name for k in OpKind)}")
         if kind is OpKind.CUSTOM:
             sec.fail("op", "express custom operations with oc_override instead")

@@ -24,6 +24,10 @@ NS = 1e-9                 # seconds per nanosecond
 PJ = 1e-12                # joules per picojoule
 
 
+class InputError(ValueError):
+    """Bad user input, which `cli.main` reports as one line with exit 2."""
+
+
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)

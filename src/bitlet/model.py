@@ -24,13 +24,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .machine import (GOPS, CpuMachine, PimMachine, PowerBudget, Throughput,
-                      WorkloadPoint)
+from .machine import (GOPS, CpuMachine, InputError, PimMachine, PowerBudget,
+                      Throughput, WorkloadPoint)
 
 TIE_REL_TOL = 1e-9  # relative throughput gap treated as a dead heat
 
 
-class NonFiniteResult(ValueError):
+class NonFiniteResult(InputError):
     """A model result is infinite or not a number for valid parameters."""
 
 
@@ -79,15 +79,20 @@ def evaluate(pim: PimMachine, cpu: CpuMachine, points: Points,
 
     Under a budget the winner and speedup come from the capped pair,
     otherwise from the raw one; a relative gap within TIE_REL_TOL is a tie
-    with speedup 1. Raises NonFiniteResult naming the first column and
-    point that overflow double precision.
+    with speedup 1. Raises NonFiniteResult naming an input past the largest
+    double, or the first column and point that overflow double precision.
     """
-    def f64(value):
-        return np.asarray(value, dtype=np.float64)
+    def f64(name, value):
+        try:
+            return np.asarray(value, dtype=np.float64)
+        except OverflowError:              # a Python integer past the largest double
+            raise NonFiniteResult(f"{name} is past the largest double: the "
+                                  f"parameters overflow double precision") from None
 
-    oc, pac, dio = f64(points.oc_cycles), f64(points.pac_cycles), f64(points.dio_bits)
-    mats = f64(pim.mats if points.mats is None else points.mats)
-    bw = f64(cpu.bandwidth_bps if points.bandwidth_bps is None else points.bandwidth_bps)
+    oc, pac = f64("OC", points.oc_cycles), f64("PAC", points.pac_cycles)
+    dio = f64("DIO", points.dio_bits)
+    mats = f64("MAT", pim.mats if points.mats is None else points.mats)
+    bw = f64("BW", cpu.bandwidth_bps if points.bandwidth_bps is None else points.bandwidth_bps)
     tdp = points.tdp_watts if points.tdp_watts is not None else (
         power.tdp_watts if power is not None else None)
     rows = float(pim.rows)
@@ -98,7 +103,7 @@ def evaluate(pim: PimMachine, cpu: CpuMachine, points: Points,
         if tdp is None:
             pl_pim_ops, pl_cpu_ops = pim_ops, cpu_ops
         else:
-            tdp = f64(tdp)
+            tdp = f64("TDP", tdp)
             pl_pim_ops = np.minimum(pim_ops, tdp / (pim.energy_per_cycle_j * cycles))
             pl_cpu_ops = np.minimum(cpu_ops, tdp / (cpu.energy_per_bit_j * dio))
         pim_pj = pim.energy_per_cycle_pj * cycles
@@ -158,8 +163,11 @@ def mat_power_cap(pim: PimMachine, power: PowerBudget) -> int:
     power-limited branches of `pl_perf_pim` meet. Independent of the
     workload, because both branches scale identically with (OC+PAC).
     """
-    exact = (power.tdp_watts * pim.cycle_time_s
-             / (pim.energy_per_cycle_j * pim.rows))
+    try:
+        exact = (power.tdp_watts * pim.cycle_time_s
+                 / (pim.energy_per_cycle_j * pim.rows))
+    except ZeroDivisionError:              # the energy per cycle underflows to 0 J
+        exact = math.inf
     # one-ulp guard so an analytically-integer cap never floors one short
     guarded = exact * (1.0 + 1e-12) + 1e-12
     if not math.isfinite(guarded):

@@ -11,14 +11,21 @@ import csv
 import hashlib
 import io
 import json
+import math
+import re
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bitlet import WorkloadPoint, cli, litmus
-from bitlet.config import load_config
+from bitlet import (InputError, InvalidProgram, NonFiniteResult, OpKind, WorkloadPoint,
+                    cli, litmus)
+from bitlet.analysis import SWEEP_PARAMS, UnknownParameter
+from bitlet.config import ConfigError, load_config, parse_config
 from bitlet.model import perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -114,6 +121,13 @@ OVERFLOWING = {
                    "workloads": [{"name": "a", "oc_override": 1, "dio_bits": 1}]},
     "huge_budget": {"pim": {"cycle_time_ns": 1e10}, "power": {"tdp_watts": 1e300},
                     "workloads": [{"name": "a", "oc_override": 1, "dio_bits": 1}]},
+    # PAC, a Python integer, past the largest double
+    "huge_pac": {"power": {"tdp_watts": 20},
+                 "workloads": [{"name": "a", "oc_override": 1, "dio_bits": 1, "layout": {
+                     "element_width_bits": 64, "misaligned_subsets": 1.7e308}}]},
+    # the energy per cycle underflows to 0 J
+    "tiny_energy": {"pim": {"energy_per_cycle_pj": 5e-324}, "power": {"tdp_watts": 1},
+                    "workloads": [{"name": "a", "oc_override": 1, "dio_bits": 1}]},
 }
 
 
@@ -122,7 +136,10 @@ class TestNonFiniteResults:
         ("tiny_cycle", ["eval"]), ("tiny_cycle", ["power"]),
         ("tiny_cycle", ["crossover"]),
         ("tiny_cycle", ["sweep", "--param", "OC", "--grid", "1:10:3"]),
-        ("huge_budget", ["power"])])
+        ("huge_budget", ["power"]), ("huge_pac", ["eval"]), ("huge_pac", ["power"]),
+        ("huge_pac", ["crossover"]),
+        ("huge_pac", ["sweep", "--param", "OC", "--grid", "1:10:3"]),
+        ("tiny_energy", ["power"])])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, config, argv):
         path = write_config(tmp_path, OVERFLOWING[config])
         code = cli.main(argv[:1] + ["--config", path] + argv[1:])
@@ -227,3 +244,237 @@ class TestNegativeGrids:
         joined = run(base + ["--grid=-0.4:2:3"])
         assert spaced[0] == joined[0] == cli.EXIT_OK
         assert spaced[1] == joined[1]
+
+
+def run_both(argv):
+    """Exit code, stdout and stderr of one `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+ONE_WORKLOAD = {"power": {"tdp_watts": 20},
+                "workloads": [{"name": "add16", "op": "ADD", "width_bits": 16,
+                               "dio_bits": 48}]}
+
+
+class TestNullIsAbsent:
+    @pytest.mark.parametrize("section,value", [
+        ("pim", {"rows": None}), ("cpu", {"bandwidth_gbps": None}), ("pim", None)],
+        ids=["pim.rows", "cpu.bandwidth_gbps", "pim"])
+    @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=[a[0] for a in MODEL_COMMANDS])
+    def test_same_output_as_without_the_key(self, tmp_path, section, value, argv):
+        outputs = []
+        for doc in ({**ONE_WORKLOAD, section: value}, ONE_WORKLOAD):
+            path = write_config(tmp_path, doc)
+            outputs.append(run_both(argv[:1] + ["--config", path] + argv[1:]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == cli.EXIT_OK
+
+
+class TestOneExit2Path:
+    @pytest.mark.parametrize("doc,argv,message", [
+        ({"power": {"tdp_watts": 20}}, ["sweep", "--param", "OC", "--grid", "1:10:3"],
+         "sweep needs at least one workload in the config"),
+        ({"workloads": ONE_WORKLOAD["workloads"]}, ["power"],
+         "power analysis needs a power section in the config"),
+    ], ids=["sweep-without-workloads", "power-without-power-section"])
+    def test_missing_part_of_the_config(self, tmp_path, doc, argv, message):
+        path = write_config(tmp_path, doc)
+        assert run_both(argv[:1] + ["--config", path] + argv[1:]) == (
+            cli.EXIT_BAD_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("param,grid,message", [
+        ("OC", "1:10", "grid must be lo:hi:steps[:log], got '1:10'"),
+        ("OC", "a:10:3", "could not convert string to float: 'a'"),
+        ("OC", "1:10:x", "invalid literal for int() with base 10: 'x'"),
+        ("OC", "1:10:3:ln", "grid scale must be 'log' or 'lin', got 'ln'"),
+        ("OC", "1:10:0", "grid needs at least one step"),
+        ("OC", "10:1:3", "grid upper bound below lower bound"),
+        ("OC", "0:10:3:log", "log grids need a positive lower bound"),
+        ("OC", "nan:0:2:log", "log grids need a positive lower bound"),
+        ("FOO", "1:10:3", "unknown sweep parameter 'FOO'; expected one of "
+                          + ", ".join(SWEEP_PARAMS)),
+        ("OC", "1e400:1e401:3", "sweep grid values must be finite"),
+        ("OC", "-1e308:1e308:3", "sweep grid values must be finite"),
+        ("BW", "1:1e400:2:log", "sweep grid values must be finite"),
+        ("TDP", "-1:1:3", "TDP grid values must be > 0"),
+    ])
+    def test_bad_sweep_argument(self, param, grid, message):
+        argv = ["sweep", "--config", CONFIG, "--param", param, "--grid", grid]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a warning would be a second stderr line
+            assert run_both(argv) == (cli.EXIT_BAD_INPUT, "", f"error: {message}\n")
+
+    def test_input_errors_share_one_base(self):
+        for cls in (ConfigError, NonFiniteResult, UnknownParameter):
+            assert issubclass(cls, InputError) and issubclass(cls, ValueError)
+        assert not issubclass(InvalidProgram, InputError)
+
+    def test_an_unrelated_value_error_escapes(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a fault in the program")
+
+        monkeypatch.setattr(cli, "evaluate", broken)
+        with pytest.raises(ValueError, match="a fault in the program"):
+            cli.main(["eval", "--config", CONFIG])
+
+
+# --- the CLI contract, on random configs ---------------------------------
+
+# numbers at the edges of what a JSON config can carry
+EXTREMES = [0, -1, 2.5, 10 ** 300, 1.7e308, -1.7e308, 5e-324, math.nan, math.inf, -math.inf]
+
+
+def _log_floats(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _value(draw, sane, nulls, wild):
+    """A sane value mostly; now and then null when `nulls`, and an extreme
+    number when `wild`."""
+    kind = draw(st.sampled_from(["sane"] * 6 + ["null"] * nulls + ["wild"] * wild))
+    if kind == "null":
+        return None
+    return draw(sane if kind == "sane" else st.sampled_from(EXTREMES))
+
+
+@st.composite
+def _object(draw, fields, nulls, wild, always=()):
+    """An object with the keys `always` and some other keys of `fields`
+    (key -> strategy of sane values), or now and then null when `nulls`."""
+    keys = dict.fromkeys([*always, *draw(st.lists(st.sampled_from(sorted(fields))))])
+    obj = {key: draw(_value(fields[key], nulls, wild)) for key in keys}
+    return draw(_value(st.just(obj), nulls, wild=False))
+
+
+LAYOUT_FIELDS = {"element_width_bits": st.integers(1, 64),
+                 "misaligned_subsets": st.integers(0, 8),
+                 "needs_vertical_relocation": st.booleans(),
+                 "hmove_override": st.integers(0, 1000),
+                 "vmove_override": st.integers(0, 1000)}
+PIM_FIELDS = {"rows": st.integers(1, 4096), "cols": st.integers(1, 4096),
+              "mats": st.integers(1, 16384), "cycle_time_ns": _log_floats(0.1, 100.0),
+              "energy_per_cycle_pj": _log_floats(0.01, 10.0)}
+CPU_FIELDS = {"bandwidth_gbps": st.integers(1, 100_000),
+              "energy_per_bit_pj": _log_floats(0.1, 100.0)}
+
+
+@st.composite
+def configs(draw):
+    """A config document: any section may be missing or null, and so may
+    any key when `nulls` is drawn; names hold characters CSV must quote."""
+    nulls, wild = draw(st.booleans()), draw(st.booleans())
+    workload = {"name": st.text(st.sampled_from('ab0_ ,"%é中'), min_size=1, max_size=6),
+                "op": st.sampled_from([k.name for k in OpKind] + ["add", "FUSE"]),
+                "width_bits": st.integers(1, 64), "dio_bits": st.integers(1, 512),
+                "oc_override": st.integers(1, 100_000),
+                "layout": _object(LAYOUT_FIELDS, nulls, wild)}
+    spelled = st.sampled_from([("name", "dio_bits", "op", "width_bits"),
+                               ("name", "dio_bits", "oc_override")])
+    one = spelled.flatmap(lambda keys: _object(workload, nulls, wild, keys))
+    workloads = st.sampled_from([1, 1, 1, 0]).flatmap(   # [] a quarter of the time
+        lambda n: st.lists(one, min_size=n, max_size=3 * n))
+    sections = {"pim": _object(PIM_FIELDS, nulls, wild),
+                "cpu": _object(CPU_FIELDS, nulls, wild),
+                "power": _object({"tdp_watts": _log_floats(1e-3, 1e3)}, nulls, wild,
+                                 ["tdp_watts"]),
+                "workloads": _value(workloads, nulls, wild=False)}
+    keys = draw(st.lists(st.sampled_from(["pim", "cpu", "power"]), unique=True))
+    keys += ["workloads"] * draw(st.sampled_from([1, 1, 1, 0]))   # missing in a quarter
+    return {key: draw(sections[key]) for key in keys}
+
+
+@st.composite
+def sweep_args(draw):
+    """A sweep's options: half the time a sane grid, else any of many bad ones."""
+    if draw(st.booleans()):
+        params = [*SWEEP_PARAMS, "oc"]
+        parts = [["1", "3"], ["10", "1e3"], ["1", "2", "5"], [[], ["lin"], ["log"]]]
+    else:
+        params = [*SWEEP_PARAMS, "FOO"]
+        bound = ["-1", "0", "0.5", "3", "1e308", "1e400", "nan", "x"]
+        parts = [bound, bound, ["0", "2", "x"], [[], ["lin"], ["log"], ["ln"]]]
+    *grid, scale = (draw(st.sampled_from(part)) for part in parts)
+    return ["--format", draw(st.sampled_from(["csv", "json"])),
+            "--param", draw(st.sampled_from(params)), "--grid", ":".join(grid + scale)]
+
+
+def _finite(value):
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in a JSON document")
+
+
+def check_document(text, fmt):
+    """CSV rows as long as the header, or JSON; every number finite."""
+    if fmt == "json":
+        assert _finite(json.loads(text, parse_constant=_no_constant))
+        return
+    header, *rows = csv.reader(io.StringIO(
+        "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))))
+    assert all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for cell in row[1:]:   # the first column holds the workload's name
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(cell))
+
+
+def check_error_line(doc, text, exc):
+    """A ConfigError with a line points at the line of its key, or at the
+    first line of the object that lacks the key."""
+    rest = str(exc).split(f":{exc.line}: ", 1)[1]
+    assert not rest.startswith("invalid JSON")
+    *parents, key = re.findall(r"[^.\[\]]+", re.split(r"[:\s]", rest)[0])
+    node = doc
+    for step in parents:
+        node = node[int(step)] if step.isdigit() else node[step]
+    line = text.splitlines()[exc.line - 1]
+    assert json.dumps(key) in line if key in node else "{" in line
+
+
+class TestCliContract:
+    """Every config either gives finite, well-formed output or exits 2 with
+    one ``error:`` line; no exception escapes `cli.main`."""
+
+    COMMANDS = [["eval", "--format", "csv"], ["litmus", "--format", "json"],
+                ["crossover", "--format", "csv"], ["power", "--format", "csv"],
+                ["power", "--format", "json"]]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=configs(), indent=st.sampled_from([None, 1]), sweep=sweep_args())
+    def test_output_or_one_error_line(self, tmp_path, doc, indent, sweep):
+        text = json.dumps(doc, indent=indent, ensure_ascii=False)
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            parse_config(text, str(path))
+        except ConfigError as exc:
+            if exc.line:
+                check_error_line(doc, text, exc)
+        out = tmp_path / "out"
+        for argv in self.COMMANDS + [["sweep", *sweep]]:
+            out.unlink(missing_ok=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, stdout, stderr = run_both(
+                    argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:])
+            stderr += "".join(f"{w.message}\n" for w in caught)   # on stderr in a real run
+            assert code in (cli.EXIT_OK, cli.EXIT_BAD_INPUT, cli.EXIT_IO)
+            if code == cli.EXIT_BAD_INPUT:
+                assert stdout == ""
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1
+                assert stderr.endswith("\n")
+            elif code == cli.EXIT_OK:
+                assert stderr == ""
+                fmt = argv[argv.index("--format") + 1]
+                check_document(out.read_text(encoding="utf-8"), fmt)

@@ -1,8 +1,10 @@
+import copy
+import json
 import sys
 
 import pytest
 
-from bitlet.config import ConfigError, parse_config
+from bitlet.config import DEFAULT_CPU, DEFAULT_PIM, ConfigError, parse_config
 
 FULL = """
 {
@@ -66,7 +68,42 @@ class TestParsing:
         assert point.pac_cycles == 7
 
 
+# a config that sets every key a null may stand for, each to a value other
+# than its default
+EVERY_KEY = {
+    "pim": {"rows": 512, "cols": 2048, "mats": 64, "cycle_time_ns": 5.0,
+            "energy_per_cycle_pj": 0.2},
+    "cpu": {"bandwidth_gbps": 1024, "energy_per_bit_pj": 12.0},
+    "power": {"tdp_watts": 40},
+    "workloads": [{"name": "w", "op": "ADD", "width_bits": 16, "dio_bits": 48,
+                   "oc_override": 100,
+                   "layout": {"element_width_bits": 8, "misaligned_subsets": 2,
+                              "needs_vertical_relocation": True}}],
+}
+LAYOUT = ("workloads", 0, "layout")
+NULLABLE = ([("pim", key) for key in DEFAULT_PIM] + [("cpu", key) for key in DEFAULT_CPU]
+            + [("pim",), ("cpu",), ("power",), ("workloads", 0, "op"), LAYOUT]
+            + [(*LAYOUT, key) for key in ("misaligned_subsets", "element_width_bits",
+                                          "needs_vertical_relocation")])
+
+
+class TestNullIsAbsent:
+    @pytest.mark.parametrize("at", NULLABLE, ids=[".".join(map(str, at)) for at in NULLABLE])
+    def test_null_gives_the_config_of_the_deleted_key(self, at):
+        nulled, deleted = copy.deepcopy(EVERY_KEY), copy.deepcopy(EVERY_KEY)
+        *parents, key = at
+        nulled_obj, deleted_obj = nulled, deleted
+        for step in parents:
+            nulled_obj, deleted_obj = nulled_obj[step], deleted_obj[step]
+        nulled_obj[key] = None
+        del deleted_obj[key]
+        want = parse_config(json.dumps(deleted))
+        assert parse_config(json.dumps(nulled)) == want
+        assert want != parse_config(json.dumps(EVERY_KEY))
+
+
 class TestRejection:
+
     def test_invalid_json_reports_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config('{\n  "pim": {,}\n}', path="bad.json")
@@ -141,6 +178,22 @@ class TestRejection:
             parse_config(doc, path="big.json")
         assert str(err.value).startswith(where)
         assert "set_int_max_str_digits" not in str(err.value)
+
+    @pytest.mark.parametrize("doc,where", [
+        ('{\n "pim": {\n  "rows": "' + "1" * 5000 + '"}}',
+         "cfg.json:3: pim.rows: expected a number, got '111"),
+        ('{\n "workloads": [\n  {"name": "w", "dio_bits": 8, "width_bits": 8, "op": "'
+         + "A" * 5000 + '"}]}', "cfg.json:3: workloads[0].op: unknown operation 'AAA"),
+        ('{\n "workloads": [\n  {"name": "w", "dio_bits": 8, "width_bits": 8, "op": ['
+         + "1, " * 2000 + '1]}]}',
+         "cfg.json:3: workloads[0].op: expected an operation name, got [1, 1"),
+    ], ids=["number", "operation", "operation-name"])
+    def test_a_long_value_is_cut_in_its_error_line(self, doc, where):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert str(err.value).startswith(where)
+        assert len(str(err.value)) < 200
+        assert "characters)" in str(err.value)
 
     def test_integer_past_the_digit_limit_names_its_line_and_size(self):
         # a string of digits and a float with as many digits come before
