@@ -21,6 +21,10 @@ cells in row-major order, so no Python code runs per cell.
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 3 output I/O failure. Every bad input raises `InputError`, which `main`
 alone reports, as one ``error:`` line on stderr.
+
+`main` builds, from the `COMMANDS` table, the argparse parser of the
+invoked subcommand alone; ``bitlet -h`` and a missing or unknown command
+get the parser of every subcommand, so each prints what it always did.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ FIG_MATS = (1, 16, 256, 1024, 4096, 16384)
 FIG_DIOS = (24, 48)
 FIG_BWS_TBPS = (1, 4, 16)
 FIG_TDP_WATTS = 20.0
+MAX_GRID_STEPS = 100_000   # keeps each column of a sweep under 1 MB
 
 
 def _fmt(value) -> str:
@@ -113,6 +118,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     log = scale == "log"
     if steps < 1:
         raise InputError("grid needs at least one step")
+    if steps > MAX_GRID_STEPS:
+        raise InputError(f"grid allows at most {MAX_GRID_STEPS} steps")
     if hi < lo:
         raise InputError("grid upper bound below lower bound")
     if log and not lo > 0:                # NaN included
@@ -307,54 +314,52 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VALIDATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CONFIG = (("--config",), {"help": "config JSON path (default: $BITLET_CONFIG)"})
+_OUT = (("--out",), {"help": "write output to this file"})
+_FORMAT = (("--format",), {"choices": ("csv", "json"), "default": "csv",
+                           "help": "output document format (default csv)"})
+_MODEL = (_CONFIG, _OUT, _FORMAT)
+
+# name -> (handler, help text, arguments as (flags, keywords) pairs)
+COMMANDS = {
+    "eval": (cmd_eval, "workload affinity verdicts", _MODEL),
+    "litmus": (cmd_eval, "alias of eval", _MODEL),
+    "crossover": (cmd_crossover, "break-even operation complexity per workload", _MODEL),
+    "sweep": (cmd_sweep, "sweep one parameter over a grid", (
+        *_MODEL,
+        (("--param",), {"required": True, "help": f"one of {', '.join(SWEEP_PARAMS)} "
+                                                  f"(BW grid values are Gbps)"}),
+        (("--grid",), {"required": True, "help": "lo:hi:steps[:log] value grid"}))),
+    "power": (cmd_power, "power-cap analysis", _MODEL),
+    "reproduce": (cmd_reproduce, "emit standard figure datasets", (
+        (("figure",), {"choices": ("fig1", "fig2", "fig3")}),
+        (("--out",), {"help": "output CSV path (default <figure>.csv)"}))),
+    "validate": (cmd_validate, "run the validation suite", (
+        (("--scope",), {"choices": ("catalog", "pac", "all"), "default": "all"}),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names one.
+
+    A one-command parser parses, prints and fails exactly as the full one
+    does on a command line that starts with that command: its usage line
+    still lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="bitlet",
         description="Throughput/energy model for bit-serial in-memory compute")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, fmt=True):
-        p.add_argument("--config", help="config JSON path "
-                                        "(default: $BITLET_CONFIG)")
-        p.add_argument("--out", help="write output to this file")
-        if fmt:
-            p.add_argument("--format", choices=("csv", "json"), default="csv",
-                           help="output document format (default csv)")
-
-    p_eval = sub.add_parser("eval", help="workload affinity verdicts")
-    add_common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-    p_litmus = sub.add_parser("litmus", help="alias of eval")
-    add_common(p_litmus)
-    p_litmus.set_defaults(func=cmd_eval)
-
-    p_cross = sub.add_parser("crossover",
-                             help="break-even operation complexity per workload")
-    add_common(p_cross)
-    p_cross.set_defaults(func=cmd_crossover)
-
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter over a grid")
-    add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True,
-                         help=f"one of {', '.join(SWEEP_PARAMS)} "
-                              f"(BW grid values are Gbps)")
-    p_sweep.add_argument("--grid", required=True,
-                         help="lo:hi:steps[:log] value grid")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_power = sub.add_parser("power", help="power-cap analysis")
-    add_common(p_power)
-    p_power.set_defaults(func=cmd_power)
-
-    p_rep = sub.add_parser("reproduce", help="emit standard figure datasets")
-    p_rep.add_argument("figure", choices=("fig1", "fig2", "fig3"))
-    p_rep.add_argument("--out", help="output CSV path (default <figure>.csv)")
-    p_rep.set_defaults(func=cmd_reproduce)
-
-    p_val = sub.add_parser("validate", help="run the validation suite")
-    p_val.add_argument("--scope", choices=("catalog", "pac", "all"),
-                       default="all")
-    p_val.set_defaults(func=cmd_validate)
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # the usage line lists the commands a parser was given; a one-command
+    # parser names them all itself
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -371,8 +376,8 @@ def _attach_grids(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_grids(sys.argv[1:] if argv is None else argv))
+    argv = _attach_grids(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -149,7 +149,9 @@ class _Section:
         value = self.data.pop(key, None)
         return default if value is None else value
 
-    def take_number(self, key: str, default, integer=False):
+    def take_number(self, key: str, default, integer=False, at_least=None, above=None):
+        """The key's number, converted to int or float; it must be at least
+        `at_least` or above `above` when they are given."""
         value = self.take(key, default)
         if value is None:
             return None
@@ -159,7 +161,12 @@ class _Section:
             self.fail(key, f"expected a finite number, got {_shown(value)}")
         if integer and int(value) != value:
             self.fail(key, f"expected an integer, got {_shown(value)}")
-        return int(value) if integer else float(value)
+        value = int(value) if integer else float(value)
+        if at_least is not None and value < at_least:
+            self.fail(key, f"must be >= {at_least}, got {_shown(value)}")
+        if above is not None and value <= above:
+            self.fail(key, f"must be > {above}, got {_shown(value)}")
+        return value
 
     def finish(self):
         if self.data:
@@ -174,22 +181,22 @@ class _Section:
 
 
 def _parse_layout(sec: _Section, fallback_width: int | None) -> LayoutSpec:
-    width = sec.take_number("element_width_bits", fallback_width, integer=True)
+    width = sec.take_number("element_width_bits", fallback_width, integer=True, at_least=1)
     if width is None:
         sec.fail("element_width_bits", "required when the workload has no op width")
-    k = sec.take_number("misaligned_subsets", 0, integer=True)
+    k = sec.take_number("misaligned_subsets", 0, integer=True, at_least=0)
     vertical = sec.take("needs_vertical_relocation", False)
     if not isinstance(vertical, bool):
         sec.fail("needs_vertical_relocation", "expected true or false")
-    hmove = sec.take_number("hmove_override", None, integer=True)
-    vmove = sec.take_number("vmove_override", None, integer=True)
+    hmove = sec.take_number("hmove_override", None, integer=True, at_least=0)
+    vmove = sec.take_number("vmove_override", None, integer=True, at_least=0)
+    if (hmove is None) != (vmove is None):
+        sec.fail("hmove_override" if vmove is None else "vmove_override",
+                 "hmove_override and vmove_override come as a pair")
     sec.finish()
-    try:
-        return LayoutSpec(element_width_bits=width, misaligned_subsets=k,
-                          needs_vertical_relocation=vertical,
-                          hmove_override=hmove, vmove_override=vmove)
-    except ValueError as exc:
-        raise ConfigError(sec.path, f"{sec.json_path}: {exc}") from None
+    return LayoutSpec(element_width_bits=width, misaligned_subsets=k,
+                      needs_vertical_relocation=vertical,
+                      hmove_override=hmove, vmove_override=vmove)
 
 
 def _parse_workload(sec: _Section) -> Workload:
@@ -198,12 +205,10 @@ def _parse_workload(sec: _Section) -> Workload:
         sec.fail("name", "every workload needs a non-empty name")
     op_name = sec.take("op")
     width = sec.take_number("width_bits", None, integer=True)
-    dio = sec.take_number("dio_bits", None, integer=True)
+    dio = sec.take_number("dio_bits", None, integer=True, at_least=1)
     if dio is None:
         sec.fail("dio_bits", "required")
-    if dio < 1:
-        sec.fail("dio_bits", f"must be >= 1, got {_shown(dio)}")
-    oc_override = sec.take_number("oc_override", None, integer=True)
+    oc_override = sec.take_number("oc_override", None, integer=True, at_least=1)
 
     op = None
     if op_name is not None:
@@ -223,14 +228,12 @@ def _parse_workload(sec: _Section) -> Workload:
         except ValueError as exc:
             sec.fail("op", str(exc))
 
+    if op is None and oc_override is None:
+        sec.fail("op", "required when the workload has no oc_override")
     layout_sec = sec.sub("layout")
     layout = _parse_layout(layout_sec, width) if layout_sec is not None else None
     sec.finish()
-    try:
-        return Workload(name=name, dio_bits=dio, op=op, layout=layout,
-                        oc_override=oc_override)
-    except ValueError as exc:
-        raise ConfigError(sec.path, str(exc)) from None
+    return Workload(name=name, dio_bits=dio, op=op, layout=layout, oc_override=oc_override)
 
 
 # a JSON string, or a number: an integer part and the fraction and exponent
@@ -263,25 +266,30 @@ def parse_config(text: str, path: str = "<config>") -> Config:
         raise ConfigError(path, f"invalid JSON: {exc}") from None
     root = _Section(raw, path, text, "")
 
+    # the machine constructors check the same ranges; checked here, an error
+    # names the config key and its line
     pim_sec = root.sub("pim", {})
-    pim_kwargs = {key: pim_sec.take_number(key, default,
-                                           integer=key in ("rows", "cols", "mats"))
+    pim_kwargs = {key: (pim_sec.take_number(key, default, integer=True, at_least=1)
+                        if key in ("rows", "cols", "mats")
+                        else pim_sec.take_number(key, default, above=0))
                   for key, default in DEFAULT_PIM.items()}
     pim_sec.finish()
 
     cpu_sec = root.sub("cpu", {})
     gbps = cpu_sec.take_number("bandwidth_gbps", DEFAULT_CPU["bandwidth_gbps"],
-                               integer=True)
-    e_bit = cpu_sec.take_number("energy_per_bit_pj", DEFAULT_CPU["energy_per_bit_pj"])
+                               integer=True, above=0)
+    e_bit = cpu_sec.take_number("energy_per_bit_pj", DEFAULT_CPU["energy_per_bit_pj"],
+                                above=0)
     cpu_sec.finish()
 
     power_sec = root.sub("power")
     power = None
     if power_sec is not None:
-        tdp = power_sec.take_number("tdp_watts", None)
+        tdp = power_sec.take_number("tdp_watts", None, above=0)
         if tdp is None:
             power_sec.fail("tdp_watts", "required inside a power section")
         power_sec.finish()
+        power = PowerBudget(tdp_watts=tdp)
 
     workloads_raw = root.take("workloads", [])
     root.finish()
@@ -293,14 +301,9 @@ def parse_config(text: str, path: str = "<config>") -> Config:
         workloads.append(_parse_workload(
             _Section(item, path, text, f"workloads[{i}]", ("workloads", i))))
 
-    try:
-        pim = PimMachine(**pim_kwargs)
-        cpu = CpuMachine.from_gbps(gbps, energy_per_bit_pj=e_bit)
-        if power_sec is not None:
-            power = PowerBudget(tdp_watts=tdp)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-    return Config(pim=pim, cpu=cpu, power=power, workloads=tuple(workloads))
+    return Config(pim=PimMachine(**pim_kwargs),
+                  cpu=CpuMachine.from_gbps(gbps, energy_per_bit_pj=e_bit),
+                  power=power, workloads=tuple(workloads))
 
 
 def load_config(path: str) -> Config:

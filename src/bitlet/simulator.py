@@ -34,6 +34,8 @@ word per lane byte and group of 8 rows. Each word holds an 8 x 8 bit block
 turned over in place by three delta swaps. Byte b of every value is copied
 in one strided pass, and each plane's bytes in another, so no copy works
 one 2- to 8-byte row at a time and no full-size temporary is made twice.
+Consecutive blocks of one width are staged, transposed and copied together:
+``pack_ints`` takes a (blocks, rows) array, ``unpack_ints`` a block count.
 
 Program form. A ``NorProgram`` is a set of read-only columns, one entry
 per instruction: ``op`` (``OP_NOR``, ``OP_HMOVE`` or ``OP_VMOVE``), ``dest``,
@@ -72,7 +74,8 @@ matters as much as its row bandwidth, and the same code serves both:
   * constant operands of ufunc calls are 0-d arrays (``_TRANSPOSE8``,
     ``_SHIFTS``), which skip the conversion a numpy scalar costs per call;
   * ``validate`` and ``run`` do per op-code run only the work of that
-    kind, and ``run`` makes plane views only for a program with NORs;
+    kind; ``validate`` returns the runs it found, ``run`` executes from
+    them, and makes plane views only for a program with NORs;
   * each delta swap of ``pack_ints``/``unpack_ints`` is five in-place
     ufunc calls, and ``_shift_rows`` reads its source words in place.
 
@@ -321,15 +324,20 @@ class NorProgram:
     @property
     def cols_required(self) -> int:
         """Smallest column count this program fits in."""
-        # a VMove reaches column col_hi, a NOR or an HMove its dest and sources
+        # a VMove reaches column col_hi, a NOR or an HMove its dest and
+        # sources; the srcs entries past a fan-in are -1 and raise no maximum
         reach = np.where(self.op == OP_VMOVE, self.col_hi, self.dest)
-        return 1 + max(int(reach.max(initial=0)),
-                       int(self.srcs.max(where=self._sources(), initial=0)),
+        return 1 + max(int(reach.max(initial=0)), int(self.srcs.max(initial=0)),
                        *(r.stop - 1 for r in self.inputs + self.outputs))
 
-    def validate(self, rows: int, cols: int) -> None:
-        """Raise InvalidProgram unless every instruction is legal for rows x cols."""
-        for kind, a, b in self._segments(0, len(self)):
+    def validate(self, rows: int, cols: int) -> list[tuple[int, int, int]]:
+        """Raise InvalidProgram unless every instruction is legal for rows x cols.
+
+        Returns the (op, first, end) runs of one op code that it checked,
+        from which ``run`` executes the program.
+        """
+        segments = self._segments(0, len(self))
+        for kind, a, b in segments:
             bad = (self._illegal_moves(a, b, rows, cols) if kind == OP_VMOVE
                    else self._illegal_cells(a, b, cols, kind == OP_NOR))
             i = int(bad.argmax())
@@ -338,6 +346,7 @@ class NorProgram:
                 ins = self._materialize(i, i + 1)[0]
                 problem = _problem(ins, rows, cols, self.max_fanin)
                 raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
+        return segments
 
     def _illegal_cells(self, a: int, b: int, cols: int, nor: bool) -> np.ndarray:
         """Mask of the NORs (or the HMoves) a..b-1 that break a rule of ``_problem``."""
@@ -596,11 +605,11 @@ def _copy_columns(planes: np.ndarray, dests: list[int], srcs: list[int]) -> None
 
 def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
     """Execute a program on a copy of `initial`; return (final state, cycles)."""
-    program.validate(initial.rows, initial.cols)
+    segments = program.validate(initial.rows, initial.cols)
     state = initial.copy()
     planes = None        # per-column plane views, made at the first NOR
     bitwise_or, invert = np.bitwise_or, np.invert
-    for kind, a, b in program._segments(0, len(program)):
+    for kind, a, b in segments:
         if kind == OP_VMOVE:
             _move_rows(state._planes, program.offset[a:b], program.col_lo[a:b],
                        program.col_hi[a:b], program.row[a:b], program.crosses[a:b])
@@ -669,31 +678,33 @@ def _bit_transpose(x: np.ndarray) -> None:
 _LANE_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
 
-def _operand(state: ArrayState, col_lo: int, width: int):
-    """The staging of a `width`-bit block of columns for pack and unpack.
+def _operand(state: ArrayState, col_lo: int, width: int, blocks: int):
+    """The staging of `blocks` consecutive `width`-bit blocks of columns
+    for pack and unpack.
 
-    Returns a zeroed word array with one word per byte of the row's lane
-    (the smallest of 1, 2, 4 or 8 bytes that holds `width` bits) and per
-    group of 8 rows, its bytes (byte b of row r at [b, r]), and the pairs
-    of (word bytes, plane bytes) that hold the same bits while the words
-    are transposed: byte k of word (b, q) is byte q of plane 8b + k.
+    Returns a zeroed word array with, per block, one word per byte of the
+    row's lane (the smallest of 1, 2, 4 or 8 bytes that holds `width` bits)
+    and per group of 8 rows, its bytes (byte b of row r of block i at
+    [i, b, r]), and the pairs of (word bytes, plane bytes) that hold the
+    same bits while the words are transposed: byte k of word (i, b, q) is
+    byte q of plane 8b + k of block i.
     """
     if not 0 <= width <= 64:
         raise ValueError(f"width must be in 0..64, got {width}")
-    if not 0 <= col_lo <= col_lo + width <= state.cols:
-        raise ValueError(f"columns [{col_lo}, {col_lo + width}) exceed "
-                         f"{state.cols} columns")
-    planes = state._planes[col_lo:col_lo + width].view(np.uint8)   # byte q: rows 8q..8q+7
-    groups = planes.shape[1]
-    words = np.zeros((_LANE_BYTES[-(-width // 8)], groups), dtype=_WORD)
+    stop = col_lo + blocks * width
+    if not 0 <= col_lo <= stop <= state.cols:
+        raise ValueError(f"columns [{col_lo}, {stop}) exceed {state.cols} columns")
+    groups = 8 * state._planes.shape[1]       # bytes per plane; byte q: rows 8q..8q+7
+    planes = state._planes[col_lo:stop].view(np.uint8).reshape(blocks, width, groups)
+    words = np.zeros((blocks, _LANE_BYTES[-(-width // 8)], groups), dtype=_WORD)
     row_bytes = words.view(np.uint8)
-    cells = row_bytes.reshape(len(words), groups, 8).transpose(0, 2, 1)
+    cells = row_bytes.reshape(*words.shape, 8).transpose(0, 1, 3, 2)
     full, part = divmod(width, 8)
     pairs = []
     if full:
-        pairs.append((cells[:full], planes[:8 * full].reshape(full, 8, groups)))
+        pairs.append((cells[:, :full], planes[:, :8 * full].reshape(blocks, full, 8, groups)))
     if part:
-        pairs.append((cells[full, :part], planes[8 * full:]))
+        pairs.append((cells[:, full, :part], planes[:, 8 * full:]))
     return words, row_bytes, pairs
 
 
@@ -702,36 +713,43 @@ def pack_ints(state: ArrayState, col_lo: int, width: int, values) -> None:
 
     Each value is taken as a two's-complement int64 and only its low
     `width` bits are stored: a negative value or one wider than `width`
-    wraps modulo 2**width.
+    wraps modulo 2**width. A (blocks, rows) array of values fills that many
+    consecutive blocks of `width` columns, row i of it the i-th block.
     """
     values = np.asarray(values, dtype="<i8")
-    if values.shape != (state.rows,):
+    if values.shape[-1:] != (state.rows,) or values.ndim > 2:
         raise ValueError(f"need one value per row ({state.rows}), got {values.shape}")
-    words, row_bytes, pairs = _operand(state, col_lo, width)
-    value_bytes = np.ascontiguousarray(values).view(np.uint8).reshape(-1, 8)
-    # byte b of every value into row_bytes[b], in one strided copy
-    row_bytes[:, :state.rows] = value_bytes[:, :len(words)].T
+    words, row_bytes, pairs = _operand(state, col_lo, width,
+                                       len(values) if values.ndim == 2 else 1)
+    value_bytes = np.ascontiguousarray(values).view(np.uint8).reshape(
+        len(words), state.rows, 8)
+    # byte b of every value into row_bytes[:, b], in one strided copy
+    row_bytes[:, :, :state.rows] = value_bytes[:, :, :words.shape[1]].transpose(0, 2, 1)
     _bit_transpose(words)
     for cells, planes in pairs:
         planes[...] = cells
 
 
-def unpack_ints(state: ArrayState, col_lo: int, width: int) -> np.ndarray:
+def unpack_ints(state: ArrayState, col_lo: int, width: int,
+                blocks: int | None = None) -> np.ndarray:
     """Read one little-endian integer per row from a column block.
 
     The `width` bits are read as an unsigned number, except that a 64-bit
     block is read as a two's-complement int64, so that ``pack_ints``
-    followed by ``unpack_ints`` returns every value modulo 2**width.
+    followed by ``unpack_ints`` returns every value modulo 2**width. Given
+    a number of `blocks`, it reads that many consecutive blocks of `width`
+    columns into a (blocks, rows) array.
     """
-    words, row_bytes, pairs = _operand(state, col_lo, width)
+    words, row_bytes, pairs = _operand(state, col_lo, width, 1 if blocks is None else blocks)
     for cells, planes in pairs:
         cells[...] = planes
     _bit_transpose(words)
-    values = np.zeros(state.rows, dtype="<i8")
-    value_bytes = values.view(np.uint8).reshape(-1, 8)
-    for b in range(len(words)):            # row_bytes[b] is byte b of every row
-        value_bytes[:, b] = row_bytes[b, :state.rows]
-    return values.astype(np.int64, copy=False)
+    values = np.zeros((len(words), state.rows), dtype="<i8")
+    value_bytes = values.view(np.uint8).reshape(len(words), state.rows, 8)
+    for b in range(words.shape[1]):        # row_bytes[:, b] is byte b of every row
+        value_bytes[:, :, b] = row_bytes[:, b, :state.rows]
+    values = values.astype(np.int64, copy=False)
+    return values[0] if blocks is None else values
 
 
 # -- text serialization ------------------------------------------------------

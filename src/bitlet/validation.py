@@ -41,8 +41,10 @@ class Check:
     detail: str = ""
 
 
-def _reference(kind: OpKind, n: int, a, b, cin):
-    """Integer/bitwise ground truth; returns (result, carry_out or None)."""
+def _reference(kind: OpKind, n: int, operands: np.ndarray, cin: np.ndarray | None):
+    """Integer/bitwise ground truth of the operands (a, or a and b);
+    returns (result, carry_out or None)."""
+    a, b = operands[0], operands[-1]
     mask = (1 << n) - 1
     if kind is OpKind.NOT:
         return (~a) & mask, None
@@ -60,13 +62,15 @@ def _reference(kind: OpKind, n: int, a, b, cin):
     raise ValueError(kind)
 
 
-def _run_op(prog, kind: OpKind, n: int, a: np.ndarray, b: np.ndarray | None,
-            cin: np.ndarray | None):
-    """Pack operands, run a generated program, return (result, carry_out)."""
-    state = ArrayState.zeros(len(a), prog.cols_required)
-    pack_ints(state, prog.range("a").start, n, a)
-    if b is not None:
-        pack_ints(state, prog.range("b").start, n, b)
+def _run_op(prog, kind: OpKind, n: int, operands: np.ndarray, cin: np.ndarray | None):
+    """Pack operands, run a generated program, return (result, carry_out).
+
+    The rows of `operands` (a, then b for a binary operation) fill
+    consecutive n-column blocks from input a's first column: every
+    generator places input b right after input a.
+    """
+    state = ArrayState.zeros(operands.shape[1], prog.cols_required)
+    pack_ints(state, prog.range("a").start, n, operands)
     if kind is OpKind.ADD:
         pack_ints(state, prog.range("carry").start, 1, cin)
     elif kind is OpKind.ADD_FANIN4:
@@ -84,37 +88,30 @@ def _run_op(prog, kind: OpKind, n: int, a: np.ndarray, b: np.ndarray | None,
 
 
 def _operand_sets(kind: OpKind, n: int, exhaustive: bool, rng: np.random.Generator):
-    unary = kind is OpKind.NOT
+    """Operands (a row per operand) and carry-ins, or None for operations
+    without a carry-in."""
+    count = 1 if kind is OpKind.NOT else 2
     with_carry = kind in (OpKind.ADD, OpKind.ADD_FANIN4)
-    if exhaustive:
-        if unary:
-            a = np.arange(1 << n, dtype=np.int64)
-            return a, None, None
-        pairs = np.arange(1 << (2 * n), dtype=np.int64)
-        a, b = pairs & ((1 << n) - 1), pairs >> n
-        if with_carry:
-            a = np.concatenate([a, a])
-            b = np.concatenate([b, b])
-            cin = np.repeat(np.array([0, 1], dtype=np.int64), 1 << (2 * n))
-            return a, b, cin
-        return a, b, None
-    a = rng.integers(0, 1 << n, RANDOM_ROWS, dtype=np.int64)
-    if unary:
-        return a, None, None
-    b = rng.integers(0, 1 << n, RANDOM_ROWS, dtype=np.int64)
-    cin = rng.integers(0, 2, RANDOM_ROWS, dtype=np.int64) if with_carry else None
-    return a, b, cin
+    if not exhaustive:
+        operands = rng.integers(0, 1 << n, (count, RANDOM_ROWS), dtype=np.int64)
+        cin = rng.integers(0, 2, RANDOM_ROWS, dtype=np.int64) if with_carry else None
+        return operands, cin
+    # every combination of the operands' values: a in the low n bits of a
+    # counter, b in the next n
+    combos = np.arange(1 << (count * n), dtype=np.int64)
+    operands = np.array([combos & ((1 << n) - 1), combos >> n][:count])
+    if not with_carry:
+        return operands, None
+    return np.tile(operands, 2), np.repeat(np.array([0, 1], dtype=np.int64), len(combos))
 
 
 def _check_function(kind: OpKind, programs: dict, rng) -> Check:
     """Run the programs of `kind`, keyed by width, on reference operands."""
     for n, prog in programs.items():
         exhaustive = n <= EXHAUSTIVE_MAX_WIDTH
-        a, b, cin = _operand_sets(kind, n, exhaustive, rng)
-        got, got_carry = _run_op(prog, kind, n, a, b, cin)
-        want, want_carry = _reference(kind, n, a,
-                                      b if b is not None else 0,
-                                      cin if cin is not None else 0)
+        operands, cin = _operand_sets(kind, n, exhaustive, rng)
+        got, got_carry = _run_op(prog, kind, n, operands, cin)
+        want, want_carry = _reference(kind, n, operands, cin)
         if not np.array_equal(got, want):
             bad = int(np.flatnonzero(got != want)[0])
             return Check(f"function[{kind.name}]", False,
@@ -153,9 +150,9 @@ def catalog_checks() -> list[Check]:
 
     mpy_n = 4
     prog = microprogram_of(OpSpec(OpKind.MPY, mpy_n))
-    a, b, cin = _operand_sets(OpKind.MPY, mpy_n, True, rng)
-    got, _ = _run_op(prog, OpKind.MPY, mpy_n, a, b, cin)
-    want, _ = _reference(OpKind.MPY, mpy_n, a, b, 0)
+    operands, _ = _operand_sets(OpKind.MPY, mpy_n, True, rng)
+    got, _ = _run_op(prog, OpKind.MPY, mpy_n, operands, None)
+    want, _ = _reference(OpKind.MPY, mpy_n, operands, None)
     formula = catalog.oc_of(OpSpec(OpKind.MPY, mpy_n))
     checks.append(Check("function[MPY]", bool(np.array_equal(got, want)),
                         f"exhaustive n={mpy_n}; generated program {count_cycles(prog)} "
@@ -173,21 +170,22 @@ def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
         return f"cycles {cycles} != pac {pac} (k={k}, n={n}, vertical={vertical})"
     state = ArrayState.zeros(pim.rows, max(pim.cols, prog.cols_required))
     # each subset's elements go into its source region; with no subsets to
-    # align, the elements already sit in the one output region
+    # align, the elements already sit in the one output region. The source
+    # regions are consecutive n-column blocks, and so are the outputs, so
+    # each kind is packed or unpacked in one call.
     placed = prog.inputs or prog.outputs
     sources = rng.integers(0, 1 << min(n, 48), (len(placed), pim.rows), dtype=np.int64)
-    for region, values in zip(placed, sources):
-        pack_ints(state, region.start, n, values)
+    pack_ints(state, placed[0].start, n, sources)
     final, _ = run(prog, state)
 
     # after alignment each row holds its own subset's element in that
     # subset's output region; a vertical pass then pulls row r+1's element
     # into row r, and the last row's comes from the neighbour array (not
-    # checked). Each output region is unpacked once.
+    # checked)
     rows = np.arange(pim.rows - 1 if vertical else pim.rows)
     src = rows + 1 if vertical else rows
     subset = _subsets(src, pim.rows, len(prog.outputs))
-    got = np.array([unpack_ints(final, r.start, n) for r in prog.outputs])[subset, rows]
+    got = unpack_ints(final, prog.outputs[0].start, n, len(prog.outputs))[subset, rows]
     want = sources[subset, src]
     bad = np.flatnonzero(got != want)
     if len(bad):

@@ -300,6 +300,9 @@ class TestOneExit2Path:
         ("OC", "-1e308:1e308:3", "sweep grid values must be finite"),
         ("BW", "1:1e400:2:log", "sweep grid values must be finite"),
         ("TDP", "-1:1:3", "TDP grid values must be > 0"),
+        ("OC", f"1:2:{cli.MAX_GRID_STEPS + 1}",
+         f"grid allows at most {cli.MAX_GRID_STEPS} steps"),
+        ("MAT", "1:2:1000000000000000:log", f"grid allows at most {cli.MAX_GRID_STEPS} steps"),
     ])
     def test_bad_sweep_argument(self, param, grid, message):
         argv = ["sweep", "--config", CONFIG, "--param", param, "--grid", grid]
@@ -319,6 +322,69 @@ class TestOneExit2Path:
         monkeypatch.setattr(cli, "evaluate", broken)
         with pytest.raises(ValueError, match="a fault in the program"):
             cli.main(["eval", "--config", CONFIG])
+
+
+class TestOneCommandParser:
+    """`main` builds the parser of the invoked command alone; it must print,
+    fail and parse exactly as the parser of every command does."""
+
+    @staticmethod
+    def outcome(parser, argv):
+        """Parsed values or exit code, stdout and stderr of one parse."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parser.parse_args(cli._attach_grids(argv)))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    def assert_same(self, argv):
+        one = self.outcome(cli.build_parser(argv[0]), argv)
+        assert one == self.outcome(cli.build_parser(), argv)
+        return one
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_and_usage_lines(self, command):
+        assert self.assert_same([command, "-h"])[0] == 0
+        assert self.assert_same([command, "--bogus"])[0] == 2
+        assert (cli.build_parser(command).format_usage()
+                == cli.build_parser().format_usage())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["sweep", "--param", "OC"], ["validate", "--scope", "x"],
+        ["reproduce"], ["reproduce", "fig9"], ["eval", "--format", "xml"],
+        ["litmus", "extra"], ["power", "--out"],
+    ])
+    def test_usage_errors(self, argv):
+        code, out, err = self.assert_same(argv)
+        assert code == 2 and out == "" and "error: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--config", "c.json"],
+        ["litmus", "--config", "c.json", "--format", "json", "--out", "o.json"],
+        ["crossover"],
+        ["sweep", "--config", "c.json", "--param", "PAC", "--grid", "-1:5:3"],
+        ["sweep", "--param", "OC", "--grid=-1:5:3", "--format", "json"],
+        ["power", "--out", "p.csv"],
+        ["reproduce", "fig2", "--out", "f.csv"],
+        ["validate"],
+        ["validate", "--scope", "pac"],
+    ])
+    def test_parsed_values(self, argv):
+        values, out, err = self.assert_same(argv)
+        assert values["command"] == argv[0] and out == err == ""
+        if "--grid" in argv:
+            assert values["grid"] == "-1:5:3"
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        assert exc.value.code == 0
+        listed = capsys.readouterr().out
+        assert len(cli.COMMANDS) == 7
+        for name, (_, text, _) in cli.COMMANDS.items():
+            assert re.search(rf"^\s+{name}\s+{re.escape(text)}$", listed, re.M), name
 
 
 # --- the CLI contract, on random configs ---------------------------------

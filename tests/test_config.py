@@ -162,6 +162,17 @@ class TestRejection:
          "cpu.energy_per_bit_pj: expected a finite number, got nan"),
         ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 0}]}',
          "workloads[0].dio_bits: must be >= 1, got 0"),
+        # ranges the machine constructors check too, named by their config key
+        ('{\n "cpu": {\n  "bandwidth_gbps": 0}}', "cpu.bandwidth_gbps: must be > 0, got 0"),
+        ('{\n "pim": {\n  "cycle_time_ns": -2}}', "pim.cycle_time_ns: must be > 0, got -2.0"),
+        ('{\n "power": {\n  "tdp_watts": 0}}', "power.tdp_watts: must be > 0, got 0.0"),
+        ('{\n "workloads": [\n  {"name": "w", "dio_bits": 8, "layout": '
+         '{"element_width_bits": 4, "vmove_override": 2}}]}',
+         "workloads[0].op: required when the workload has no oc_override"),
+        ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 8, "layout": '
+         '{"element_width_bits": 4, "vmove_override": 2}}]}',
+         "workloads[0].layout.vmove_override: hmove_override and vmove_override "
+         "come as a pair"),
     ])
     def test_out_of_range_numbers_name_path_line_and_key(self, doc, message):
         with pytest.raises(ConfigError) as err:
@@ -187,7 +198,10 @@ class TestRejection:
         ('{\n "workloads": [\n  {"name": "w", "dio_bits": 8, "width_bits": 8, "op": ['
          + "1, " * 2000 + '1]}]}',
          "cfg.json:3: workloads[0].op: expected an operation name, got [1, 1"),
-    ], ids=["number", "operation", "operation-name"])
+        ('{\n "workloads": [\n  {"name": "w", "op": "ADD", "width_bits": 8, "dio_bits": 8,'
+         ' "layout": {"element_width_bits": -1e300}}]}',
+         "cfg.json:3: workloads[0].layout.element_width_bits: must be >= 1, got -1000"),
+    ], ids=["number", "operation", "operation-name", "layout-width"])
     def test_a_long_value_is_cut_in_its_error_line(self, doc, where):
         with pytest.raises(ConfigError) as err:
             parse_config(doc, path="cfg.json")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bitlet.catalog import OpKind, OpSpec, microprogram_of
 from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, HMove,
-                              InvalidProgram, Nor, NorProgram, VMove, _problem,
+                              InvalidProgram, Nor, NorProgram, VMove, _problem, _runs,
                               apply_instr, count_cycles, from_text, pack_ints, run,
                               to_text, unpack_ints)
 
@@ -127,6 +127,16 @@ class TestPackedEngineMatchesReference:
         assert cycles == want_cycles
         assert np.array_equal(final.bits, want)
         assert final == ArrayState(want)   # padding bits compare equal too
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_programs())
+    def test_validate_returns_the_op_code_runs(self, case):
+        # `run` executes from these runs instead of working them out again
+        program, bits = case
+        segments = program.validate(*bits.shape)
+        assert [(a, b) for _, a, b in segments] == _runs(program.op)
+        assert [kind for kind, _, _ in segments] == [int(program.op[a])
+                                                     for _, a, _ in segments]
 
     @pytest.mark.parametrize("moves", [
         # read-after-write: row 0 must get row 2's cells through row 1
@@ -315,6 +325,24 @@ class TestPacking:
         state = ArrayState.zeros(10, 9)
         pack_ints(state, 1, 8, np.arange(20)[::2])
         assert unpack_ints(state, 1, 8).tolist() == list(range(0, 20, 2))
+
+    @pytest.mark.parametrize("width", [1, 5, 8, 12, 64])
+    def test_consecutive_blocks_equal_one_block_at_a_time(self, rng, width):
+        rows, blocks = 70, 3
+        values = rng.integers(-2**63, 2**63 - 1, (blocks, rows), dtype=np.int64)
+        together, one_by_one = ArrayState.zeros(rows, 200), ArrayState.zeros(rows, 200)
+        pack_ints(together, 2, width, values)
+        for i, block in enumerate(values):
+            pack_ints(one_by_one, 2 + i * width, width, block)
+        assert together == one_by_one
+        got = unpack_ints(together, 2, width, blocks)
+        assert got.shape == (blocks, rows)
+        for i in range(blocks):
+            assert np.array_equal(got[i], unpack_ints(together, 2 + i * width, width))
+        with pytest.raises(ValueError):
+            pack_ints(together, 200 - 2 * width, width, values)
+        with pytest.raises(ValueError):
+            pack_ints(together, 0, width, values[None])
 
     @settings(max_examples=100, deadline=None)
     @given(rows=ROWS, width=st.integers(0, 64),
