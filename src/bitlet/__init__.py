@@ -4,7 +4,9 @@ backs the model's cycle counts.
 
 The library splits into:
 
-    machine     parameter types (arrays, CPU, workload point, power budget)
+    machine     parameter types (arrays, CPU, workload point, power budget);
+                each states its own ranges and raises FieldError on a
+                broken one
     model       the evaluation kernel and the closed-form equations it
                 is checked against
     catalog     (operation, width) -> cycles, plus NOR program generators
@@ -20,26 +22,24 @@ from .analysis import (SweepSpec, Verdict, Winner, Workload, crossover_oc,
 from .catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                       catalog_table, microprogram_of, oc_of)
 from .layout import LayoutSpec, pac_of, relocation_program
-from .machine import (CpuMachine, InputError, PimMachine, PowerBudget,
+from .machine import (CpuMachine, FieldError, InputError, PimMachine, PowerBudget,
                       Throughput, WorkloadPoint)
 from .model import (Evaluation, NonFiniteResult, Points, energy_per_op_cpu,
                     energy_per_op_pim, evaluate, mat_power_cap, perf_cpu,
                     perf_pim, pl_perf_cpu, pl_perf_pim)
 from .simulator import (ArrayState, ColRange, ColumnOverflow, HMove,
-                        InvalidProgram, Nor, NorProgram, VMove, count_cycles,
-                        from_text, run, to_text)
+                        InvalidProgram, Nor, NorProgram, VMove, run, to_text)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrayState", "ColRange", "ColumnOverflow", "CpuMachine", "Evaluation",
-    "HMove", "InputError", "InvalidProgram", "LayoutSpec", "NonFiniteResult",
-    "Nor", "NorProgram", "OpKind", "OpSpec", "PimMachine", "Points", "PowerBudget",
-    "SweepSpec", "Throughput", "UnsupportedOperation", "UnsupportedWidth",
-    "VMove", "Verdict", "Winner", "Workload", "WorkloadPoint",
-    "catalog_table", "count_cycles", "crossover_oc", "energy_breakeven_oc",
-    "energy_per_op_cpu", "energy_per_op_pim", "evaluate", "from_text",
-    "litmus", "mat_power_cap", "microprogram_of", "oc_of", "pac_of",
-    "perf_cpu", "perf_pim", "pl_perf_cpu", "pl_perf_pim",
+    "FieldError", "HMove", "InputError", "InvalidProgram", "LayoutSpec",
+    "NonFiniteResult", "Nor", "NorProgram", "OpKind", "OpSpec", "PimMachine",
+    "Points", "PowerBudget", "SweepSpec", "Throughput", "UnsupportedOperation",
+    "UnsupportedWidth", "VMove", "Verdict", "Winner", "Workload", "WorkloadPoint",
+    "catalog_table", "crossover_oc", "energy_breakeven_oc", "energy_per_op_cpu",
+    "energy_per_op_pim", "evaluate", "litmus", "mat_power_cap", "microprogram_of",
+    "oc_of", "pac_of", "perf_cpu", "perf_pim", "pl_perf_cpu", "pl_perf_pim",
     "relocation_program", "run", "sweep", "to_text",
 ]

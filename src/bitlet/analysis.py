@@ -18,12 +18,9 @@ import numpy as np
 
 from .catalog import OpSpec, oc_of
 from .layout import LayoutSpec, pac_of
-from .machine import CpuMachine, InputError, PimMachine, PowerBudget, WorkloadPoint
+from .machine import (CpuMachine, FieldError, InputError, PimMachine, PowerBudget,
+                      WorkloadPoint, at_least)
 from .model import TIE_REL_TOL, Points, evaluate  # noqa: F401  (TIE_REL_TOL re-exported)
-
-
-class UnknownParameter(InputError):
-    """Sweep parameter name is not one the model knows."""
 
 
 class Winner(enum.Enum):
@@ -47,10 +44,11 @@ class Workload:
     oc_override: int | None = None
 
     def __post_init__(self) -> None:
-        if self.op is None and self.oc_override is None:
-            raise ValueError(f"workload {self.name!r} needs an op or an oc_override")
-        if self.oc_override is not None and self.oc_override < 1:
-            raise ValueError(f"oc_override must be >= 1, got {self.oc_override}")
+        at_least(1, dio_bits=self.dio_bits)
+        if self.oc_override is not None:
+            at_least(1, oc_override=self.oc_override)
+        elif self.op is None:
+            raise FieldError("op", "required when the workload has no oc_override")
 
     def resolve(self, pim: PimMachine) -> WorkloadPoint:
         oc = self.oc_override if self.oc_override is not None else oc_of(self.op)
@@ -169,8 +167,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         param = self.param.upper()
         if param not in SWEEP_PARAMS:
-            raise UnknownParameter(f"unknown sweep parameter {self.param!r}; "
-                                   f"expected one of {', '.join(SWEEP_PARAMS)}")
+            raise InputError(f"unknown sweep parameter {self.param!r}; "
+                             f"expected one of {', '.join(SWEEP_PARAMS)}")
         grid = np.array(self.grid, dtype=np.float64).ravel()
         if not grid.size:
             raise InputError("sweep grid must not be empty")

@@ -14,7 +14,9 @@ NOR programs whose simulated behaviour and cycle counts back those numbers:
                            only (its own gate count is reported separately)
     MPY_LOWPREC 1544       point value, 16-bit only (low-precision multiply
                            keeping an n-bit result)
-    CUSTOM      payload    caller-supplied cycle count
+
+A workload whose operation is none of these gives its cycle count as
+``analysis.Workload.oc_override`` instead.
 
 The 7n adder passes its carry between bits as a two-column rail holding the
 inverted carry in distributed form (the NOR of the two columns is the true
@@ -54,7 +56,6 @@ class OpKind(enum.Enum):
     ADD_FANIN4 = "ADD_FANIN4"
     MPY = "MPY"
     MPY_LOWPREC = "MPY_LOWPREC"
-    CUSTOM = "CUSTOM"
 
 
 # closed-form cycle counts per bit width
@@ -79,17 +80,11 @@ class OpSpec:
 
     kind: OpKind
     width_bits: int
-    custom_oc: int | None = None
 
     def __post_init__(self) -> None:
         n = self.width_bits
         if not isinstance(n, int) or not 1 <= n <= WIDTH_CAP:
             raise UnsupportedWidth(f"width_bits must be in 1..{WIDTH_CAP}, got {n!r}")
-        if self.kind is OpKind.CUSTOM:
-            if not isinstance(self.custom_oc, int) or self.custom_oc < 1:
-                raise ValueError("CUSTOM requires a positive custom_oc cycle count")
-        elif self.custom_oc is not None:
-            raise ValueError(f"custom_oc only applies to CUSTOM, not {self.kind.name}")
         if self.kind is OpKind.MPY_LOWPREC and (self.kind, n) not in _POINT_VALUES:
             raise UnsupportedWidth(f"MPY_LOWPREC has a known cycle count only for "
                                    f"n=16, got n={n}")
@@ -99,8 +94,6 @@ class OpSpec:
 
 def oc_of(spec: OpSpec) -> int:
     """Operation complexity in cycles for one operation on one row."""
-    if spec.kind is OpKind.CUSTOM:
-        return spec.custom_oc
     if spec.kind in _FORMULAS:
         return _FORMULAS[spec.kind](spec.width_bits)
     return _POINT_VALUES[(spec.kind, spec.width_bits)]
@@ -112,16 +105,9 @@ TABLE_WIDTHS = (4, 8, 16, 32, 64)
 
 
 def catalog_table() -> list[dict]:
-    """Rows of {kind, n, oc} for TABLE_KINDS x TABLE_WIDTHS, skipping undefined pairs."""
-    rows = []
-    for kind in TABLE_KINDS:
-        for n in TABLE_WIDTHS:
-            try:
-                rows.append({"kind": kind.value, "n": n,
-                             "oc": oc_of(OpSpec(kind, n))})
-            except UnsupportedWidth:
-                continue
-    return rows
+    """Rows of {kind, n, oc} for TABLE_KINDS x TABLE_WIDTHS, every pair defined."""
+    return [{"kind": kind.value, "n": n, "oc": oc_of(OpSpec(kind, n))}
+            for kind in TABLE_KINDS for n in TABLE_WIDTHS]
 
 
 # -- microprogram generation ---------------------------------------------

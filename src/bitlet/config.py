@@ -21,6 +21,10 @@ drift. Omitted fields fall back to the defaults shown above (no power
 section means no power cap); an explicit `null` reads as an absent key,
 a whole section included. Unknown keys are rejected, with the error
 message pointing at the offending line where possible.
+
+This module checks only the JSON typing (number, finite, integer, bool,
+required, unknown key). The ranges belong to the types the values build,
+and `_Section.build` places the `FieldError` a type raises at its key.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ import json
 import json.scanner
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import Workload
 from .catalog import OpKind, OpSpec
 from .layout import LayoutSpec
-from .machine import CpuMachine, InputError, PimMachine, PowerBudget
+from .machine import CpuMachine, FieldError, InputError, PimMachine, PowerBudget, _shown
 
 DEFAULT_PIM = {"rows": 1024, "cols": 1024, "mats": 1024,
                "cycle_time_ns": 10.0, "energy_per_cycle_pj": 0.1}
@@ -118,12 +122,6 @@ def _line_of(text: str, at: tuple, key: str) -> int | None:
     return text.count("\n", 0, node.start) + 1
 
 
-def _shown(value) -> str:
-    """`repr(value)` for an error line, cut after 60 characters."""
-    text = repr(value)
-    return text if len(text) <= 60 else f"{text[:60]}… ({len(text)} characters)"
-
-
 class _Section:
     """One mapping level of the config, with path-anchored errors."""
 
@@ -149,9 +147,8 @@ class _Section:
         value = self.data.pop(key, None)
         return default if value is None else value
 
-    def take_number(self, key: str, default, integer=False, at_least=None, above=None):
-        """The key's number, converted to int or float; it must be at least
-        `at_least` or above `above` when they are given."""
+    def take_number(self, key: str, default, integer=False):
+        """The key's number, converted to int or float."""
         value = self.take(key, default)
         if value is None:
             return None
@@ -161,11 +158,16 @@ class _Section:
             self.fail(key, f"expected a finite number, got {_shown(value)}")
         if integer and int(value) != value:
             self.fail(key, f"expected an integer, got {_shown(value)}")
-        value = int(value) if integer else float(value)
-        if at_least is not None and value < at_least:
-            self.fail(key, f"must be >= {at_least}, got {_shown(value)}")
-        if above is not None and value <= above:
-            self.fail(key, f"must be > {above}, got {_shown(value)}")
+        return int(value) if integer else float(value)
+
+    def build(self, make, *args, **kwargs):
+        """`make(*args, **kwargs)`, the value this section describes; a rule
+        it breaks fails at the key it names, then a key left over fails."""
+        try:
+            value = make(*args, **kwargs)
+        except FieldError as exc:
+            self.fail(exc.field, exc.rule)
+        self.finish()
         return value
 
     def finish(self):
@@ -181,22 +183,18 @@ class _Section:
 
 
 def _parse_layout(sec: _Section, fallback_width: int | None) -> LayoutSpec:
-    width = sec.take_number("element_width_bits", fallback_width, integer=True, at_least=1)
+    width = sec.take_number("element_width_bits", fallback_width, integer=True)
     if width is None:
         sec.fail("element_width_bits", "required when the workload has no op width")
-    k = sec.take_number("misaligned_subsets", 0, integer=True, at_least=0)
+    k = sec.take_number("misaligned_subsets", 0, integer=True)
     vertical = sec.take("needs_vertical_relocation", False)
     if not isinstance(vertical, bool):
         sec.fail("needs_vertical_relocation", "expected true or false")
-    hmove = sec.take_number("hmove_override", None, integer=True, at_least=0)
-    vmove = sec.take_number("vmove_override", None, integer=True, at_least=0)
-    if (hmove is None) != (vmove is None):
-        sec.fail("hmove_override" if vmove is None else "vmove_override",
-                 "hmove_override and vmove_override come as a pair")
-    sec.finish()
-    return LayoutSpec(element_width_bits=width, misaligned_subsets=k,
-                      needs_vertical_relocation=vertical,
-                      hmove_override=hmove, vmove_override=vmove)
+    hmove = sec.take_number("hmove_override", None, integer=True)
+    vmove = sec.take_number("vmove_override", None, integer=True)
+    return sec.build(LayoutSpec, element_width_bits=width, misaligned_subsets=k,
+                     needs_vertical_relocation=vertical,
+                     hmove_override=hmove, vmove_override=vmove)
 
 
 def _parse_workload(sec: _Section) -> Workload:
@@ -205,10 +203,10 @@ def _parse_workload(sec: _Section) -> Workload:
         sec.fail("name", "every workload needs a non-empty name")
     op_name = sec.take("op")
     width = sec.take_number("width_bits", None, integer=True)
-    dio = sec.take_number("dio_bits", None, integer=True, at_least=1)
+    dio = sec.take_number("dio_bits", None, integer=True)
     if dio is None:
         sec.fail("dio_bits", "required")
-    oc_override = sec.take_number("oc_override", None, integer=True, at_least=1)
+    oc_override = sec.take_number("oc_override", None, integer=True)
 
     op = None
     if op_name is not None:
@@ -219,8 +217,6 @@ def _parse_workload(sec: _Section) -> Workload:
         except KeyError:
             sec.fail("op", f"unknown operation {_shown(op_name)}; known: "
                            f"{', '.join(k.name for k in OpKind)}")
-        if kind is OpKind.CUSTOM:
-            sec.fail("op", "express custom operations with oc_override instead")
         if width is None:
             sec.fail("width_bits", f"required for op {kind.name}")
         try:
@@ -228,12 +224,12 @@ def _parse_workload(sec: _Section) -> Workload:
         except ValueError as exc:
             sec.fail("op", str(exc))
 
-    if op is None and oc_override is None:
-        sec.fail("op", "required when the workload has no oc_override")
     layout_sec = sec.sub("layout")
-    layout = _parse_layout(layout_sec, width) if layout_sec is not None else None
-    sec.finish()
-    return Workload(name=name, dio_bits=dio, op=op, layout=layout, oc_override=oc_override)
+    # the workload's own rules and keys are checked before its layout's
+    workload = sec.build(Workload, name=name, dio_bits=dio, op=op, oc_override=oc_override)
+    if layout_sec is None:
+        return workload
+    return replace(workload, layout=_parse_layout(layout_sec, width))
 
 
 # a JSON string, or a number: an integer part and the fraction and exponent
@@ -266,30 +262,23 @@ def parse_config(text: str, path: str = "<config>") -> Config:
         raise ConfigError(path, f"invalid JSON: {exc}") from None
     root = _Section(raw, path, text, "")
 
-    # the machine constructors check the same ranges; checked here, an error
-    # names the config key and its line
     pim_sec = root.sub("pim", {})
-    pim_kwargs = {key: (pim_sec.take_number(key, default, integer=True, at_least=1)
-                        if key in ("rows", "cols", "mats")
-                        else pim_sec.take_number(key, default, above=0))
-                  for key, default in DEFAULT_PIM.items()}
-    pim_sec.finish()
+    pim = pim_sec.build(PimMachine, **{
+        key: pim_sec.take_number(key, default, integer=key in ("rows", "cols", "mats"))
+        for key, default in DEFAULT_PIM.items()})
 
     cpu_sec = root.sub("cpu", {})
-    gbps = cpu_sec.take_number("bandwidth_gbps", DEFAULT_CPU["bandwidth_gbps"],
-                               integer=True, above=0)
-    e_bit = cpu_sec.take_number("energy_per_bit_pj", DEFAULT_CPU["energy_per_bit_pj"],
-                                above=0)
-    cpu_sec.finish()
+    gbps = cpu_sec.take_number("bandwidth_gbps", DEFAULT_CPU["bandwidth_gbps"], integer=True)
+    e_bit = cpu_sec.take_number("energy_per_bit_pj", DEFAULT_CPU["energy_per_bit_pj"])
+    cpu = cpu_sec.build(CpuMachine.from_gbps, gbps, energy_per_bit_pj=e_bit)
 
     power_sec = root.sub("power")
     power = None
     if power_sec is not None:
-        tdp = power_sec.take_number("tdp_watts", None, above=0)
+        tdp = power_sec.take_number("tdp_watts", None)
         if tdp is None:
             power_sec.fail("tdp_watts", "required inside a power section")
-        power_sec.finish()
-        power = PowerBudget(tdp_watts=tdp)
+        power = power_sec.build(PowerBudget, tdp_watts=tdp)
 
     workloads_raw = root.take("workloads", [])
     root.finish()
@@ -301,9 +290,7 @@ def parse_config(text: str, path: str = "<config>") -> Config:
         workloads.append(_parse_workload(
             _Section(item, path, text, f"workloads[{i}]", ("workloads", i))))
 
-    return Config(pim=PimMachine(**pim_kwargs),
-                  cpu=CpuMachine.from_gbps(gbps, energy_per_bit_pj=e_bit),
-                  power=power, workloads=tuple(workloads))
+    return Config(pim=pim, cpu=cpu, power=power, workloads=tuple(workloads))
 
 
 def load_config(path: str) -> Config:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import PimMachine
+from .machine import FieldError, PimMachine, at_least, integers
 from .simulator import OP_HMOVE, OP_VMOVE, ColRange, ColumnOverflow, NorProgram
 
 
@@ -46,17 +46,15 @@ class LayoutSpec:
     vmove_override: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.element_width_bits, int) or self.element_width_bits < 1:
-            raise ValueError(f"element_width_bits must be >= 1, "
-                             f"got {self.element_width_bits!r}")
-        if not isinstance(self.misaligned_subsets, int) or self.misaligned_subsets < 0:
-            raise ValueError(f"misaligned_subsets must be >= 0, "
-                             f"got {self.misaligned_subsets!r}")
-        if (self.hmove_override is None) != (self.vmove_override is None):
-            raise ValueError("hmove_override and vmove_override come as a pair")
-        if self.hmove_override is not None:
-            if self.hmove_override < 0 or self.vmove_override < 0:
-                raise ValueError("move overrides must be non-negative")
+        integers(element_width_bits=self.element_width_bits,
+                 misaligned_subsets=self.misaligned_subsets)
+        at_least(1, element_width_bits=self.element_width_bits)
+        at_least(0, misaligned_subsets=self.misaligned_subsets)
+        given = [key for key in ("hmove_override", "vmove_override")
+                 if getattr(self, key) is not None]
+        at_least(0, **{key: getattr(self, key) for key in given})
+        if len(given) == 1:
+            raise FieldError(given[0], "hmove_override and vmove_override come as a pair")
 
     @property
     def has_override(self) -> bool:

@@ -2,7 +2,8 @@
 
 All types are immutable and validated on construction, so every function
 that consumes them is total: there is no "invalid machine" state to check
-for at evaluation time.
+for at evaluation time. Each range rule is stated once, in the type that
+holds the value, and a broken one raises `FieldError`.
 
 Unit conventions (pinned once, here):
   * 1 Gbps = 10^9 bits/s and 1 Tbps = 1024 Gbps (binary terabit).
@@ -28,9 +29,39 @@ class InputError(ValueError):
     """Bad user input, which `cli.main` reports as one line with exit 2."""
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+class FieldError(InputError):
+    """Parameter `field` broke `rule` of its type; the text is "<field>: <rule>"."""
+
+    def __init__(self, field: str, rule: str):
+        self.field, self.rule = field, rule
+        super().__init__(f"{field}: {rule}")
+
+
+def _shown(value) -> str:
+    """`repr(value)` for an error line, cut after 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}… ({len(text)} characters)"
+
+
+def at_least(low: int, **values) -> None:
+    """Raise FieldError for the first of the `field=value` pairs below `low`."""
+    for field, value in values.items():
+        if not value >= low:
+            raise FieldError(field, f"must be >= {low}, got {_shown(value)}")
+
+
+def positive(**values) -> None:
+    """Raise FieldError for the first of the `field=value` pairs not above 0."""
+    for field, value in values.items():
+        if not value > 0:
+            raise FieldError(field, f"must be > 0, got {_shown(value)}")
+
+
+def integers(**values) -> None:
+    """Raise FieldError for the first of the `field=value` pairs not an int."""
+    for field, value in values.items():
+        if not isinstance(value, int):
+            raise FieldError(field, f"must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -49,12 +80,8 @@ class PimMachine:
     energy_per_cycle_pj: float = 0.1
 
     def __post_init__(self) -> None:
-        _check(self.rows >= 1, f"rows must be >= 1, got {self.rows}")
-        _check(self.cols >= 1, f"cols must be >= 1, got {self.cols}")
-        _check(self.mats >= 1, f"mats must be >= 1, got {self.mats}")
-        _check(self.cycle_time_ns > 0, f"cycle_time_ns must be > 0, got {self.cycle_time_ns}")
-        _check(self.energy_per_cycle_pj > 0,
-               f"energy_per_cycle_pj must be > 0, got {self.energy_per_cycle_pj}")
+        at_least(1, rows=self.rows, cols=self.cols, mats=self.mats)
+        positive(cycle_time_ns=self.cycle_time_ns, energy_per_cycle_pj=self.energy_per_cycle_pj)
 
     @property
     def cycle_time_s(self) -> float:
@@ -73,12 +100,11 @@ class CpuMachine:
     energy_per_bit_pj: float = 15.0
 
     def __post_init__(self) -> None:
-        _check(self.bandwidth_bps > 0, f"bandwidth_bps must be > 0, got {self.bandwidth_bps}")
-        _check(self.energy_per_bit_pj > 0,
-               f"energy_per_bit_pj must be > 0, got {self.energy_per_bit_pj}")
+        positive(bandwidth_bps=self.bandwidth_bps, energy_per_bit_pj=self.energy_per_bit_pj)
 
     @classmethod
     def from_gbps(cls, gbps: float, energy_per_bit_pj: float = 15.0) -> "CpuMachine":
+        positive(bandwidth_gbps=gbps)   # named in the unit it is given in
         return cls(bandwidth_bps=gbps * GBPS, energy_per_bit_pj=energy_per_bit_pj)
 
     @classmethod
@@ -108,12 +134,9 @@ class WorkloadPoint:
     dio_bits: int = 48
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.oc_cycles, int) and self.oc_cycles >= 1,
-               f"oc_cycles must be an integer >= 1, got {self.oc_cycles!r}")
-        _check(isinstance(self.pac_cycles, int) and self.pac_cycles >= 0,
-               f"pac_cycles must be an integer >= 0, got {self.pac_cycles!r}")
-        _check(isinstance(self.dio_bits, int) and self.dio_bits >= 1,
-               f"dio_bits must be an integer >= 1, got {self.dio_bits!r}")
+        integers(oc_cycles=self.oc_cycles, pac_cycles=self.pac_cycles, dio_bits=self.dio_bits)
+        at_least(1, oc_cycles=self.oc_cycles, dio_bits=self.dio_bits)
+        at_least(0, pac_cycles=self.pac_cycles)
 
     @property
     def pim_cycles(self) -> int:
@@ -128,7 +151,7 @@ class PowerBudget:
     tdp_watts: float
 
     def __post_init__(self) -> None:
-        _check(self.tdp_watts > 0, f"tdp_watts must be > 0, got {self.tdp_watts}")
+        positive(tdp_watts=self.tdp_watts)
 
 
 @dataclass(frozen=True)
@@ -138,8 +161,9 @@ class Throughput:
     ops_per_second: float
 
     def __post_init__(self) -> None:
-        _check(math.isfinite(self.ops_per_second) and self.ops_per_second >= 0,
-               f"ops_per_second must be finite and >= 0, got {self.ops_per_second}")
+        if not (math.isfinite(self.ops_per_second) and self.ops_per_second >= 0):
+            raise ValueError(f"ops_per_second must be finite and >= 0, "
+                             f"got {self.ops_per_second}")
 
     @property
     def gops(self) -> float:

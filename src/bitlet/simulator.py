@@ -97,7 +97,9 @@ execution copies the first row through the whole range. The ROW-long
 vertical relocation is one stretch per subset's block of rows, followed
 by its crossing moves: k word shifts for k misaligned subsets.
 
-A line-oriented text form is provided for golden files::
+Text form. ``to_text`` writes a program one instruction per line, so that
+a failing test shows a readable diff and two programs compare by their
+instructions (``NorProgram.__eq__``); there is no parser back::
 
     NOR dest src1 [src2 src3 src4]
     HMOVE dest src
@@ -455,7 +457,7 @@ class ArrayState:
         rows, cols = bits.shape
         self._rows = rows
         self._planes = np.zeros((cols, _words(rows)), dtype=_WORD)
-        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
         self._bytes()[:, :packed.shape[1]] = packed
 
     @classmethod
@@ -642,11 +644,6 @@ def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
     return state, len(program)
 
 
-def count_cycles(program: NorProgram) -> int:
-    """Cycle cost of a program: one cycle per instruction."""
-    return len(program)
-
-
 # -- operand packing helpers -------------------------------------------------
 
 # (shift, mask, 1 + 2**shift) of the delta swaps that transpose the 8x8 bit
@@ -769,44 +766,3 @@ def to_text(program: NorProgram) -> str:
                      np.where(moves, w + 2 + program.crosses, w + 1))
     return "".join([patterns[i] for i in which.tolist()]) % tuple(cells[used].tolist())
 
-
-def from_text(text: str, max_fanin: int | None = None) -> NorProgram:
-    """Parse the line format back into a program.
-
-    Blank lines and lines starting with ``#`` are ignored. When max_fanin
-    is not given it is inferred as max(2, widest NOR in the program).
-    """
-    instrs: list[Instr] = []
-    widest = 1
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        op, args = parts[0].upper(), parts[1:]
-        try:
-            if op == "NOR":
-                if len(args) < 2:
-                    raise ValueError("NOR needs a destination and at least one source")
-                instrs.append(Nor(int(args[0]), tuple(int(a) for a in args[1:])))
-                widest = max(widest, len(args) - 1)
-            elif op == "HMOVE":
-                if len(args) != 2:
-                    raise ValueError("HMOVE needs exactly 2 arguments")
-                instrs.append(HMove(int(args[0]), int(args[1])))
-            elif op == "VMOVE":
-                crosses = False
-                if len(args) == 5 and args[4].lower() == "x":
-                    crosses = True
-                    args = args[:4]
-                if len(args) != 4:
-                    raise ValueError("VMOVE needs 4 arguments plus optional 'x'")
-                off, lo, hi, row = (int(a) for a in args)
-                instrs.append(VMove(off, lo, hi, row, crosses_array=crosses))
-            else:
-                raise ValueError(f"unknown instruction {op!r}")
-        except ValueError as exc:
-            raise InvalidProgram(f"line {ln}: {exc}") from None
-    if max_fanin is None:
-        max_fanin = max(2, widest)
-    return NorProgram(tuple(instrs), max_fanin=max_fanin)

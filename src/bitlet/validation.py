@@ -23,7 +23,7 @@ from . import catalog
 from .catalog import OpKind, OpSpec, microprogram_of
 from .layout import LayoutSpec, pac_of, relocation_program
 from .machine import PimMachine
-from .simulator import ArrayState, count_cycles, pack_ints, run, unpack_ints
+from .simulator import ArrayState, pack_ints, run, unpack_ints
 
 COUNT_KINDS = (OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
                OpKind.ADD, OpKind.ADD_FANIN4)
@@ -138,7 +138,7 @@ def catalog_checks() -> list[Check]:
         for n in range(1, COUNT_MAX_WIDTH + 1):
             spec = OpSpec(kind, n)
             programs[kind, n] = prog = microprogram_of(spec)
-            got, want = count_cycles(prog), catalog.oc_of(spec)
+            got, want = len(prog), catalog.oc_of(spec)
             if got != want:
                 bad.append(f"n={n}: program {got} vs catalog {want}")
         checks.append(Check(f"count[{kind.name}]", not bad,
@@ -155,7 +155,7 @@ def catalog_checks() -> list[Check]:
     want, _ = _reference(OpKind.MPY, mpy_n, operands, None)
     formula = catalog.oc_of(OpSpec(OpKind.MPY, mpy_n))
     checks.append(Check("function[MPY]", bool(np.array_equal(got, want)),
-                        f"exhaustive n={mpy_n}; generated program {count_cycles(prog)} "
+                        f"exhaustive n={mpy_n}; generated program {len(prog)} "
                         f"cycles, catalog {formula} (informational)"))
     return checks
 
@@ -165,7 +165,7 @@ def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
     n, k = layout.element_width_bits, layout.misaligned_subsets
     vertical = layout.needs_vertical_relocation
     prog = relocation_program(layout, pim)
-    cycles, pac = count_cycles(prog), pac_of(layout, pim)
+    cycles, pac = len(prog), pac_of(layout, pim)
     if cycles != pac:
         return f"cycles {cycles} != pac {pac} (k={k}, n={n}, vertical={vertical})"
     state = ArrayState.zeros(pim.rows, max(pim.cols, prog.cols_required))
@@ -229,15 +229,15 @@ def pac_checks() -> list[Check]:
                         needs_vertical_relocation=True)
     prog = relocation_program(worked, big)
     want = pac_of(worked, big)
-    ok = count_cycles(prog) == want == 1040
+    ok = len(prog) == want == 1040
     checks.append(Check("pac-shifted-operand[ROW=1024, n=16]", ok,
-                        f"16 horizontal + 1024 vertical moves = {count_cycles(prog)}"))
+                        f"16 horizontal + 1024 vertical moves = {len(prog)}"))
 
     align_only = LayoutSpec(element_width_bits=16, misaligned_subsets=1)
     prog = relocation_program(align_only, big)
     checks.append(Check("pac-alignment-only[n=16]",
-                        count_cycles(prog) == pac_of(align_only, big) == 16,
-                        f"{count_cycles(prog)} horizontal moves"))
+                        len(prog) == pac_of(align_only, big) == 16,
+                        f"{len(prog)} horizontal moves"))
     return checks
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitlet import (CpuMachine, LayoutSpec, OpKind, OpSpec, PimMachine,
+from bitlet import (CpuMachine, InputError, LayoutSpec, OpKind, OpSpec, PimMachine,
                     PowerBudget, WorkloadPoint)
-from bitlet.analysis import (TIE_REL_TOL, SweepSpec, UnknownParameter, Winner,
+from bitlet.analysis import (TIE_REL_TOL, SweepSpec, Winner,
                              Workload, crossover_oc, energy_breakeven_oc, litmus,
                              sweep)
 from bitlet.model import (energy_per_op_cpu, energy_per_op_pim, perf_cpu,
@@ -260,7 +260,7 @@ class TestSweep:
         assert all(r.cpu_gops == r.pl_cpu_gops for r in rows)
 
     def test_grid_validation(self, pim, cpu):
-        with pytest.raises(UnknownParameter):
+        with pytest.raises(InputError, match="^unknown sweep parameter 'FREQ'; expected "):
             self.spec(pim, cpu, "FREQ", (1,))
         with pytest.raises(ValueError):
             self.spec(pim, cpu, "OC", ())

@@ -4,7 +4,8 @@ import pytest
 from bitlet.catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                             catalog_table, microprogram_of, oc_of)
 from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor, NorProgram,
-                              count_cycles, pack_ints, run, to_text, unpack_ints)
+                              pack_ints, run, to_text, unpack_ints)
+from test_simulator import sources_are_padded
 
 EXACT_KINDS = {
     OpKind.NOT: lambda n: n,
@@ -45,15 +46,6 @@ class TestCycleCounts:
             assert oc[OpKind.MPY] > oc[OpKind.ADD] > oc[OpKind.AND] \
                 > oc[OpKind.OR] > oc[OpKind.NOT]
 
-    def test_custom_carries_its_own_count(self):
-        assert oc_of(OpSpec(OpKind.CUSTOM, 16, custom_oc=612)) == 612
-        with pytest.raises(ValueError):
-            OpSpec(OpKind.CUSTOM, 16)
-        with pytest.raises(ValueError):
-            OpSpec(OpKind.CUSTOM, 16, custom_oc=0)
-        with pytest.raises(ValueError):
-            OpSpec(OpKind.ADD, 16, custom_oc=9)
-
     def test_low_precision_multiply_is_a_point_value(self):
         with pytest.raises(UnsupportedWidth):
             OpSpec(OpKind.MPY_LOWPREC, 8)
@@ -93,7 +85,7 @@ def _run_program(prog, n, a, b=None, cin=None, ncin=None):
 class TestMicroprograms:
     def test_or_width_one_shape(self):
         prog = microprogram_of(OpSpec(OpKind.OR, 1))
-        assert count_cycles(prog) == 2
+        assert len(prog) == 2
         # NOR of the operands, then an inverter on the intermediate
         first, second = prog.instructions
         assert isinstance(first, Nor) and len(first.srcs) == 2
@@ -105,7 +97,7 @@ class TestMicroprograms:
 
     def test_and_width_one_exhaustive(self):
         prog = microprogram_of(OpSpec(OpKind.AND, 1))
-        assert count_cycles(prog) == 3
+        assert len(prog) == 3
         for a in (0, 1):
             for b in (0, 1):
                 _, _, out = _run_program(prog, 1, [a], [b])
@@ -113,7 +105,7 @@ class TestMicroprograms:
 
     def test_full_adder_width_one_exhaustive(self):
         prog = microprogram_of(OpSpec(OpKind.ADD, 1))
-        assert count_cycles(prog) == 9
+        assert len(prog) == 9
         for a in (0, 1):
             for b in (0, 1):
                 for c in (0, 1):
@@ -124,7 +116,7 @@ class TestMicroprograms:
 
     def test_fanin4_adder_width_one_exhaustive(self):
         prog = microprogram_of(OpSpec(OpKind.ADD_FANIN4, 1))
-        assert count_cycles(prog) == 7
+        assert len(prog) == 7
         assert prog.max_fanin == 4
         for a in (0, 1):
             for b in (0, 1):
@@ -139,7 +131,7 @@ class TestMicroprograms:
     def test_gate_counts_match_catalog_for_all_widths(self, kind):
         for n in range(1, 33):
             prog = microprogram_of(OpSpec(kind, n))
-            assert count_cycles(prog) == oc_of(OpSpec(kind, n))
+            assert len(prog) == oc_of(OpSpec(kind, n))
 
     @pytest.mark.parametrize("n", [2, 5, 13, 32])
     def test_wide_operations_on_random_rows(self, n, rng):
@@ -187,7 +179,7 @@ class TestMicroprograms:
         _, cycles, out = _run_program(prog, n, a, b)
         assert np.array_equal(out, a * b)
         # the generated multiplier has its own cost, reported not asserted
-        assert cycles == count_cycles(prog)
+        assert cycles == len(prog)
 
     def test_multiplier_random_n8(self, rng):
         n = 8
@@ -207,9 +199,12 @@ class TestMicroprograms:
 
     def test_kinds_without_netlists(self):
         with pytest.raises(UnsupportedOperation):
-            microprogram_of(OpSpec(OpKind.CUSTOM, 16, custom_oc=10))
-        with pytest.raises(UnsupportedOperation):
             microprogram_of(OpSpec(OpKind.MPY_LOWPREC, 16))
+
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind in EXACT_KINDS for n in range(1, 9)]
+                             + [(OpKind.MPY, n) for n in range(2, 5)])
+    def test_sources_past_the_fanin_are_padding(self, kind, n):
+        assert sources_are_padded(microprogram_of(OpSpec(kind, n)))
 
     def test_fanin_stays_within_declared_limit(self):
         for kind in EXACT_KINDS:

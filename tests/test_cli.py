@@ -22,9 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitlet import (InputError, InvalidProgram, NonFiniteResult, OpKind, WorkloadPoint,
-                    cli, litmus)
-from bitlet.analysis import SWEEP_PARAMS, UnknownParameter
+from bitlet import (FieldError, InputError, InvalidProgram, NonFiniteResult, OpKind,
+                    WorkloadPoint, cli, litmus)
+from bitlet.analysis import SWEEP_PARAMS
 from bitlet.config import ConfigError, load_config, parse_config
 from bitlet.model import perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim
 
@@ -311,7 +311,7 @@ class TestOneExit2Path:
             assert run_both(argv) == (cli.EXIT_BAD_INPUT, "", f"error: {message}\n")
 
     def test_input_errors_share_one_base(self):
-        for cls in (ConfigError, NonFiniteResult, UnknownParameter):
+        for cls in (ConfigError, FieldError, NonFiniteResult):
             assert issubclass(cls, InputError) and issubclass(cls, ValueError)
         assert not issubclass(InvalidProgram, InputError)
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from bitlet import CpuMachine, FieldError, LayoutSpec, PimMachine, PowerBudget, Workload
 from bitlet.config import DEFAULT_CPU, DEFAULT_PIM, ConfigError, parse_config
 
 FULL = """
@@ -20,6 +21,51 @@ FULL = """
   ]
 }
 """
+
+
+# (config, its error after "cfg.json:3: ", the type's constructor call that
+# breaks the same rule, or None for a rule of the JSON typing)
+PLACED_ERRORS = [
+    ('{\n "pim": {\n  "rows": Infinity}}', "pim.rows: expected a finite number, got inf",
+     None),
+    ('{\n "pim": {\n  "rows": 1e400}}', "pim.rows: expected a finite number, got inf", None),
+    ('{\n "cpu": {\n  "energy_per_bit_pj": NaN}}',
+     "cpu.energy_per_bit_pj: expected a finite number, got nan", None),
+    ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 0}]}',
+     "workloads[0].dio_bits: must be >= 1, got 0",
+     lambda: Workload(name="w", dio_bits=0, oc_override=1)),
+    ('{\n "workloads": [\n  {"name": "w", "oc_override": 0, "dio_bits": 8}]}',
+     "workloads[0].oc_override: must be >= 1, got 0",
+     lambda: Workload(name="w", dio_bits=8, oc_override=0)),
+    ('{\n "pim": {\n  "mats": 0}}', "pim.mats: must be >= 1, got 0", lambda: PimMachine(mats=0)),
+    ('{\n "pim": {\n  "cycle_time_ns": -2}}', "pim.cycle_time_ns: must be > 0, got -2.0",
+     lambda: PimMachine(cycle_time_ns=-2.0)),
+    ('{\n "pim": {\n  "energy_per_cycle_pj": 0}}',
+     "pim.energy_per_cycle_pj: must be > 0, got 0.0",
+     lambda: PimMachine(energy_per_cycle_pj=0.0)),
+    ('{\n "cpu": {\n  "bandwidth_gbps": 0}}', "cpu.bandwidth_gbps: must be > 0, got 0",
+     lambda: CpuMachine.from_gbps(0)),
+    ('{\n "cpu": {\n  "energy_per_bit_pj": -1}}', "cpu.energy_per_bit_pj: must be > 0, got -1.0",
+     lambda: CpuMachine(energy_per_bit_pj=-1.0)),
+    ('{\n "power": {\n  "tdp_watts": 0}}', "power.tdp_watts: must be > 0, got 0.0",
+     lambda: PowerBudget(tdp_watts=0.0)),
+    ('{\n "workloads": [\n  {"name": "w", "dio_bits": 8, "layout": '
+     '{"element_width_bits": 4, "vmove_override": 2}}]}',
+     "workloads[0].op: required when the workload has no oc_override",
+     lambda: Workload(name="w", dio_bits=8)),
+    ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 8, "layout": '
+     '{"element_width_bits": 4, "vmove_override": 2}}]}',
+     "workloads[0].layout.vmove_override: hmove_override and vmove_override come as a pair",
+     lambda: LayoutSpec(element_width_bits=4, vmove_override=2)),
+    ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 8, "layout": '
+     '{"element_width_bits": 4, "misaligned_subsets": -1}}]}',
+     "workloads[0].layout.misaligned_subsets: must be >= 0, got -1",
+     lambda: LayoutSpec(element_width_bits=4, misaligned_subsets=-1)),
+    ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 8, "layout": '
+     '{"element_width_bits": 4, "hmove_override": -1, "vmove_override": 2}}]}',
+     "workloads[0].layout.hmove_override: must be >= 0, got -1",
+     lambda: LayoutSpec(element_width_bits=4, hmove_override=-1, vmove_override=2)),
+]
 
 
 class TestParsing:
@@ -155,29 +201,33 @@ class TestRejection:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
-    @pytest.mark.parametrize("doc,message", [
-        ('{\n "pim": {\n  "rows": Infinity}}', "pim.rows: expected a finite number, got inf"),
-        ('{\n "pim": {\n  "rows": 1e400}}', "pim.rows: expected a finite number, got inf"),
-        ('{\n "cpu": {\n  "energy_per_bit_pj": NaN}}',
-         "cpu.energy_per_bit_pj: expected a finite number, got nan"),
-        ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 0}]}',
-         "workloads[0].dio_bits: must be >= 1, got 0"),
-        # ranges the machine constructors check too, named by their config key
-        ('{\n "cpu": {\n  "bandwidth_gbps": 0}}', "cpu.bandwidth_gbps: must be > 0, got 0"),
-        ('{\n "pim": {\n  "cycle_time_ns": -2}}', "pim.cycle_time_ns: must be > 0, got -2.0"),
-        ('{\n "power": {\n  "tdp_watts": 0}}', "power.tdp_watts: must be > 0, got 0.0"),
-        ('{\n "workloads": [\n  {"name": "w", "dio_bits": 8, "layout": '
-         '{"element_width_bits": 4, "vmove_override": 2}}]}',
-         "workloads[0].op: required when the workload has no oc_override"),
-        ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 8, "layout": '
-         '{"element_width_bits": 4, "vmove_override": 2}}]}',
-         "workloads[0].layout.vmove_override: hmove_override and vmove_override "
-         "come as a pair"),
-    ])
+    @pytest.mark.parametrize("doc,message", [row[:2] for row in PLACED_ERRORS])
     def test_out_of_range_numbers_name_path_line_and_key(self, doc, message):
         with pytest.raises(ConfigError) as err:
             parse_config(doc, path="cfg.json")
         assert str(err.value) == f"cfg.json:3: {message}"
+
+    @pytest.mark.parametrize("message,make", [row[1:] for row in PLACED_ERRORS if row[2]],
+                             ids=[row[1].split(":")[0] for row in PLACED_ERRORS if row[2]])
+    def test_each_rule_is_the_types_own(self, message, make):
+        # the config error is the type's FieldError, placed at its key
+        with pytest.raises(FieldError) as err:
+            make()
+        at, rule = message.split(": ", 1)
+        assert (err.value.field, err.value.rule) == (at.rsplit(".", 1)[1], rule)
+        assert str(err.value) == f"{err.value.field}: {rule}"
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{\n "pim": {"rows": 0,\n  "cols": "x"}}', "cfg.json:3: pim.cols: expected a number, "
+                                                   "got 'x'"),
+        ('{\n "workloads": [\n  {"name": "w", "op": "CUSTOM", "width_bits": 4, '
+         '"dio_bits": 8}]}', "cfg.json:3: workloads[0].op: unknown operation 'CUSTOM'; known: "
+                             "NOT, OR, AND, XOR, ADD, ADD_FANIN4, MPY, MPY_LOWPREC"),
+    ], ids=["typing-before-ranges", "custom"])
+    def test_error_order_and_op_names(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("doc,where", [
         ('{"pim": {"rows": 1' + '0' * 400 + '}}', "big.json:1: pim.rows: "),

@@ -5,9 +5,9 @@ import bitlet
 from bitlet import PimMachine, WorkloadPoint, perf_pim
 from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow, pac_of,
                            relocation_program, subset_of_row)
-from bitlet.simulator import (ArrayState, ColRange, HMove, NorProgram, VMove, count_cycles,
-                              pack_ints, run, to_text, unpack_ints)
-from test_simulator import reference_run
+from bitlet.simulator import (ArrayState, ColRange, HMove, NorProgram, VMove, pack_ints,
+                              run, to_text, unpack_ints)
+from test_simulator import reference_run, sources_are_padded
 
 
 def layout(n=16, k=0, vertical=False, **kw):
@@ -70,16 +70,16 @@ class TestRelocationProgram:
         hmoves = [i for i in prog.instructions if isinstance(i, HMove)]
         vmoves = [i for i in prog.instructions if isinstance(i, VMove)]
         assert len(hmoves) == 16 and len(vmoves) == 1024
-        assert count_cycles(prog) == 1040 == pac_of(layout(16, 1, True), pim)
+        assert len(prog) == 1040 == pac_of(layout(16, 1, True), pim)
         assert sum(v.crosses_array for v in vmoves) == 1
 
     def test_alignment_only_program(self, pim):
         prog = relocation_program(layout(16, 1, False), pim)
-        assert count_cycles(prog) == 16
+        assert len(prog) == 16
         assert all(isinstance(i, HMove) for i in prog.instructions)
 
     def test_identity_layout_is_empty(self, pim):
-        assert count_cycles(relocation_program(layout(16, 0, False), pim)) == 0
+        assert len(relocation_program(layout(16, 0, False), pim)) == 0
 
     def test_overridden_layouts_have_no_program(self, pim):
         with pytest.raises(ValueError, match="verbatim"):
@@ -91,8 +91,14 @@ class TestRelocationProgram:
             for n in (1, 3, 8, 32):
                 for vertical in (False, True):
                     spec = layout(n, k, vertical)
-                    assert count_cycles(relocation_program(spec, pim)) == \
+                    assert len(relocation_program(spec, pim)) == \
                         pac_of(spec, pim)
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    @pytest.mark.parametrize("k", range(5))
+    def test_sources_past_the_fanin_are_padding(self, k, vertical):
+        pim = PimMachine(rows=64, cols=512)
+        assert sources_are_padded(relocation_program(layout(8, k, vertical), pim))
 
     def test_relocation_moves_neighbour_elements_down(self, rng):
         # the canonical pattern: row r must end up with row r+1's element

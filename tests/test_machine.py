@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bitlet import CpuMachine, PimMachine, PowerBudget, Throughput, WorkloadPoint
+from bitlet import CpuMachine, FieldError, PimMachine, PowerBudget, Throughput, WorkloadPoint
 from bitlet.machine import GBPS, TBPS
 
 
@@ -47,6 +47,21 @@ def test_workload_rejects_bad_values(kwargs):
     kwargs.setdefault("oc_cycles", 1)
     with pytest.raises(ValueError):
         WorkloadPoint(**kwargs)
+
+
+# the rules a config can break are pinned, key by key, in test_config.py
+@pytest.mark.parametrize("make,text", [
+    (lambda: PimMachine(cols=-10 ** 100),
+     "cols: must be >= 1, got -1" + "0" * 58 + "… (102 characters)"),
+    (lambda: PimMachine(cycle_time_ns=math.nan), "cycle_time_ns: must be > 0, got nan"),
+    (lambda: CpuMachine(bandwidth_bps=0), "bandwidth_bps: must be > 0, got 0"),
+    (lambda: WorkloadPoint(oc_cycles=1.5), "oc_cycles: must be an integer, got 1.5"),
+    (lambda: WorkloadPoint(oc_cycles=1, pac_cycles=-1), "pac_cycles: must be >= 0, got -1"),
+], ids=["cut", "nan", "bps", "integer", "pac"])
+def test_a_broken_rule_names_its_field(make, text):
+    with pytest.raises(FieldError) as err:
+        make()
+    assert str(err.value) == text
 
 
 def test_workload_total_cycles():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from bitlet.catalog import OpKind, OpSpec, microprogram_of
 from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, HMove,
                               InvalidProgram, Nor, NorProgram, VMove, _problem, _runs,
-                              apply_instr, count_cycles, from_text, pack_ints, run,
-                              to_text, unpack_ints)
+                              apply_instr, pack_ints, run, to_text, unpack_ints)
 
 
 def prog(*instrs, max_fanin=2, **kw):
@@ -71,6 +70,13 @@ class TestMoves:
 EDGE_ROWS = (1, 63, 64, 65, 130)
 # the word edges, and any row count in between
 ROWS = st.sampled_from(EDGE_ROWS) | st.integers(1, 130)
+
+
+def sources_are_padded(program) -> bool:
+    """Whether each row of ``srcs`` holds its fan-in's columns, then only
+    the -1 padding that ``from_arrays`` documents (and does not check)."""
+    past = np.arange(program.srcs.shape[1]) >= program.fanin[:, None]
+    return np.array_equal(program.srcs >= 0, ~past) and bool((program.srcs[past] == -1).all())
 
 
 def reference_run(program, bits):
@@ -215,12 +221,13 @@ class TestValidation:
 
 
 class TestProgramProperties:
-    def test_count_cycles_empty(self):
-        assert count_cycles(prog()) == 0
+    def test_empty_program_costs_no_cycles(self):
+        _, cycles = run(prog(), ArrayState.zeros(4, 1))
+        assert cycles == len(prog()) == 0
 
     def test_count_matches_run(self, rng):
         p = microprogram_of(OpSpec(OpKind.AND, 16))
-        assert count_cycles(p) == 48
+        assert len(p) == 48
         _, cycles = run(p, ArrayState.zeros(4, p.cols_required))
         assert cycles == 48
 
@@ -361,7 +368,7 @@ class TestPacking:
 
 
 class TestTextFormat:
-    def test_round_trip(self):
+    def test_one_line_per_instruction(self):
         p = prog(Nor(2, (0, 1)), Nor(3, (2,)), HMove(4, 3),
                  VMove(-1, 0, 3, 1), VMove(-1, 0, 3, 8, crosses_array=True),
                  max_fanin=2)
@@ -373,24 +380,6 @@ class TestTextFormat:
             "VMOVE -1 0 3 1",
             "VMOVE -1 0 3 8 x",
         ]
-        back = from_text(text)
-        assert back.instructions == p.instructions
-
-    def test_fanin_inferred_from_widest_nor(self):
-        p = from_text("NOR 4 0 1 2 3\n")
-        assert p.max_fanin == 4
-
-    def test_comments_and_blanks_ignored(self):
-        p = from_text("# header\n\nNOR 1 0\n")
-        assert len(p) == 1
-
-    @pytest.mark.parametrize("line", [
-        "NOR 1", "HMOVE 1", "HMOVE 1 2 3", "VMOVE 1 2 3", "VMOVE 1 2 3 4 y",
-        "FROB 1 2", "NOR a b",
-    ])
-    def test_parse_errors(self, line):
-        with pytest.raises(InvalidProgram, match="line 1"):
-            from_text(line)
 
     def test_empty_program_serializes_to_empty(self):
         assert to_text(prog()) == ""
