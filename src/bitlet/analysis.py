@@ -44,6 +44,8 @@ class Workload:
     oc_override: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise FieldError("name", "every workload needs a non-empty name")
         at_least(1, dio_bits=self.dio_bits)
         if self.oc_override is not None:
             at_least(1, oc_override=self.oc_override)

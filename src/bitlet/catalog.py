@@ -34,13 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .machine import FieldError, _shown
 from .simulator import OP_NOR, ColRange, NorProgram
 
 WIDTH_CAP = 1024  # keeps generated programs within one array's columns
 
 
-class UnsupportedWidth(ValueError):
+class UnsupportedWidth(FieldError):
     """No cycle count is defined for this (kind, width) pair."""
+
+    def __init__(self, rule: str):
+        super().__init__("width_bits", rule)
 
 
 class UnsupportedOperation(ValueError):
@@ -84,7 +88,7 @@ class OpSpec:
     def __post_init__(self) -> None:
         n = self.width_bits
         if not isinstance(n, int) or not 1 <= n <= WIDTH_CAP:
-            raise UnsupportedWidth(f"width_bits must be in 1..{WIDTH_CAP}, got {n!r}")
+            raise UnsupportedWidth(f"must be in 1..{WIDTH_CAP}, got {_shown(n)}")
         if self.kind is OpKind.MPY_LOWPREC and (self.kind, n) not in _POINT_VALUES:
             raise UnsupportedWidth(f"MPY_LOWPREC has a known cycle count only for "
                                    f"n=16, got n={n}")
@@ -134,7 +138,7 @@ def _per_bit(gates, n: int, width: int | None = None):
     one column per bit. ``srcs`` has `width` columns (by default the widest
     gate's fan-in), each row padded with -1 at the end. Each column is
     allocated at its final shape and written through a (bit, gate) view, so
-    ``NorProgram.from_arrays`` takes it over without a copy.
+    the ``NorProgram`` constructor takes it over without a copy.
     """
     k = len(gates)
     width = width or max(map(len, gates)) - 1
@@ -285,7 +289,7 @@ def microprogram_of(spec: OpSpec) -> NorProgram:
     if gen is None:
         raise UnsupportedOperation(f"no canonical microprogram for {spec.kind.name}")
     (dest, srcs, fanin), plan, in_names, out_names = gen(spec.width_bits)
-    return NorProgram.from_arrays(
+    return NorProgram(
         OP_NOR, dest, srcs, fanin,
         inputs=tuple([ColRange(x, *plan.ranges[x]) for x in in_names]),
         outputs=tuple([ColRange(x, *plan.ranges[x]) for x in out_names]),

@@ -24,7 +24,7 @@ message pointing at the offending line where possible.
 
 This module checks only the JSON typing (number, finite, integer, bool,
 required, unknown key). The ranges belong to the types the values build,
-and `_Section.build` places the `FieldError` a type raises at its key.
+and `_Section.place` places the `FieldError` a type raises at its key.
 """
 
 from __future__ import annotations
@@ -160,13 +160,17 @@ class _Section:
             self.fail(key, f"expected an integer, got {_shown(value)}")
         return int(value) if integer else float(value)
 
-    def build(self, make, *args, **kwargs):
-        """`make(*args, **kwargs)`, the value this section describes; a rule
-        it breaks fails at the key it names, then a key left over fails."""
+    def place(self, make, *args, **kwargs):
+        """`make(*args, **kwargs)`; a rule it breaks fails at the key it names."""
         try:
-            value = make(*args, **kwargs)
+            return make(*args, **kwargs)
         except FieldError as exc:
             self.fail(exc.field, exc.rule)
+
+    def build(self, make, *args, **kwargs):
+        """`place(make, ...)`, the value this section describes, then a key
+        left over fails."""
+        value = self.place(make, *args, **kwargs)
         self.finish()
         return value
 
@@ -199,8 +203,6 @@ def _parse_layout(sec: _Section, fallback_width: int | None) -> LayoutSpec:
 
 def _parse_workload(sec: _Section) -> Workload:
     name = sec.take("name")
-    if not isinstance(name, str) or not name:
-        sec.fail("name", "every workload needs a non-empty name")
     op_name = sec.take("op")
     width = sec.take_number("width_bits", None, integer=True)
     dio = sec.take_number("dio_bits", None, integer=True)
@@ -219,10 +221,7 @@ def _parse_workload(sec: _Section) -> Workload:
                            f"{', '.join(k.name for k in OpKind)}")
         if width is None:
             sec.fail("width_bits", f"required for op {kind.name}")
-        try:
-            op = OpSpec(kind, width)
-        except ValueError as exc:
-            sec.fail("op", str(exc))
+        op = sec.place(OpSpec, kind, width)
 
     layout_sec = sec.sub("layout")
     # the workload's own rules and keys are checked before its layout's

@@ -108,8 +108,7 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     h = k * n
     sources = np.arange(h, dtype=np.int64)
     if not layout.needs_vertical_relocation:
-        return NorProgram.from_arrays(OP_HMOVE, sources + h, sources,
-                                      inputs=inputs, outputs=outputs)
+        return NorProgram(OP_HMOVE, sources + h, sources, inputs=inputs, outputs=outputs)
     # then one VMove per destination row d, ascending, from row d+1, so none
     # reads a row already written. VMove d moves the region of row
     # min(d+1, rows-1): the last one reads the neighbouring array, so its
@@ -136,5 +135,5 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     col_lo[-1] = outputs[-1].start
     col_hi = col_lo + (n - 1)
     col_hi[:h] = 0
-    return NorProgram.from_arrays(op, dest, srcs, fanin, offset, col_lo, col_hi, row,
-                                  crosses, inputs=inputs, outputs=outputs)
+    return NorProgram(op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
+                      inputs=inputs, outputs=outputs)

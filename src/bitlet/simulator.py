@@ -23,8 +23,7 @@ into the destination plane and inverts it in place; an HMove copies one
 plane. Padding bits past the last row may take any value once a NOR has
 run and are then cleared before ``run`` returns, so they are never seen. The
 ``bool`` matrix form exists only at the boundary: the ``ArrayState``
-constructor, the read-only ``ArrayState.bits`` and ``apply_instr``, which
-states the reference semantics the tests hold the packed engine to.
+constructor and the read-only ``ArrayState.bits``.
 
 Operands. ``pack_ints``/``unpack_ints`` move one int64 per row in and out
 of a block of up to 64 columns. Each row takes a lane of 1, 2, 4 or 8
@@ -42,13 +41,13 @@ per instruction: ``op`` (``OP_NOR``, ``OP_HMOVE`` or ``OP_VMOVE``), ``dest``,
 ``srcs`` (k x w, padded with -1, where w is the widest fan-in and at least
 1), ``fanin``, and the VMove fields ``offset``, ``col_lo``, ``col_hi``,
 ``row`` and ``crosses``. An HMove keeps its source in ``srcs[:, 0]`` with
-fan-in 1; a VMove has ``dest`` -1 and fan-in 0. Generators build the
-columns directly (``NorProgram.from_arrays``). The ``Nor``/``HMove``/
-``VMove`` objects are the public reference form: a program built from them
-is converted to columns once, and ``NorProgram.instructions`` builds them
-back on each access. Validation builds one boolean mask over each run of
-one op code, from the rules of that kind; the first instruction the mask
-flags is materialized and described by ``_problem``.
+fan-in 1; a VMove has ``dest`` -1 and fan-in 0. The constructor takes
+the columns, and it is the only way in. The ``Nor``/``HMove``/``VMove``
+objects are a read-only view: ``NorProgram.instructions`` builds them from
+the columns on each access, and an error text prints one. Validation
+states each rule once, as a boolean mask over a run of one op code and
+the message of an instruction it flags; an op code that is none of the
+three is the first rule of every instruction.
 
 Execution. ``run`` splits a program where the op code changes. A NOR
 segment loops over its columns as Python ints. An HMove segment is cut
@@ -65,7 +64,7 @@ sequential execution.
 Fixed cost. Most programs are small (the validation suite builds about
 300, on at most 1000 rows), so what a call costs before it touches a row
 matters as much as its row bandwidth, and the same code serves both:
-  * ``from_arrays`` takes over every column its caller built as an owned
+  * the constructor takes over every column its caller built as an owned
     array of the right dtype, so a generator that does (``catalog``,
     ``layout``) pays one flag per column and no copy, and the VMove fields
     a program leaves out share one zero column;
@@ -197,38 +196,15 @@ class NorProgram:
 
     The instructions are held as read-only columns (see the module
     docstring). ``instructions`` is a view: each access builds a new tuple
-    of ``Nor``, ``HMove`` and ``VMove`` objects from the columns. A program
-    is built from such objects, or from columns by ``from_arrays``.
+    of ``Nor``, ``HMove`` and ``VMove`` objects from the columns.
     """
 
     __slots__ = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi",
                  "row", "crosses", "inputs", "outputs", "max_fanin")
 
-    def __init__(self, instructions=(), inputs=(), outputs=(), max_fanin: int = 2):
-        """Build from ``Nor``/``HMove``/``VMove`` objects; any other object
-        raises InvalidProgram."""
-        _check_max_fanin(max_fanin)
-        cols = []
-        for i, ins in enumerate(instructions):
-            if isinstance(ins, Nor):
-                cols.append((OP_NOR, ins.dest, ins.srcs, len(ins.srcs), 0, 0, 0, 0, False))
-            elif isinstance(ins, HMove):
-                cols.append((OP_HMOVE, ins.dest, (ins.src,), 1, 0, 0, 0, 0, False))
-            elif isinstance(ins, VMove):
-                cols.append((OP_VMOVE, -1, (), 0, ins.offset, ins.col_lo, ins.col_hi,
-                             ins.row, ins.crosses_array))
-            else:
-                raise InvalidProgram(f"instruction {i}: {ins!r}: unknown instruction type")
-        op, dest, srcs, fanin, *moves = zip(*cols) if cols else [()] * 9
-        w = max(fanin, default=1) or 1
-        srcs = [s + (-1,) * (w - len(s)) for s in srcs]
-        self._set(op, dest, np.array(srcs, dtype=np.int64).reshape(len(cols), w),
-                  fanin, *moves, inputs, outputs, max_fanin)
-
-    @classmethod
-    def from_arrays(cls, op, dest, srcs, fanin=None, offset=None, col_lo=None,
-                    col_hi=None, row=None, crosses=None, *, inputs=(), outputs=(),
-                    max_fanin: int = 2) -> "NorProgram":
+    def __init__(self, op, dest, srcs, fanin=None, offset=None, col_lo=None,
+                 col_hi=None, row=None, crosses=None, *, inputs=(), outputs=(),
+                 max_fanin: int = 2):
         """Build a program from its columns.
 
         ``dest`` fixes the instruction count; every other column is an array
@@ -241,20 +217,13 @@ class NorProgram:
         others) and shape that owns its data is taken over and made
         read-only instead of copied.
         """
+        _check_max_fanin(max_fanin)
         srcs = np.asarray(srcs, dtype=np.int64)
         srcs = srcs[:, None] if srcs.ndim == 1 else srcs
         if fanin is None:
             fanin = np.zeros(len(srcs), dtype=np.int64)
             for column in srcs.T:              # see _any_per_row
                 fanin += column >= 0
-        _check_max_fanin(max_fanin)
-        program = cls.__new__(cls)
-        program._set(op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
-                     inputs, outputs, max_fanin)
-        return program
-
-    def _set(self, op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
-             inputs, outputs, max_fanin) -> None:
         k = (len(dest),)
         self.op = _column(op, _INT8, k)
         self.dest = _column(dest, _INT64, k)
@@ -318,11 +287,6 @@ class NorProgram:
                 return r
         raise KeyError(name)
 
-    def _sources(self, a: int = 0, b: int | None = None) -> np.ndarray:
-        """Mask of the ``srcs`` entries of instructions a..b-1 that are
-        sources (within each fan-in)."""
-        return np.arange(self.srcs.shape[1]) < self.fanin[a:b, None]
-
     @property
     def cols_required(self) -> int:
         """Smallest column count this program fits in."""
@@ -335,63 +299,76 @@ class NorProgram:
     def validate(self, rows: int, cols: int) -> list[tuple[int, int, int]]:
         """Raise InvalidProgram unless every instruction is legal for rows x cols.
 
-        Returns the (op, first, end) runs of one op code that it checked,
-        from which ``run`` executes the program.
+        The first instruction that breaks a rule is reported, with the first
+        rule of its kind that it breaks. Returns the (op, first, end) runs of
+        one op code that it checked, from which ``run`` executes the program.
         """
         segments = self._segments(0, len(self))
         for kind, a, b in segments:
-            bad = (self._illegal_moves(a, b, rows, cols) if kind == OP_VMOVE
-                   else self._illegal_cells(a, b, cols, kind == OP_NOR))
-            i = int(bad.argmax())
-            if bad[i]:
-                i += a
-                ins = self._materialize(i, i + 1)[0]
-                problem = _problem(ins, rows, cols, self.max_fanin)
-                raise InvalidProgram(f"instruction {i}: {ins!r}: {problem}")
+            if kind not in (OP_NOR, OP_HMOVE, OP_VMOVE):
+                raise InvalidProgram(f"instruction {a}: op code {kind} is not "
+                                     f"NOR, HMOVE or VMOVE")
+            rules = self._rules(kind, a, b, rows, cols)
+            bad = rules[0][0] | rules[1][0]
+            for mask, _ in rules[2:]:
+                bad |= mask
+            j = int(bad.argmax())
+            if bad[j]:
+                message = next(message for mask, message in rules if mask[j])
+                ins = self._materialize(a + j, a + j + 1)[0]
+                raise InvalidProgram(f"instruction {a + j}: {ins!r}: {message(j)}")
         return segments
 
-    def _illegal_cells(self, a: int, b: int, cols: int, nor: bool) -> np.ndarray:
-        """Mask of the NORs (or the HMoves) a..b-1 that break a rule of ``_problem``."""
-        dest, srcs = self.dest[a:b], self.srcs[a:b]
-        # seen as uint64 a negative column exceeds every bound, so one
-        # compare checks both ends of a range
-        bad_src = np.greater_equal(srcs.view(np.uint64), cols)
-        bad_src |= srcs == dest[:, None]
-        bad_src &= self._sources(a, b)
-        bad = _any_per_row(bad_src)
-        bad |= np.greater_equal(dest.view(np.uint64), cols)
-        if nor:   # fan-in in 1..max_fanin, so fan-in - 1 as uint64 is below max_fanin
-            bad |= np.greater_equal((self.fanin[a:b] - 1).view(np.uint64), self.max_fanin)
-        return bad
-
-    def _illegal_moves(self, a: int, b: int, rows: int, cols: int) -> np.ndarray:
-        """Mask of the VMoves a..b-1 that break a rule of ``_problem``."""
-        row, offset = self.row[a:b], self.offset[a:b]
-        # seen as uint64 a negative index exceeds every bound, so one
-        # compare checks both ends of a range
-        lo, hi = self.col_lo[a:b].view(np.uint64), self.col_hi[a:b].view(np.uint64)
-        src_in = np.less(row.view(np.uint64), rows)
-        dst_in = np.less(np.add(row, offset).view(np.uint64), rows)
-        bad = src_in & dst_in
-        np.equal(bad, self.crosses[a:b], out=bad)
-        rule = np.logical_or(src_in, dst_in, out=src_in)
-        bad |= np.logical_not(rule, out=rule)
-        bad |= np.equal(offset, 0, out=rule)
-        bad |= np.greater(lo, hi, out=rule)
-        bad |= np.greater_equal(hi, cols, out=rule)
-        return bad
+    def _rules(self, kind: int, a: int, b: int, rows: int, cols: int) -> list:
+        """Each rule of op code `kind`, in the order they are reported, as
+        (mask of the instructions a..b-1 that break it, message of a + j)."""
+        # seen as uint64 a negative index exceeds every bound, so one compare
+        # checks both ends of a range
+        if kind == OP_VMOVE:
+            offset, row = self.offset[a:b], self.row[a:b]
+            hi = self.col_hi[a:b].view(np.uint64)
+            src_in = np.less(row.view(np.uint64), rows)
+            dst_in = np.less(np.add(row, offset).view(np.uint64), rows)
+            return [(offset == 0, lambda j: "zero row offset"),
+                    ((self.col_lo[a:b].view(np.uint64) > hi) | (hi >= cols),
+                     lambda j: "bad column range"),
+                    (~(src_in | dst_in), lambda j: "neither endpoint is inside the array"),
+                    (self.crosses[a:b] == (src_in & dst_in), lambda j: (
+                        f"crosses_array flag does not match endpoints "
+                        f"(src in={src_in[j]}, dest in={dst_in[j]})"))]
+        dest = self.dest[a:b]
+        dest_out = dest.view(np.uint64) >= cols
+        if kind == OP_HMOVE:
+            src = self.srcs[a:b, 0]
+            return [(dest == src, lambda j: "destination equals source"),
+                    (dest_out | (src.view(np.uint64) >= cols),
+                     lambda j: f"column {dest[j] if dest_out[j] else src[j]} out of range")]
+        srcs, fanin = self.srcs[a:b], self.fanin[a:b]
+        # the sources (the srcs entries within each fan-in) out of range, and
+        # those that are the dest
+        cells = np.empty((2, *srcs.shape), dtype=bool)
+        np.greater_equal(srcs.view(np.uint64), cols, out=cells[0])
+        np.equal(srcs, dest[:, None], out=cells[1])
+        cells &= np.arange(srcs.shape[1]) < fanin[:, None]
+        srcs_out, same = _any_per_row(cells)
+        # fan-in in 1..max_fanin, so fan-in - 1 as uint64 is below max_fanin
+        return [((fanin - 1).view(np.uint64) >= self.max_fanin,
+                 lambda j: f"fan-in {fanin[j]} exceeds limit {self.max_fanin}"),
+                (same, lambda j: "destination is also a source"),
+                (dest_out | srcs_out, lambda j: (
+                    f"column {dest[j] if dest_out[j] else srcs[j][cells[0, j]][0]} out of range"))]
 
 
 def _any_per_row(mask: np.ndarray) -> np.ndarray:
-    """``mask.any(axis=1)`` as one OR per column.
+    """``mask.any(axis=-1)`` as one OR per column.
 
     A numpy reduction along a short last axis pays a loop setup per row,
     several times the cost of an OR per column for a few hundred rows and
     for 65536 alike.
     """
-    out = mask[:, 0].copy()
-    for column in mask.T[1:]:
-        out |= column
+    out = mask[..., 0].copy()
+    for i in range(1, mask.shape[-1]):
+        out |= mask[..., i]
     return out
 
 
@@ -401,39 +378,6 @@ def _runs(values: np.ndarray, start: int = 0) -> list[tuple[int, int]]:
         return []
     cuts = [start + c + 1 for c in (values[1:] != values[:-1]).nonzero()[0].tolist()]
     return list(zip([start, *cuts], [*cuts, start + len(values)]))
-
-
-def _problem(ins: Instr, rows: int, cols: int, max_fanin: int) -> str | None:
-    """Why one instruction is illegal for rows x cols, or None if it is legal."""
-    if isinstance(ins, Nor):
-        if not 1 <= len(ins.srcs) <= max_fanin:
-            return f"fan-in {len(ins.srcs)} exceeds limit {max_fanin}"
-        if ins.dest in ins.srcs:
-            return "destination is also a source"
-        for c in (ins.dest, *ins.srcs):
-            if not 0 <= c < cols:
-                return f"column {c} out of range"
-    elif isinstance(ins, HMove):
-        if ins.dest == ins.src:
-            return "destination equals source"
-        for c in (ins.dest, ins.src):
-            if not 0 <= c < cols:
-                return f"column {c} out of range"
-    elif isinstance(ins, VMove):
-        if ins.offset == 0:
-            return "zero row offset"
-        if not 0 <= ins.col_lo <= ins.col_hi < cols:
-            return "bad column range"
-        src_in = 0 <= ins.row < rows
-        dst_in = 0 <= ins.row + ins.offset < rows
-        if not (src_in or dst_in):
-            return "neither endpoint is inside the array"
-        if ins.crosses_array == (src_in and dst_in):
-            return (f"crosses_array flag does not match endpoints "
-                    f"(src in={src_in}, dest in={dst_in})")
-    else:
-        return "unknown instruction type"
-    return None
 
 
 WORD_BITS = 64
@@ -497,23 +441,6 @@ class ArrayState:
         # padding bits are zero outside run(), so the planes compare directly
         return (isinstance(other, ArrayState) and self._rows == other._rows
                 and np.array_equal(self._planes, other._planes))
-
-
-def apply_instr(bits: np.ndarray, ins: Instr) -> None:
-    """Reference semantics: apply one validated instruction to a bool matrix.
-
-    ``run`` does not call this; the tests compare the packed engine with it.
-    """
-    if isinstance(ins, Nor):
-        bits[:, ins.dest] = ~bits[:, list(ins.srcs)].any(axis=1)
-    elif isinstance(ins, HMove):
-        bits[:, ins.dest] = bits[:, ins.src]
-    else:
-        rows = bits.shape[0]
-        src, dst = ins.row, ins.row + ins.offset
-        if 0 <= src < rows and 0 <= dst < rows:
-            bits[dst, ins.col_lo:ins.col_hi + 1] = bits[src, ins.col_lo:ins.col_hi + 1]
-        # cross-array endpoint: cycle is paid, no local cells change
 
 
 def _move_rows(planes: np.ndarray, offset: np.ndarray, lo: np.ndarray,

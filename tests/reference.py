@@ -1,0 +1,119 @@
+"""The reference the tests hold the simulator to.
+
+``NorProgram`` is built from columns only; the ``Nor``/``HMove``/``VMove``
+objects are its read-only view. Here they go the other way: ``from_objects``
+builds a program from them through the columns constructor, and
+``apply_instr`` and ``_problem`` state, one instruction at a time, the
+semantics and the validity rules that ``run`` and ``validate`` apply to
+whole runs of columns.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from bitlet.simulator import OP_HMOVE, OP_NOR, OP_VMOVE, HMove, Instr, Nor, NorProgram, VMove
+
+
+@dataclass(frozen=True)
+class BadOp:
+    """An instruction whose op code is none of NOR, HMOVE and VMOVE."""
+
+    op: int
+
+
+def from_objects(*instrs: Instr | BadOp, inputs=(), outputs=(),
+                 max_fanin: int = 2) -> NorProgram:
+    """A program of these instructions, built from their columns."""
+    cols = []
+    for ins in instrs:
+        if isinstance(ins, Nor):
+            cols.append((OP_NOR, ins.dest, ins.srcs, len(ins.srcs), 0, 0, 0, 0, False))
+        elif isinstance(ins, HMove):
+            cols.append((OP_HMOVE, ins.dest, (ins.src,), 1, 0, 0, 0, 0, False))
+        elif isinstance(ins, VMove):
+            cols.append((OP_VMOVE, -1, (), 0, ins.offset, ins.col_lo, ins.col_hi,
+                         ins.row, ins.crosses_array))
+        else:
+            cols.append((ins.op, 1, (0,), 1, 0, 0, 0, 0, False))
+    op, dest, srcs, fanin, *moves = zip(*cols) if cols else [()] * 9
+    w = max(fanin, default=1) or 1
+    srcs = np.array([s + (-1,) * (w - len(s)) for s in srcs], dtype=np.int64)
+    return NorProgram(op, dest, srcs.reshape(len(cols), w), fanin, *moves,
+                      inputs=inputs, outputs=outputs, max_fanin=max_fanin)
+
+
+def sources_are_padded(program) -> bool:
+    """Whether each row of ``srcs`` holds its fan-in's columns, then only
+    the -1 padding that the ``NorProgram`` constructor documents (and does
+    not check)."""
+    past = np.arange(program.srcs.shape[1]) >= program.fanin[:, None]
+    return np.array_equal(program.srcs >= 0, ~past) and bool((program.srcs[past] == -1).all())
+
+
+def apply_instr(bits: np.ndarray, ins: Instr) -> None:
+    """Reference semantics: apply one validated instruction to a bool matrix."""
+    if isinstance(ins, Nor):
+        bits[:, ins.dest] = ~bits[:, list(ins.srcs)].any(axis=1)
+    elif isinstance(ins, HMove):
+        bits[:, ins.dest] = bits[:, ins.src]
+    else:
+        rows = bits.shape[0]
+        src, dst = ins.row, ins.row + ins.offset
+        if 0 <= src < rows and 0 <= dst < rows:
+            bits[dst, ins.col_lo:ins.col_hi + 1] = bits[src, ins.col_lo:ins.col_hi + 1]
+        # cross-array endpoint: cycle is paid, no local cells change
+
+
+def reference_run(program, bits):
+    """Run a program instruction by instruction on a bool copy."""
+    bits = bits.copy()
+    for ins in program.instructions:
+        apply_instr(bits, ins)
+    return bits, len(program)
+
+
+def _problem(ins: Instr, rows: int, cols: int, max_fanin: int) -> str | None:
+    """Why one instruction is illegal for rows x cols, or None if it is legal."""
+    if isinstance(ins, Nor):
+        if not 1 <= len(ins.srcs) <= max_fanin:
+            return f"fan-in {len(ins.srcs)} exceeds limit {max_fanin}"
+        if ins.dest in ins.srcs:
+            return "destination is also a source"
+        for c in (ins.dest, *ins.srcs):
+            if not 0 <= c < cols:
+                return f"column {c} out of range"
+    elif isinstance(ins, HMove):
+        if ins.dest == ins.src:
+            return "destination equals source"
+        for c in (ins.dest, ins.src):
+            if not 0 <= c < cols:
+                return f"column {c} out of range"
+    elif isinstance(ins, VMove):
+        if ins.offset == 0:
+            return "zero row offset"
+        if not 0 <= ins.col_lo <= ins.col_hi < cols:
+            return "bad column range"
+        src_in = 0 <= ins.row < rows
+        dst_in = 0 <= ins.row + ins.offset < rows
+        if not (src_in or dst_in):
+            return "neither endpoint is inside the array"
+        if ins.crosses_array == (src_in and dst_in):
+            return (f"crosses_array flag does not match endpoints "
+                    f"(src in={src_in}, dest in={dst_in})")
+    else:
+        return "unknown instruction type"
+    return None
+
+
+def reference_error(instrs, rows: int, cols: int, max_fanin: int) -> str | None:
+    """The text of the first instruction-by-instruction validation failure."""
+    for i, ins in enumerate(instrs):
+        if isinstance(ins, BadOp):
+            return f"instruction {i}: op code {ins.op} is not NOR, HMOVE or VMOVE"
+        problem = _problem(ins, rows, cols, max_fanin)
+        if problem is not None:
+            return f"instruction {i}: {ins!r}: {problem}"
+    return None

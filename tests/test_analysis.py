@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitlet import (CpuMachine, InputError, LayoutSpec, OpKind, OpSpec, PimMachine,
+from bitlet import (CpuMachine, FieldError, InputError, LayoutSpec, OpKind, OpSpec, PimMachine,
                     PowerBudget, WorkloadPoint)
 from bitlet.analysis import (TIE_REL_TOL, SweepSpec, Winner,
                              Workload, crossover_oc, energy_breakeven_oc, litmus,
@@ -208,6 +208,12 @@ class TestWorkload:
     def test_requires_op_or_override(self):
         with pytest.raises(ValueError):
             Workload("empty", 48)
+
+    @pytest.mark.parametrize("name", ["", None, 7])
+    def test_requires_a_non_empty_name(self, name):
+        with pytest.raises(FieldError) as err:
+            Workload(name, 48, oc_override=1)
+        assert str(err.value) == "name: every workload needs a non-empty name"
 
     def test_override_beats_catalog(self, pim):
         w = Workload("odd", 48, op=OpSpec(OpKind.ADD, 16), oc_override=500)

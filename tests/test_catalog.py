@@ -3,9 +3,9 @@ import pytest
 
 from bitlet.catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                             catalog_table, microprogram_of, oc_of)
-from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor, NorProgram,
+from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor,
                               pack_ints, run, to_text, unpack_ints)
-from test_simulator import sources_are_padded
+from reference import from_objects, sources_are_padded
 
 EXACT_KINDS = {
     OpKind.NOT: lambda n: n,
@@ -296,9 +296,9 @@ class TestColumnarGenerators:
         for n in range(2 if kind is OpKind.MPY else 1, 33):
             prog = microprogram_of(OpSpec(kind, n))
             instrs, starts, ins, outs, max_fanin = reference_program(kind, n)
-            ref = NorProgram(tuple(instrs), max_fanin=max_fanin,
-                             inputs=tuple(ColRange(x, *starts[x]) for x in ins),
-                             outputs=tuple(ColRange(x, *starts[x]) for x in outs))
+            ref = from_objects(*instrs, max_fanin=max_fanin,
+                               inputs=tuple(ColRange(x, *starts[x]) for x in ins),
+                               outputs=tuple(ColRange(x, *starts[x]) for x in outs))
             assert to_text(prog) == to_text(ref), (kind, n)
             assert len(prog) == len(ref)
             assert prog.cols_required == ref.cols_required

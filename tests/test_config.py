@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from bitlet import CpuMachine, FieldError, LayoutSpec, PimMachine, PowerBudget, Workload
+from bitlet import (CpuMachine, FieldError, LayoutSpec, OpKind, OpSpec, PimMachine,
+                    PowerBudget, Workload)
 from bitlet.config import DEFAULT_CPU, DEFAULT_PIM, ConfigError, parse_config
 
 FULL = """
@@ -65,6 +66,18 @@ PLACED_ERRORS = [
      '{"element_width_bits": 4, "hmove_override": -1, "vmove_override": 2}}]}',
      "workloads[0].layout.hmove_override: must be >= 0, got -1",
      lambda: LayoutSpec(element_width_bits=4, hmove_override=-1, vmove_override=2)),
+    ('{\n "workloads": [\n  {"name": "", "oc_override": 1, "dio_bits": 8}]}',
+     "workloads[0].name: every workload needs a non-empty name",
+     lambda: Workload(name="", dio_bits=8, oc_override=1)),
+    ('{\n "workloads": [{"name": "w", "op": "ADD", "dio_bits": 8,\n  "width_bits": 0}]}',
+     "workloads[0].width_bits: must be in 1..1024, got 0", lambda: OpSpec(OpKind.ADD, 0)),
+    ('{\n "workloads": [{"name": "w", "op": "MPY_LOWPREC", "dio_bits": 8,\n'
+     '  "width_bits": 8}]}',
+     "workloads[0].width_bits: MPY_LOWPREC has a known cycle count only for n=16, got n=8",
+     lambda: OpSpec(OpKind.MPY_LOWPREC, 8)),
+    ('{\n "workloads": [{"name": "w", "op": "MPY", "dio_bits": 8,\n  "width_bits": 1}]}',
+     "workloads[0].width_bits: MPY cycle formula is positive only for n >= 2",
+     lambda: OpSpec(OpKind.MPY, 1)),
 ]
 
 

@@ -5,9 +5,9 @@ import bitlet
 from bitlet import PimMachine, WorkloadPoint, perf_pim
 from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow, pac_of,
                            relocation_program, subset_of_row)
-from bitlet.simulator import (ArrayState, ColRange, HMove, NorProgram, VMove, pack_ints,
-                              run, to_text, unpack_ints)
-from test_simulator import reference_run, sources_are_padded
+from bitlet.simulator import (ArrayState, ColRange, HMove, VMove, pack_ints, run, to_text,
+                              unpack_ints)
+from reference import from_objects, reference_run, sources_are_padded
 
 
 def layout(n=16, k=0, vertical=False, **kw):
@@ -185,8 +185,8 @@ def reference_relocation(spec, pim):
         instrs.append(VMove(-1, region[-1], region[-1] + n - 1, rows, crosses_array=True))
     inputs = tuple(ColRange(f"source_{g}", s, n) for g, s in enumerate(sources))
     outputs = tuple(ColRange(f"target_{g}", t, n) for g, t in enumerate(targets[:k]))
-    return NorProgram(tuple(instrs), inputs=inputs,
-                      outputs=outputs or (ColRange("aligned", 0, n),))
+    return from_objects(*instrs, inputs=inputs,
+                        outputs=outputs or (ColRange("aligned", 0, n),))
 
 
 class TestColumnarRelocation:

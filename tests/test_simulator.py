@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from bitlet.catalog import OpKind, OpSpec, microprogram_of
 from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, HMove,
-                              InvalidProgram, Nor, NorProgram, VMove, _problem, _runs,
-                              apply_instr, pack_ints, run, to_text, unpack_ints)
-
-
-def prog(*instrs, max_fanin=2, **kw):
-    return NorProgram(tuple(instrs), max_fanin=max_fanin, **kw)
+                              InvalidProgram, Nor, NorProgram, VMove, _runs, pack_ints, run,
+                              to_text, unpack_ints)
+from reference import BadOp, apply_instr, from_objects as prog, reference_error, reference_run
 
 
 class TestNorSemantics:
@@ -72,21 +69,6 @@ EDGE_ROWS = (1, 63, 64, 65, 130)
 ROWS = st.sampled_from(EDGE_ROWS) | st.integers(1, 130)
 
 
-def sources_are_padded(program) -> bool:
-    """Whether each row of ``srcs`` holds its fan-in's columns, then only
-    the -1 padding that ``from_arrays`` documents (and does not check)."""
-    past = np.arange(program.srcs.shape[1]) >= program.fanin[:, None]
-    return np.array_equal(program.srcs >= 0, ~past) and bool((program.srcs[past] == -1).all())
-
-
-def reference_run(program, bits):
-    """Run a program instruction by instruction on a bool copy."""
-    bits = bits.copy()
-    for ins in program.instructions:
-        apply_instr(bits, ins)
-    return bits, len(program)
-
-
 @st.composite
 def nor_or_hmove(draw, cols):
     dest = draw(st.integers(0, cols - 1))
@@ -117,7 +99,7 @@ def random_programs(draw):
     rows = draw(ROWS)
     cols = draw(st.integers(2, 10))
     instr = vmove(rows, cols) | vmove(rows, cols) | nor_or_hmove(cols)
-    program = NorProgram(tuple(draw(st.lists(instr, max_size=40))), max_fanin=4)
+    program = prog(*draw(st.lists(instr, max_size=40)), max_fanin=4)
     seed = draw(st.integers(0, 2**32 - 1))
     bits = np.random.default_rng(seed).integers(0, 2, (rows, cols)).astype(bool)
     return program, bits
@@ -215,9 +197,9 @@ class TestValidation:
 
     def test_max_fanin_range(self):
         with pytest.raises(InvalidProgram):
-            NorProgram((), max_fanin=0)
+            prog(max_fanin=0)
         with pytest.raises(InvalidProgram):
-            NorProgram((), max_fanin=5)
+            prog(max_fanin=5)
 
 
 class TestProgramProperties:
@@ -265,11 +247,10 @@ class TestProgramProperties:
     def test_cols_required(self):
         p = prog(Nor(7, (0, 1)))
         assert p.cols_required == 8
-        assert NorProgram((), inputs=(ColRange("a", 0, 4),)).cols_required == 4
+        assert prog(inputs=(ColRange("a", 0, 4),)).cols_required == 4
 
     def test_range_lookup(self):
-        p = NorProgram((), inputs=(ColRange("a", 0, 4),),
-                       outputs=(ColRange("out", 4, 4),))
+        p = prog(inputs=(ColRange("a", 0, 4),), outputs=(ColRange("out", 4, 4),))
         assert p.range("out").start == 4
         with pytest.raises(KeyError):
             p.range("nope")
@@ -390,7 +371,7 @@ def test_large_array_run_is_fast():
     # under the ten-second budget
     cols = 1024
     instrs = [Nor((i + 7) % cols, (i % cols, (i + 3) % cols)) for i in range(3104)]
-    program = NorProgram(tuple(instrs))
+    program = prog(*instrs)
     state = ArrayState.zeros(1024, cols)
     start = time.monotonic()
     _, cycles = run(program, state)
@@ -401,22 +382,16 @@ def test_large_array_run_is_fast():
 
 # -- the columnar program form ------------------------------------------------
 
-def reference_error(program_instrs, rows, cols, max_fanin):
-    """The text of the first instruction-by-instruction validation failure."""
-    for i, ins in enumerate(program_instrs):
-        problem = _problem(ins, rows, cols, max_fanin)
-        if problem is not None:
-            return f"instruction {i}: {ins!r}: {problem}"
-    return None
-
-
 @st.composite
 def bad_instruction(draw, rows, cols, max_fanin):
     """One instruction that breaks a rule of validation."""
     col = st.integers(0, cols - 1)
     outside = st.sampled_from([-1, cols, cols + 7])
     rule = draw(st.sampled_from(["column", "dest_is_src", "fanin", "offset", "flag",
-                                 "range", "neither", "hmove"]))
+                                 "range", "neither", "hmove", "op_code"]))
+    if rule == "op_code":
+        return BadOp(draw(st.sampled_from([-128, -1, 3, 127]) | st.integers(-128, 127)
+                          .filter(lambda op: op not in (OP_NOR, OP_HMOVE, OP_VMOVE))))
     if rule == "column":
         srcs = draw(st.lists(col | outside, min_size=1, max_size=max_fanin))
         return Nor(draw(outside), tuple(srcs)) if draw(st.booleans()) else \
@@ -464,10 +439,11 @@ class TestColumnarValidation:
     @example(([Nor(9, (0,)), Nor(1, ())], 4, 3, 2))        # rule 3 before rule 1
     @example(([VMove(-1, 0, 1, 3, crosses_array=True), VMove(0, 0, 1, 1)], 4, 3, 2))
     @example(([HMove(5, 0), Nor(1, (0, 1, 2))], 4, 3, 2))
+    @example(([Nor(1, (0,)), BadOp(3), Nor(2, (0,))], 4, 3, 2))   # inside a run of NORs
     def test_error_text_is_that_of_the_first_bad_instruction(self, case):
         instrs, rows, cols, max_fanin = case
         want = reference_error(instrs, rows, cols, max_fanin)
-        program = NorProgram(tuple(instrs), max_fanin=max_fanin)
+        program = prog(*instrs, max_fanin=max_fanin)
         assert want is not None
         with pytest.raises(InvalidProgram) as err:
             program.validate(rows, cols)
@@ -480,11 +456,22 @@ class TestColumnarValidation:
         assert reference_error(program.instructions, *bits.shape, program.max_fanin) is None
         program.validate(*bits.shape)
 
-    @pytest.mark.parametrize("junk", ["NOR 1 0", None, (1, (0,)), 3])
-    def test_unknown_object_fails_at_construction(self, junk):
+    @pytest.mark.parametrize("op", [3, -1])
+    def test_unknown_op_code_is_rejected(self, op):
+        # no such instruction runs, not even as one of the three kinds
+        p = NorProgram(np.array([OP_NOR, op], np.int8), [2, 1], [[0], [0]])
         with pytest.raises(InvalidProgram) as err:
-            NorProgram((Nor(1, (0,)), junk))
-        assert str(err.value) == f"instruction 1: {junk!r}: unknown instruction type"
+            run(p, ArrayState.zeros(2, 3))
+        assert str(err.value) == f"instruction 1: op code {op} is not NOR, HMOVE or VMOVE"
+
+    def test_hmove_source_is_checked_whatever_its_fanin(self):
+        # srcs[:, 0] is the source an HMove copies, even where the fan-in
+        # inferred from a -1 source is 0
+        p = NorProgram(OP_HMOVE, [1], [-1])
+        assert p.fanin.tolist() == [0]
+        with pytest.raises(InvalidProgram, match=r"^instruction 0: HMove\(dest=1, src=-1\): "
+                                                 r"column -1 out of range$"):
+            run(p, ArrayState.zeros(2, 3))
 
 
 class TestColumnarForm:
@@ -492,7 +479,7 @@ class TestColumnarForm:
               VMove(-1, 0, 3, 1), VMove(1, 2, 4, 7, crosses_array=True))
 
     def test_columns(self):
-        p = NorProgram(self.INSTRS, max_fanin=4)
+        p = prog(*self.INSTRS, max_fanin=4)
         assert p.op.tolist() == [OP_NOR, OP_NOR, OP_HMOVE, OP_NOR, OP_VMOVE, OP_VMOVE]
         assert p.srcs.shape == (6, 4)
         assert p.srcs[1].tolist() == [2, -1, -1, -1]
@@ -502,7 +489,7 @@ class TestColumnarForm:
             p.dest[0] = 7                       # the columns are read-only
 
     def test_instructions_are_rebuilt_as_plain_objects(self):
-        p = NorProgram(self.INSTRS, max_fanin=4)
+        p = prog(*self.INSTRS, max_fanin=4)
         got = p.instructions
         assert got == self.INSTRS
         assert got is not p.instructions        # a new tuple on each access
@@ -514,8 +501,8 @@ class TestColumnarForm:
                     assert type(v) in (int, bool)
         assert repr(got[0]) == "Nor(dest=2, srcs=(0, 1))"
 
-    def test_from_arrays_equals_the_object_form(self):
-        p = NorProgram.from_arrays(
+    def test_columns_equal_the_object_form(self):
+        p = NorProgram(
             [OP_NOR, OP_NOR, OP_HMOVE, OP_NOR, OP_VMOVE, OP_VMOVE],
             [2, 3, 4, 5, -1, -1],
             [[0, 1, -1, -1], [2, -1, -1, -1], [3, -1, -1, -1], [0, 1, 2, 3],
@@ -523,7 +510,7 @@ class TestColumnarForm:
             offset=[0, 0, 0, 0, -1, 1], col_lo=[0, 0, 0, 0, 0, 2],
             col_hi=[0, 0, 0, 0, 3, 4], row=[0, 0, 0, 0, 1, 7],
             crosses=[False] * 5 + [True], max_fanin=4)
-        q = NorProgram(self.INSTRS, max_fanin=4)
+        q = prog(*self.INSTRS, max_fanin=4)
         assert p == q and hash(p) == hash(q)
         assert p.instructions == self.INSTRS
         assert to_text(p) == to_text(q)
@@ -543,7 +530,7 @@ class TestColumnarForm:
         assert a != prog(Nor(2, (0,))) and a != "NOR 1 0"
         assert a != prog(Nor(1, (0,)), max_fanin=3)
 
-    def test_from_arrays_takes_over_owned_columns_and_copies_the_rest(self):
+    def test_constructor_takes_over_owned_columns_and_copies_the_rest(self):
         op = np.full(3, OP_NOR, dtype=np.int8)
         dest = np.array([2, 3, 4], dtype=np.int64)
         srcs = np.array([[0, 1], [1, -1], [2, 3]], dtype=np.int64)
@@ -554,9 +541,8 @@ class TestColumnarForm:
         wrong = np.array([0, 1, 2], dtype=np.int32)        # not int64
         wide = np.array([[0, 1, -1], [1, -1, -1], [2, 3, -1]])   # wider than any fan-in
         kept = {name: a.copy() for name, a in {**owned, "view": view, "wrong": wrong}.items()}
-        p = NorProgram.from_arrays(op, dest, srcs, fanin, offset=view, col_lo=wrong,
-                                   crosses=crosses)
-        q = NorProgram.from_arrays(op.copy(), dest.copy(), wide)
+        p = NorProgram(op, dest, srcs, fanin, offset=view, col_lo=wrong, crosses=crosses)
+        q = NorProgram(op.copy(), dest.copy(), wide)
         for name, given in owned.items():
             assert getattr(p, name) is given and not given.flags.writeable
         for given, column in ((view, p.offset), (wrong, p.col_lo), (wide, q.srcs)):
@@ -574,10 +560,10 @@ class TestColumnarForm:
     @pytest.mark.parametrize("scalars", [True, False], ids=["scalars", "lists"])
     def test_scalar_and_list_columns_are_read_only(self, scalars):
         if scalars:
-            p = NorProgram.from_arrays(OP_VMOVE, [-1, -1], [-1, -1], 0, -1, 1, 2, 5, False)
+            p = NorProgram(OP_VMOVE, [-1, -1], [-1, -1], 0, -1, 1, 2, 5, False)
         else:
-            p = NorProgram.from_arrays([OP_VMOVE] * 2, [-1, -1], [[-1], [-1]], [0, 0],
-                                       [-1, -1], [1, 1], [2, 2], [5, 6], [False, True])
+            p = NorProgram([OP_VMOVE] * 2, [-1, -1], [[-1], [-1]], [0, 0],
+                           [-1, -1], [1, 1], [2, 2], [5, 6], [False, True])
         assert p.instructions[0] == VMove(-1, 1, 2, 5)
         for name in ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row",
                      "crosses"):
@@ -587,7 +573,7 @@ class TestColumnarForm:
                 column[0] = 1
 
     def test_omitted_move_fields_are_read_only_zeros(self):
-        p = NorProgram.from_arrays(OP_NOR, [2, 3], [[0, 1], [2, -1]])
+        p = NorProgram(OP_NOR, [2, 3], [[0, 1], [2, -1]])
         for name in ("offset", "col_lo", "col_hi", "row", "crosses"):
             column = getattr(p, name)
             assert column.tolist() == [0, 0] and not column.flags.writeable, name
@@ -597,7 +583,7 @@ class TestColumnarForm:
         p = prog()
         assert len(p) == 0 and p.instructions == ()
         assert p.cols_required == 1 and to_text(p) == ""
-        assert NorProgram((), outputs=(ColRange("x", 3, 4),)).cols_required == 7
+        assert prog(outputs=(ColRange("x", 3, 4),)).cols_required == 7
         state = ArrayState(np.eye(3, dtype=bool))
         final, cycles = run(p, state)
         assert cycles == 0 and final == state and final is not state

@@ -6,6 +6,7 @@ from bitlet.catalog import OpKind, microprogram_of
 from bitlet.layout import relocation_program, subset_of_row
 from bitlet.simulator import OP_HMOVE, Nor, NorProgram
 from bitlet.validation import _subsets, run_validation
+from reference import from_objects
 
 
 def test_every_self_check_passes():
@@ -36,8 +37,8 @@ def _patch_generator(monkeypatch, kind, mutate):
         prog = microprogram_of(spec)
         if spec.kind is not kind:
             return prog
-        return NorProgram(mutate(prog, list(prog.instructions)), inputs=prog.inputs,
-                          outputs=prog.outputs, max_fanin=prog.max_fanin)
+        return from_objects(*mutate(prog, list(prog.instructions)), inputs=prog.inputs,
+                            outputs=prog.outputs, max_fanin=prog.max_fanin)
     monkeypatch.setattr(validation, "microprogram_of", mutated)
 
 
@@ -71,7 +72,7 @@ def test_a_generator_with_one_source_swapped_fails_its_function(monkeypatch, cap
 def test_hmove_destinations_off_by_one_fail_pac_agreement(monkeypatch, capsys):
     def shifted(layout, pim):
         prog = relocation_program(layout, pim)
-        return NorProgram.from_arrays(
+        return NorProgram(
             prog.op, prog.dest + (prog.op == OP_HMOVE), prog.srcs, prog.fanin,
             prog.offset, prog.col_lo, prog.col_hi, prog.row, prog.crosses,
             inputs=prog.inputs, outputs=prog.outputs)
