@@ -142,9 +142,9 @@ def _per_bit(gates, n: int, width: int | None = None):
     """
     k = len(gates)
     width = width or max(map(len, gates)) - 1
-    dest = np.empty(n * k, dtype=np.int64)
-    srcs = np.full((n * k, width), -1, dtype=np.int64)
-    fanin = np.empty(n * k, dtype=np.int64)
+    dest = np.empty(n * k, dtype=np.int32)
+    srcs = np.full((n * k, width), -1, dtype=np.int32)
+    fanin = np.empty(n * k, dtype=np.int32)
     fanin.reshape(n, k)[...] = [len(gate) - 1 for gate in gates]
     dest_by_bit, srcs_by_bit = dest.reshape(n, k), srcs.reshape(n, k, width)
     for g, (out, *ins) in enumerate(gates):

@@ -106,7 +106,7 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
 
     # one HMove per bit of each subset: columns 0..kn-1 to kn..2kn-1
     h = k * n
-    sources = np.arange(h, dtype=np.int64)
+    sources = np.arange(h, dtype=np.int32)
     if not layout.needs_vertical_relocation:
         return NorProgram(OP_HMOVE, sources + h, sources, inputs=inputs, outputs=outputs)
     # then one VMove per destination row d, ascending, from row d+1, so none
@@ -116,19 +116,19 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     m = h + rows
     op = np.empty(m, dtype=np.int8)
     op[:h], op[h:] = OP_HMOVE, OP_VMOVE
-    dest = np.arange(h, h + m, dtype=np.int64)      # HMove i writes column h + i
+    dest = np.arange(h, h + m, dtype=np.int32)      # HMove i writes column h + i
     dest[h:] = -1
-    srcs = np.empty((m, 1), dtype=np.int64)
+    srcs = np.empty((m, 1), dtype=np.int32)
     srcs[:h, 0], srcs[h:] = sources, -1
-    fanin = np.zeros(m, dtype=np.int64)
+    fanin = np.zeros(m, dtype=np.int32)
     fanin[:h] = 1
-    offset = np.full(m, -1, dtype=np.int64)
+    offset = np.full(m, -1, dtype=np.int32)
     offset[:h] = 0
-    row = np.arange(1 - h, 1 + rows, dtype=np.int64)   # VMove h + d reads row d + 1
+    row = np.arange(1 - h, 1 + rows, dtype=np.int32)   # VMove h + d reads row d + 1
     row[:h] = 0
     crosses = np.zeros(m, dtype=bool)
     crosses[-1] = True
-    col_lo = np.zeros(m, dtype=np.int64)
+    col_lo = np.zeros(m, dtype=np.int32)
     for g, out in enumerate(outputs):   # VMoves d with d+1 in block g's [first, stop)
         first, stop = (-(-b * rows // len(outputs)) for b in (g, g + 1))
         col_lo[h + max(first - 1, 0):h + stop - 1] = out.start

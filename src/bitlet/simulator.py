@@ -37,37 +37,47 @@ Consecutive blocks of one width are staged, transposed and copied together:
 ``pack_ints`` takes a (blocks, rows) array, ``unpack_ints`` a block count.
 
 Program form. A ``NorProgram`` is a set of read-only columns, one entry
-per instruction: ``op`` (``OP_NOR``, ``OP_HMOVE`` or ``OP_VMOVE``), ``dest``,
-``srcs`` (k x w, padded with -1, where w is the widest fan-in and at least
-1), ``fanin``, and the VMove fields ``offset``, ``col_lo``, ``col_hi``,
-``row`` and ``crosses``. An HMove keeps its source in ``srcs[:, 0]`` with
-fan-in 1; a VMove has ``dest`` -1 and fan-in 0. The constructor takes
-the columns, and it is the only way in. The ``Nor``/``HMove``/``VMove``
-objects are a read-only view: ``NorProgram.instructions`` builds them from
-the columns on each access, and an error text prints one. Validation
-states each rule once, as a boolean mask over a run of one op code and
-the message of an instruction it flags; an op code that is none of the
-three is the first rule of every instruction.
+per instruction: ``op`` (int8: ``OP_NOR``, ``OP_HMOVE`` or ``OP_VMOVE``),
+``dest``, ``srcs`` (k x w, padded with -1, where w is the widest fan-in
+and at least 1), ``fanin``, and the VMove fields ``offset``, ``col_lo``,
+``col_hi``, ``row`` and ``crosses`` (bool). The other columns are int32,
+so a 65536-move relocation takes 30 bytes per instruction. An HMove keeps
+its source in ``srcs[:, 0]`` with fan-in 1; a VMove has ``dest`` -1 and
+fan-in 0. The constructor takes the columns, and it is the only way in.
+It refuses what no column can hold: an array column of another length, an
+entry outside its column's dtype (narrowing would wrap it) and an op code
+none of the three. The ``Nor``/``HMove``/``VMove`` objects are a
+read-only view: ``NorProgram.instructions`` builds them from the columns
+on each access, and an error text prints one. Validation states each rule
+once, as a boolean mask over a run of one op code and the message of an
+instruction it flags. It reads the int32 columns through uint32 views and
+sums ``row + offset`` in int64, so no rule sees a wrapped value.
 
-Execution. ``run`` splits a program where the op code changes. A NOR
-segment loops over its columns as Python ints. An HMove segment is cut
-into stretches whose dest and src both step by one, each one block copy
-of planes unless a move of it reads a column an earlier one wrote. A
-VMove segment is executed from its column arrays and cut into stretches
-of the shape rule's form: a stretch ends where the offset, the column
-range or the crossing flag changes, or where the rows do not step by
--sign(offset). A stretch of crossing moves changes nothing; every other
-stretch is one word shift. Each stretch leaves the array as its own
-sequential execution would, so running the stretches in order is
-sequential execution.
+Execution. ``run`` executes on the state it is given, in place, and
+returns that state: a caller that needs the initial state afterwards
+passes a copy. It validates the whole program before it touches a cell,
+and splits it where the op code changes. A NOR segment loops over its
+columns as Python ints. An HMove segment is cut into stretches whose dest
+and src both step by one, each one block copy of planes unless a move of
+it reads a column an earlier one wrote. A VMove segment is executed from
+its column arrays and cut into stretches of the shape rule's form: a
+stretch ends where the offset, the column range or the crossing flag
+changes, or where the rows do not step by -sign(offset). A stretch of
+crossing moves changes nothing; every other stretch is one word shift.
+Each stretch leaves the array as its own sequential execution would, so
+running the stretches in order is sequential execution.
 
 Fixed cost. Most programs are small (the validation suite builds about
 300, on at most 1000 rows), so what a call costs before it touches a row
 matters as much as its row bandwidth, and the same code serves both:
   * the constructor takes over every column its caller built as an owned
     array of the right dtype, so a generator that does (``catalog``,
-    ``layout``) pays one flag per column and no copy, and the VMove fields
-    a program leaves out share one zero column;
+    ``layout``) pays one flag per column and no copy or range check, and
+    the VMove fields a program leaves out share one zero column;
+  * ``run`` copies no plane, and what it and ``validate`` allocate per
+    instruction (masks, one int64 sum, the stretch cuts) stays below half
+    the program's own columns: a tall array's memory is touched once, not
+    zero-filled again by the kernel on every run;
   * no mask is reduced along a short last axis (``_any_per_row``): numpy
     pays a loop setup per row there, far more than an OR per column;
   * constant operands of ufunc calls are 0-d arrays (``_TRANSPOSE8``,
@@ -174,19 +184,35 @@ def _check_max_fanin(max_fanin: int) -> None:
         raise InvalidProgram(f"max_fanin must be in 1..4, got {max_fanin}")
 
 
-_INT8, _INT64, _BOOL = np.dtype(np.int8), np.dtype(np.int64), np.dtype(bool)
+_INT8, _INT32, _BOOL = np.dtype(np.int8), np.dtype(np.int32), np.dtype(bool)
+_LIMITS = {t: (int(np.iinfo(t).min), int(np.iinfo(t).max)) for t in (_INT8, _INT32)}
 
 
-def _column(values, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """`values` (an array or a scalar) as a read-only column of `shape`.
+def _column(values, dtype: np.dtype, shape: tuple, name: str) -> np.ndarray:
+    """`values` (an array or a scalar) as the read-only column `name` of `shape`.
 
     An array of that dtype and shape that owns its data is taken over, not
-    copied; anything else is copied.
+    copied. Anything else is copied, once it is known to be a scalar or an
+    array of that shape, and, for an integer column, to hold no entry the
+    column's dtype cannot (narrowing would wrap it).
     """
     if not (isinstance(values, np.ndarray) and values.base is None
             and values.dtype == dtype and values.shape == shape):
-        col, values = values, np.empty(shape, dtype=dtype)
-        values[...] = col
+        if isinstance(values, int):                 # a Python int or bool
+            given = lo = hi = values
+        else:
+            given = np.asarray(values)
+            if given.ndim and given.shape != shape:
+                raise InvalidProgram(f"column {name} has shape {given.shape}, not {shape}")
+            lo = hi = 0
+            if given.dtype != dtype and given.size:
+                lo, hi = given.min(), given.max()
+        least, most = _LIMITS.get(dtype, (0, 1))
+        if lo < least or hi > most:
+            raise InvalidProgram(f"column {name} holds {lo if lo < least else hi}, "
+                                 f"outside the {dtype} range")
+        values = np.empty(shape, dtype=dtype)
+        values[...] = given
     values.setflags(write=False)
     return values
 
@@ -207,34 +233,50 @@ class NorProgram:
                  max_fanin: int = 2):
         """Build a program from its columns.
 
-        ``dest`` fixes the instruction count; every other column is an array
-        of that length or a scalar. ``srcs`` is k x w, or k for one source
-        each, padded at the end of each row with -1. ``fanin`` defaults to the
-        number of non-negative entries of each row of ``srcs``. The VMove
-        fields default to 0 (``crosses`` to False), and the int ones left out
-        share one zero column. A column given as an array of its own dtype
-        (``int8`` for ``op``, ``bool`` for ``crosses``, ``int64`` for the
-        others) and shape that owns its data is taken over and made
-        read-only instead of copied.
+        ``dest`` fixes the instruction count k; every other column is an
+        array of that length or a scalar. ``srcs`` is k x w, or k for one
+        source each, padded at the end of each row with -1. ``fanin``
+        defaults to the number of non-negative entries of each row of
+        ``srcs``. The VMove fields default to 0 (``crosses`` to False), and
+        the int ones left out share one zero column. A column given as an
+        array of its own dtype (``int8`` for ``op``, ``bool`` for
+        ``crosses``, ``int32`` for the others) and shape that owns its data
+        is taken over and made read-only instead of copied.
+
+        Raises InvalidProgram, naming the column, for an array column of
+        another length (or ``srcs`` narrower than its widest fan-in) and
+        for an entry outside the column's dtype (an ``int64`` 2**32 + 1 is
+        refused, never read as 1), and, naming the first such instruction,
+        for an op code other than ``OP_NOR``, ``OP_HMOVE`` and ``OP_VMOVE``.
         """
         _check_max_fanin(max_fanin)
-        srcs = np.asarray(srcs, dtype=np.int64)
+        k = (len(dest),)
+        srcs = np.asarray(srcs)
         srcs = srcs[:, None] if srcs.ndim == 1 else srcs
+        if srcs.ndim != 2 or len(srcs) != k[0]:
+            raise InvalidProgram(f"column srcs has shape {srcs.shape}, not {k[0]} rows")
         if fanin is None:
-            fanin = np.zeros(len(srcs), dtype=np.int64)
+            fanin = np.zeros(k, dtype=_INT32)
             for column in srcs.T:              # see _any_per_row
                 fanin += column >= 0
-        k = (len(dest),)
-        self.op = _column(op, _INT8, k)
-        self.dest = _column(dest, _INT64, k)
-        self.fanin = _column(fanin, _INT64, k)
+        self.op = _column(op, _INT8, k, "op")
+        # seen as uint8 a negative op code exceeds OP_VMOVE too; a scalar
+        # one is checked as a Python int
+        if (not (isinstance(op, int) and OP_NOR <= op <= OP_VMOVE)
+                and self.op.view(np.uint8).max(initial=0) > OP_VMOVE):
+            j = int((self.op.view(np.uint8) > OP_VMOVE).argmax())
+            raise InvalidProgram(f"instruction {j}: op code {self.op[j]} is not "
+                                 f"NOR, HMOVE or VMOVE")
+        self.dest = _column(dest, _INT32, k, "dest")
+        self.fanin = _column(fanin, _INT32, k, "fanin")
         w = max(int(self.fanin.max(initial=0)), 1)
-        self.srcs = _column(srcs if srcs.shape[1] == w else srcs[:, :w], _INT64, (*k, w))
+        self.srcs = _column(srcs if srcs.shape[1] == w else srcs[:, :w], _INT32, (*k, w), "srcs")
         moves = (offset, col_lo, col_hi, row)
-        zeros = _column(0, _INT64, k) if any([v is None for v in moves]) else None
+        zeros = _column(0, _INT32, k, "") if any([v is None for v in moves]) else None
         self.offset, self.col_lo, self.col_hi, self.row = [
-            zeros if v is None else _column(v, _INT64, k) for v in moves]
-        self.crosses = _column(False if crosses is None else crosses, _BOOL, k)
+            zeros if v is None else _column(v, _INT32, k, name)
+            for name, v in zip(("offset", "col_lo", "col_hi", "row"), moves)]
+        self.crosses = _column(False if crosses is None else crosses, _BOOL, k, "crosses")
         self.inputs, self.outputs = tuple(inputs), tuple(outputs)
         self.max_fanin = max_fanin
 
@@ -305,9 +347,6 @@ class NorProgram:
         """
         segments = self._segments(0, len(self))
         for kind, a, b in segments:
-            if kind not in (OP_NOR, OP_HMOVE, OP_VMOVE):
-                raise InvalidProgram(f"instruction {a}: op code {kind} is not "
-                                     f"NOR, HMOVE or VMOVE")
             rules = self._rules(kind, a, b, rows, cols)
             bad = rules[0][0] | rules[1][0]
             for mask, _ in rules[2:]:
@@ -322,37 +361,39 @@ class NorProgram:
     def _rules(self, kind: int, a: int, b: int, rows: int, cols: int) -> list:
         """Each rule of op code `kind`, in the order they are reported, as
         (mask of the instructions a..b-1 that break it, message of a + j)."""
-        # seen as uint64 a negative index exceeds every bound, so one compare
+        # seen as uint32 a negative index exceeds every bound, so one compare
         # checks both ends of a range
         if kind == OP_VMOVE:
             offset, row = self.offset[a:b], self.row[a:b]
-            hi = self.col_hi[a:b].view(np.uint64)
-            src_in = np.less(row.view(np.uint64), rows)
-            dst_in = np.less(np.add(row, offset).view(np.uint64), rows)
+            hi = self.col_hi[a:b].view(np.uint32)
+            src_in = np.less(row.view(np.uint32), rows)
+            # row + offset may leave the int32 range: it is summed in int64
+            dst_in = np.less(np.add(row, offset, dtype=np.int64).view(np.uint64), rows)
             return [(offset == 0, lambda j: "zero row offset"),
-                    ((self.col_lo[a:b].view(np.uint64) > hi) | (hi >= cols),
+                    ((self.col_lo[a:b].view(np.uint32) > hi) | (hi >= cols),
                      lambda j: "bad column range"),
                     (~(src_in | dst_in), lambda j: "neither endpoint is inside the array"),
                     (self.crosses[a:b] == (src_in & dst_in), lambda j: (
                         f"crosses_array flag does not match endpoints "
                         f"(src in={src_in[j]}, dest in={dst_in[j]})"))]
         dest = self.dest[a:b]
-        dest_out = dest.view(np.uint64) >= cols
+        dest_out = dest.view(np.uint32) >= cols
         if kind == OP_HMOVE:
             src = self.srcs[a:b, 0]
             return [(dest == src, lambda j: "destination equals source"),
-                    (dest_out | (src.view(np.uint64) >= cols),
+                    (dest_out | (src.view(np.uint32) >= cols),
                      lambda j: f"column {dest[j] if dest_out[j] else src[j]} out of range")]
         srcs, fanin = self.srcs[a:b], self.fanin[a:b]
         # the sources (the srcs entries within each fan-in) out of range, and
         # those that are the dest
         cells = np.empty((2, *srcs.shape), dtype=bool)
-        np.greater_equal(srcs.view(np.uint64), cols, out=cells[0])
+        np.greater_equal(srcs.view(np.uint32), cols, out=cells[0])
         np.equal(srcs, dest[:, None], out=cells[1])
-        cells &= np.arange(srcs.shape[1]) < fanin[:, None]
+        cells &= np.arange(srcs.shape[1], dtype=_INT32) < fanin[:, None]
         srcs_out, same = _any_per_row(cells)
-        # fan-in in 1..max_fanin, so fan-in - 1 as uint64 is below max_fanin
-        return [((fanin - 1).view(np.uint64) >= self.max_fanin,
+        # fan-in in 1..max_fanin, so fan-in - 1 as uint32 is below max_fanin
+        # (-2**31 - 1 wraps to 2**31 - 1, above it too)
+        return [((fanin - 1).view(np.uint32) >= self.max_fanin,
                  lambda j: f"fan-in {fanin[j]} exceeds limit {self.max_fanin}"),
                 (same, lambda j: "destination is also a source"),
                 (dest_out | srcs_out, lambda j: (
@@ -532,10 +573,14 @@ def _copy_columns(planes: np.ndarray, dests: list[int], srcs: list[int]) -> None
         i = j
 
 
-def run(program: NorProgram, initial: ArrayState) -> tuple[ArrayState, int]:
-    """Execute a program on a copy of `initial`; return (final state, cycles)."""
-    segments = program.validate(initial.rows, initial.cols)
-    state = initial.copy()
+def run(program: NorProgram, state: ArrayState) -> tuple[ArrayState, int]:
+    """Execute a program on `state` in place; return (state, cycles).
+
+    The returned state is `state` itself. The program is validated in full
+    first, so an invalid one raises InvalidProgram with `state` unchanged.
+    A caller that still needs the initial state runs on ``state.copy()``.
+    """
+    segments = program.validate(state.rows, state.cols)
     planes = None        # per-column plane views, made at the first NOR
     bitwise_or, invert = np.bitwise_or, np.invert
     for kind, a, b in segments:

@@ -5,7 +5,7 @@ objects are its read-only view. Here they go the other way: ``from_objects``
 builds a program from them through the columns constructor, and
 ``apply_instr`` and ``_problem`` state, one instruction at a time, the
 semantics and the validity rules that ``run`` and ``validate`` apply to
-whole runs of columns.
+whole runs of columns. The rules use Python ints, which never wrap.
 """
 
 from __future__ import annotations
@@ -109,10 +109,15 @@ def _problem(ins: Instr, rows: int, cols: int, max_fanin: int) -> str | None:
 
 
 def reference_error(instrs, rows: int, cols: int, max_fanin: int) -> str | None:
-    """The text of the first instruction-by-instruction validation failure."""
+    """The text of the error that building and validating a program raises.
+
+    The constructor refuses the first unknown op code, wherever it stands;
+    otherwise it is the first instruction-by-instruction validation failure.
+    """
     for i, ins in enumerate(instrs):
         if isinstance(ins, BadOp):
             return f"instruction {i}: op code {ins.op} is not NOR, HMOVE or VMOVE"
+    for i, ins in enumerate(instrs):
         problem = _problem(ins, rows, cols, max_fanin)
         if problem is not None:
             return f"instruction {i}: {ins!r}: {problem}"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,38 @@ class TestColumnarRelocation:
         assert cycles == 16 * k + 4096
         assert len(shift_calls) == k
         assert final == ArrayState(reference_run(prog, bits)[0])
+
+
+def _peak_bytes(fn, *args):
+    """(result, peak bytes traced while fn(*args) runs)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTallRelocationMemory:
+    # the benchmark's shifted-operand layout on a 65536-row array: 16 HMoves
+    # and 65536 VMoves
+    ROWS = 65536
+    SHIFTED = layout(n=16, k=1, vertical=True)
+
+    def test_program_peaks_at_its_columns(self):
+        # nine columns take 30 B per instruction (op and crosses 1 B each,
+        # the seven int32 ones 4 B each); building them makes no other
+        # full-length temporary
+        pim = PimMachine(rows=self.ROWS, cols=32)
+        prog, peak = _peak_bytes(relocation_program, self.SHIFTED, pim)
+        assert len(prog) == 16 + self.ROWS
+        assert peak <= 32 * len(prog)
+
+    def test_run_peaks_below_half_the_program(self):
+        # run works in place: validation's masks, one int64 row + offset and
+        # the stretch cuts are all it allocates per instruction
+        pim = PimMachine(rows=self.ROWS, cols=32)
+        prog = relocation_program(self.SHIFTED, pim)
+        state = ArrayState.zeros(self.ROWS, pim.cols)
+        (final, cycles), peak = _peak_bytes(run, prog, state)
+        assert final is state and cycles == len(prog)
+        assert peak <= 16 * len(prog)

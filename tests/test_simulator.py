@@ -213,12 +213,29 @@ class TestProgramProperties:
         _, cycles = run(p, ArrayState.zeros(4, p.cols_required))
         assert cycles == 48
 
+    def test_run_allocates_a_small_fraction_of_the_planes(self):
+        # run works in place: it copies no plane, and per NOR it makes only
+        # views and Python ints
+        p = microprogram_of(OpSpec(OpKind.ADD, 32))
+        rows = 65536
+        state = ArrayState.zeros(rows, p.cols_required)
+        planes_bytes = p.cols_required * rows // 8
+        tracemalloc.start()
+        try:
+            run(p, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * planes_bytes
+
     def test_determinism(self, rng):
+        # run works in place, so each run gets its own copy of one state
         p = microprogram_of(OpSpec(OpKind.ADD, 8))
         state = ArrayState(rng.integers(0, 2, (32, p.cols_required)).astype(bool))
-        a, _ = run(p, state)
-        b, _ = run(p, state)
-        assert a == b
+        first = state.copy()
+        a, _ = run(p, first)
+        b, _ = run(p, state.copy())
+        assert a is first and a == b and a != state
 
     def test_row_independence(self, rng):
         # no VMove: permuting input rows permutes output rows identically
@@ -440,13 +457,19 @@ class TestColumnarValidation:
     @example(([VMove(-1, 0, 1, 3, crosses_array=True), VMove(0, 0, 1, 1)], 4, 3, 2))
     @example(([HMove(5, 0), Nor(1, (0, 1, 2))], 4, 3, 2))
     @example(([Nor(1, (0,)), BadOp(3), Nor(2, (0,))], 4, 3, 2))   # inside a run of NORs
+    @example(([Nor(9, (0,)), BadOp(-1)], 4, 3, 2))        # refused before validation
+    # at the int32 extremes: row + offset must not wrap (into row 0 here)
+    @example(([VMove(2**31 - 1, 0, 0, 2**31 - 1)], 4, 3, 2))
+    @example(([VMove(-2**31, 0, 0, -2**31)], 4, 3, 2))
+    @example(([VMove(-1, 0, 2**31 - 1, 1)], 4, 3, 2))
     def test_error_text_is_that_of_the_first_bad_instruction(self, case):
+        # an unknown op code is refused by the constructor, any other rule
+        # by validate
         instrs, rows, cols, max_fanin = case
         want = reference_error(instrs, rows, cols, max_fanin)
-        program = prog(*instrs, max_fanin=max_fanin)
         assert want is not None
         with pytest.raises(InvalidProgram) as err:
-            program.validate(rows, cols)
+            prog(*instrs, max_fanin=max_fanin).validate(rows, cols)
         assert str(err.value) == want
 
     @settings(max_examples=100, deadline=None)
@@ -458,10 +481,10 @@ class TestColumnarValidation:
 
     @pytest.mark.parametrize("op", [3, -1])
     def test_unknown_op_code_is_rejected(self, op):
-        # no such instruction runs, not even as one of the three kinds
-        p = NorProgram(np.array([OP_NOR, op], np.int8), [2, 1], [[0], [0]])
+        # no such program is built, so nothing reads the op code as one of
+        # the three kinds
         with pytest.raises(InvalidProgram) as err:
-            run(p, ArrayState.zeros(2, 3))
+            NorProgram(np.array([OP_NOR, op], np.int8), [2, 1], [[0], [0]])
         assert str(err.value) == f"instruction 1: op code {op} is not NOR, HMOVE or VMOVE"
 
     def test_hmove_source_is_checked_whatever_its_fanin(self):
@@ -532,13 +555,13 @@ class TestColumnarForm:
 
     def test_constructor_takes_over_owned_columns_and_copies_the_rest(self):
         op = np.full(3, OP_NOR, dtype=np.int8)
-        dest = np.array([2, 3, 4], dtype=np.int64)
-        srcs = np.array([[0, 1], [1, -1], [2, 3]], dtype=np.int64)
-        fanin = np.array([2, 1, 2], dtype=np.int64)
+        dest = np.array([2, 3, 4], dtype=np.int32)
+        srcs = np.array([[0, 1], [1, -1], [2, 3]], dtype=np.int32)
+        fanin = np.array([2, 1, 2], dtype=np.int32)
         crosses = np.zeros(3, dtype=bool)
         owned = {"op": op, "dest": dest, "srcs": srcs, "fanin": fanin, "crosses": crosses}
-        view = np.arange(9, dtype=np.int64)[::3]           # base is not None
-        wrong = np.array([0, 1, 2], dtype=np.int32)        # not int64
+        view = np.arange(9, dtype=np.int32)[::3]           # base is not None
+        wrong = np.array([0, 1, 2], dtype=np.int64)        # not int32
         wide = np.array([[0, 1, -1], [1, -1, -1], [2, 3, -1]])   # wider than any fan-in
         kept = {name: a.copy() for name, a in {**owned, "view": view, "wrong": wrong}.items()}
         p = NorProgram(op, dest, srcs, fanin, offset=view, col_lo=wrong, crosses=crosses)
@@ -549,7 +572,7 @@ class TestColumnarForm:
             assert not np.shares_memory(given, column) and given.flags.writeable
         assert q.srcs.shape == (3, 2) and q.srcs.tolist() == srcs.tolist()
         assert p.offset.tolist() == [0, 3, 6] and p.col_lo.tolist() == [0, 1, 2]
-        assert p.col_lo.dtype == np.int64
+        assert p.col_lo.dtype == q.srcs.dtype == np.int32
         # running the program writes no column and no caller array
         run(p, ArrayState.zeros(5, 5))
         run(q, ArrayState.zeros(5, 5))
@@ -586,7 +609,51 @@ class TestColumnarForm:
         assert prog(outputs=(ColRange("x", 3, 4),)).cols_required == 7
         state = ArrayState(np.eye(3, dtype=bool))
         final, cycles = run(p, state)
-        assert cycles == 0 and final == state and final is not state
+        assert cycles == 0 and final is state and final == ArrayState(np.eye(3, dtype=bool))
+
+    def test_columns_of_another_length_are_refused(self):
+        # an array column must match dest's length, not broadcast from one
+        # entry; a scalar still does
+        with pytest.raises(InvalidProgram, match=r"^column srcs has shape \(1, 1\), not 2 rows$"):
+            NorProgram(OP_NOR, [1, 2], [[0]])
+        legal = {"op": OP_VMOVE, "dest": [-1, -1], "srcs": [-1, -1], "fanin": 0,
+                 "offset": -1, "col_lo": 0, "col_hi": 0, "row": [1, 2], "crosses": False}
+        for name in ("op", "fanin", "offset", "col_lo", "col_hi", "row", "crosses"):
+            for entries in ([legal[name] if np.isscalar(legal[name]) else 1],
+                            [legal[name] if np.isscalar(legal[name]) else 1] * 3):
+                with pytest.raises(InvalidProgram, match=rf"^column {name} has shape "
+                                                         rf"\({len(entries)},\), not \(2,\)$"):
+                    NorProgram(**{**legal, name: entries})
+        assert NorProgram(**legal).instructions == (VMove(-1, 0, 0, 1), VMove(-1, 0, 0, 2))
+        # srcs narrower than the widest fan-in
+        with pytest.raises(InvalidProgram, match=r"^column srcs has shape \(1, 1\), not \(1, 2\)$"):
+            NorProgram(OP_NOR, [2], [[0]], fanin=[2])
+
+    INT_COLUMNS = ("dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row")
+
+    @pytest.mark.parametrize("value", [2**31, -2**31 - 1, np.int64(2**32 + 1)],
+                             ids=["2**31", "-2**31-1", "int64 2**32+1"])
+    @pytest.mark.parametrize("name", INT_COLUMNS)
+    def test_entries_outside_int32_are_refused_not_wrapped(self, name, value):
+        # narrowed to int32, 2**32 + 1 would read as 1 and 2**31 as -2**31
+        columns = {"op": OP_VMOVE, "dest": [-1], "srcs": [[-1]], "fanin": [0],
+                   "offset": [-1], "col_lo": [0], "col_hi": [0], "row": [1]}
+        given = np.array(columns[name], dtype=object)
+        given[...] = value
+        if isinstance(value, np.int64):
+            given = given.astype(np.int64)
+        columns[name] = given
+        with pytest.raises(InvalidProgram, match=rf"^column {name} holds {int(value)}, "
+                                                 rf"outside the int32 range$"):
+            NorProgram(**columns)
+
+    # (a fan-in of 2**31 - 1 would need as many srcs columns)
+    @pytest.mark.parametrize("name", [c for c in INT_COLUMNS if c != "fanin"])
+    def test_int32_extremes_are_kept(self, name):
+        for value in (2**31 - 1, -2**31):
+            p = NorProgram(**{"op": OP_VMOVE, "dest": [-1], "srcs": [[-1]], "fanin": [0],
+                              name: np.array([value] if name != "srcs" else [[value]])})
+            assert getattr(p, name).ravel().tolist() == [value]
 
 
 @st.composite
