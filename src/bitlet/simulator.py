@@ -185,7 +185,8 @@ def _check_max_fanin(max_fanin: int) -> None:
 
 
 _INT8, _INT32, _BOOL = np.dtype(np.int8), np.dtype(np.int32), np.dtype(bool)
-_LIMITS = {t: (int(np.iinfo(t).min), int(np.iinfo(t).max)) for t in (_INT8, _INT32)}
+_LIMITS = {_BOOL: (0, 1), **{t: (int(np.iinfo(t).min), int(np.iinfo(t).max))
+                             for t in (_INT8, _INT32)}}
 
 
 def _column(values, dtype: np.dtype, shape: tuple, name: str) -> np.ndarray:
@@ -193,8 +194,8 @@ def _column(values, dtype: np.dtype, shape: tuple, name: str) -> np.ndarray:
 
     An array of that dtype and shape that owns its data is taken over, not
     copied. Anything else is copied, once it is known to be a scalar or an
-    array of that shape, and, for an integer column, to hold no entry the
-    column's dtype cannot (narrowing would wrap it).
+    array of that shape holding no entry the column's dtype cannot (an
+    integer one would wrap; a bool column takes 0 and 1).
     """
     if not (isinstance(values, np.ndarray) and values.base is None
             and values.dtype == dtype and values.shape == shape):
@@ -207,7 +208,7 @@ def _column(values, dtype: np.dtype, shape: tuple, name: str) -> np.ndarray:
             lo = hi = 0
             if given.dtype != dtype and given.size:
                 lo, hi = given.min(), given.max()
-        least, most = _LIMITS.get(dtype, (0, 1))
+        least, most = _LIMITS[dtype]
         if lo < least or hi > most:
             raise InvalidProgram(f"column {name} holds {lo if lo < least else hi}, "
                                  f"outside the {dtype} range")

@@ -613,37 +613,34 @@ class TestColumnarForm:
 
     def test_columns_of_another_length_are_refused(self):
         # an array column must match dest's length, not broadcast from one
-        # entry; a scalar still does
+        # entry (a scalar still broadcasts)
         with pytest.raises(InvalidProgram, match=r"^column srcs has shape \(1, 1\), not 2 rows$"):
             NorProgram(OP_NOR, [1, 2], [[0]])
-        legal = {"op": OP_VMOVE, "dest": [-1, -1], "srcs": [-1, -1], "fanin": 0,
-                 "offset": -1, "col_lo": 0, "col_hi": 0, "row": [1, 2], "crosses": False}
+        legal = {"op": [OP_VMOVE] * 2, "dest": [-1, -1], "srcs": [-1, -1], "fanin": [0, 0],
+                 "offset": [-1, -1], "col_lo": [0, 0], "col_hi": [0, 0], "row": [1, 2],
+                 "crosses": [False, False]}
         for name in ("op", "fanin", "offset", "col_lo", "col_hi", "row", "crosses"):
-            for entries in ([legal[name] if np.isscalar(legal[name]) else 1],
-                            [legal[name] if np.isscalar(legal[name]) else 1] * 3):
+            for entries in (legal[name][:1], legal[name] * 2):
                 with pytest.raises(InvalidProgram, match=rf"^column {name} has shape "
                                                          rf"\({len(entries)},\), not \(2,\)$"):
                     NorProgram(**{**legal, name: entries})
-        assert NorProgram(**legal).instructions == (VMove(-1, 0, 0, 1), VMove(-1, 0, 0, 2))
+        assert NorProgram(**{**legal, "offset": -1}).instructions == (VMove(-1, 0, 0, 1),
+                                                                     VMove(-1, 0, 0, 2))
         # srcs narrower than the widest fan-in
         with pytest.raises(InvalidProgram, match=r"^column srcs has shape \(1, 1\), not \(1, 2\)$"):
             NorProgram(OP_NOR, [2], [[0]], fanin=[2])
 
     INT_COLUMNS = ("dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row")
 
-    @pytest.mark.parametrize("value", [2**31, -2**31 - 1, np.int64(2**32 + 1)],
+    @pytest.mark.parametrize("given", [[2**31], [-2**31 - 1], np.array([2**32 + 1], np.int64)],
                              ids=["2**31", "-2**31-1", "int64 2**32+1"])
     @pytest.mark.parametrize("name", INT_COLUMNS)
-    def test_entries_outside_int32_are_refused_not_wrapped(self, name, value):
+    def test_entries_outside_int32_are_refused_not_wrapped(self, name, given):
         # narrowed to int32, 2**32 + 1 would read as 1 and 2**31 as -2**31
         columns = {"op": OP_VMOVE, "dest": [-1], "srcs": [[-1]], "fanin": [0],
-                   "offset": [-1], "col_lo": [0], "col_hi": [0], "row": [1]}
-        given = np.array(columns[name], dtype=object)
-        given[...] = value
-        if isinstance(value, np.int64):
-            given = given.astype(np.int64)
-        columns[name] = given
-        with pytest.raises(InvalidProgram, match=rf"^column {name} holds {int(value)}, "
+                   "offset": [-1], "col_lo": [0], "col_hi": [0], "row": [1],
+                   name: [given] if name == "srcs" else given}
+        with pytest.raises(InvalidProgram, match=rf"^column {name} holds {int(given[0])}, "
                                                  rf"outside the int32 range$"):
             NorProgram(**columns)
 
