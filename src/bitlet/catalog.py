@@ -25,12 +25,30 @@ exist, in any polarity; the rail form does, at fan-in 3. Consequences:
 the carry-in column of ADD_FANIN4 programs is active low (preset 1 means
 "no carry in"), and the carry-out is exposed as the two-column rail named
 ``ncout`` rather than as a single cell.
+
+Generators. Each generator states its program once, as data, in a
+``_Kind``: named column blocks, allocated in order from column 0 with
+widths such as n or 7, and a netlist, the gates of one bit as (dest,
+*srcs). A netlist column is a linear form in the width n and the bit j,
+per_n * n + const + per_bit * j + per_odd_bit * (j % 2), written as sums
+of block starts, offsets and j: ``a + j`` is bit j of block a, ``t + 1`` a
+fixed scratch column. At import each netlist becomes a table of those four
+coefficients per column, fan-in, dest and padded sources alike. A width's
+program is then one matrix product of the terms (n, 1, j, j % 2) of its
+bits with that table, so building it takes the same numpy calls at every
+width and gate count. What the linear form cannot state is patched after
+the product, where the generator says so: ADD_FANIN4's bit-0 rail, and
+MPY's first carry-in and last carry-out. MPY's n rounds are its round 0,
+built that way, broadcast: every column of b and out steps by one per
+round. No program or table built for a width outlives the call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +105,7 @@ class OpSpec:
 
     def __post_init__(self) -> None:
         n = self.width_bits
-        if not isinstance(n, int) or not 1 <= n <= WIDTH_CAP:
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= WIDTH_CAP:
             raise UnsupportedWidth(f"must be in 1..{WIDTH_CAP}, got {_shown(n)}")
         if self.kind is OpKind.MPY_LOWPREC and (self.kind, n) not in _POINT_VALUES:
             raise UnsupportedWidth(f"MPY_LOWPREC has a known cycle count only for "
@@ -116,101 +134,126 @@ def catalog_table() -> list[dict]:
 
 # -- microprogram generation ---------------------------------------------
 
-class _Plan:
-    """Sequential column allocator for one program."""
+@dataclass(frozen=True)
+class _Col:
+    """A column of a generator's template: at bit j of an n-bit program,
+    column per_n * n + const + per_bit * j + per_odd_bit * (j % 2)."""
 
-    def __init__(self) -> None:
-        self.next = 0
-        self.ranges: dict[str, tuple[int, int]] = {}   # name -> (start, width)
+    per_n: int = 0
+    const: int = 0
+    per_bit: int = 0
+    per_odd_bit: int = 0
 
-    def block(self, name: str, width: int) -> int:
-        """Allocate `width` columns under `name`; return the first."""
-        start = self.next
-        self.next += width
-        self.ranges[name] = (start, width)
-        return start
+    def __add__(self, other: "_Col | int") -> "_Col":
+        if isinstance(other, int):
+            other = _Col(const=other)
+        return _Col(self.per_n + other.per_n, self.const + other.const,
+                    self.per_bit + other.per_bit, self.per_odd_bit + other.per_odd_bit)
+
+    def at(self, n: int) -> int:
+        """The column at width n, of a block start or width (no per-bit part)."""
+        return self.per_n * n + self.const
 
 
-def _per_bit(gates, n: int, width: int | None = None):
-    """Columns (dest, srcs, fanin) of a gate template repeated for n bits, bit-major.
+_N, _J, _PAD = _Col(per_n=1), _Col(per_bit=1), _Col(const=-1)
 
-    A gate is (dest, *srcs), and each entry is a column or an array holding
-    one column per bit. ``srcs`` has `width` columns (by default the widest
-    gate's fan-in), each row padded with -1 at the end. Each column is
-    allocated at its final shape and written through a (bit, gate) view, so
-    the ``NorProgram`` constructor takes it over without a copy.
-    """
-    k = len(gates)
+# row j: the terms (n, 1, j, j % 2) of bit j, once column 0 is set to n
+_BIT_TERMS = np.ones((WIDTH_CAP, 4), dtype=np.int32)
+_BIT_TERMS[:, 2] = np.arange(WIDTH_CAP)
+_BIT_TERMS[:, 3] = _BIT_TERMS[:, 2] % 2
+
+
+class _Netlist(NamedTuple):
+    """A gate template as a (4, k * (2 + w)) table: the coefficients of each
+    gate's fan-in, then of each gate's dest, then of each gate's w sources,
+    padded with -1."""
+
+    table: np.ndarray
+    gates: int
+
+
+def _netlist(gates: list[tuple], width: int | None = None) -> _Netlist:
+    """The table of `gates`, each (dest, *srcs), with `width` source slots
+    per gate (by default the widest gate's fan-in)."""
     width = width or max(map(len, gates)) - 1
-    dest = np.empty(n * k, dtype=np.int32)
-    srcs = np.full((n * k, width), -1, dtype=np.int32)
-    fanin = np.empty(n * k, dtype=np.int32)
-    fanin.reshape(n, k)[...] = [len(gate) - 1 for gate in gates]
-    dest_by_bit, srcs_by_bit = dest.reshape(n, k), srcs.reshape(n, k, width)
-    for g, (out, *ins) in enumerate(gates):
-        dest_by_bit[:, g] = out
-        for c, column in enumerate(ins):
-            srcs_by_bit[:, g, c] = column
-    return dest, srcs, fanin
+    cols = ([_Col(const=len(gate) - 1) for gate in gates] + [gate[0] for gate in gates]
+            + [col for _, *ins in gates for col in ins + [_PAD] * (width - len(ins))])
+    table = [[c.per_n, c.const, c.per_bit, c.per_odd_bit] for c in cols]
+    return _Netlist(np.array(table, dtype=np.int32).T.copy(), len(gates))
 
 
-def _not_program(n: int):
-    plan = _Plan()
-    a, out = plan.block("a", n), plan.block("out", n)
-    j = np.arange(n)
-    return _per_bit([(out + j, a + j)], n), plan, ["a"], ["out"]
+def _per_bit(netlist: _Netlist, n: int, bits: int | None = None):
+    """Columns (dest, srcs, fanin) of a netlist of an n-bit program repeated
+    for bits 0..bits-1 (by default n), bit-major.
+
+    All three come from one matrix product of those bits' terms with the
+    netlist's table, so the numpy calls do not grow with the gates or the
+    width. Each column is owned, so the ``NorProgram`` constructor takes it
+    over without a copy.
+    """
+    bits, k = bits or n, netlist.gates
+    terms = _BIT_TERMS[:bits].copy()
+    terms[:, 0] = n
+    table = terms.dot(netlist.table)
+    srcs = np.empty((bits * k, table.shape[1] // k - 2), dtype=np.int32)
+    srcs.reshape(bits, -1)[...] = table[:, 2 * k:]
+    return table[:, k:2 * k].flatten(), srcs, table[:, :k].flatten()
 
 
-def _or_program(n: int):
-    plan = _Plan()
-    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
-    t = plan.block("scratch", 1)
-    j = np.arange(n)
-    gates = [(t, a + j, b + j), (out + j, t)]
-    return _per_bit(gates, n), plan, ["a", "b"], ["out"]
+class _Kind(NamedTuple):
+    """An operation's program, stated once: its column blocks as name ->
+    (start, width), its netlist (MPY: a tuple of them), and the (name, start,
+    width) of each block of its inputs and of its outputs."""
+
+    blocks: dict
+    netlist: _Netlist | tuple
+    inputs: tuple
+    outputs: tuple
 
 
-def _and_program(n: int):
-    plan = _Plan()
-    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
-    t = plan.block("scratch", 2)
-    j = np.arange(n)
-    gates = [(t, a + j), (t + 1, b + j), (out + j, t, t + 1)]
-    return _per_bit(gates, n), plan, ["a", "b"], ["out"]
+def _kind(widths: dict, inputs: list[str], outputs: list[str], netlist) -> _Kind:
+    """Allocate the blocks of `widths` in order from column 0; `netlist`
+    takes the bit j and the start of each block and returns the netlist."""
+    blocks, start = {}, _Col()
+    for name, width in widths.items():
+        blocks[name] = (start, width if isinstance(width, _Col) else _Col(const=width))
+        start += width
+    return _Kind(blocks, netlist(_J, *[start for start, _ in blocks.values()]),
+                 tuple((x, *blocks[x]) for x in inputs), tuple((x, *blocks[x]) for x in outputs))
 
 
-def _xor_program(n: int):
-    plan = _Plan()
-    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
-    t1, t2, t3, t4 = range(plan.block("scratch", 4), plan.next)
-    j = np.arange(n)
-    aj, bj = a + j, b + j
-    gates = [(t1, aj, bj), (t2, aj, t1), (t3, bj, t1),
-             (t4, t2, t3),                      # XNOR
-             (out + j, t4)]
-    return _per_bit(gates, n), plan, ["a", "b"], ["out"]
+def _ranges(blocks: tuple, n: int) -> tuple:
+    """The `ColRange` at width n of each (name, start, width) block."""
+    return tuple([ColRange(x, start.at(n), width.at(n)) for x, start, width in blocks])
 
 
-def _full_adder9(aj, bj, cin, sum_dest, cout_dest, t: int) -> list[tuple]:
+def _full_adder9(aj, bj, cin, sum_dest, cout_dest, t) -> list[tuple]:
     """Nine-gate two-input-NOR full adder; scratch columns t..t+6."""
-    n1, n2, n3, n4, n5, n6, n7 = range(t, t + 7)
+    n1, n2, n3, n4, n5, n6, n7 = (t + i for i in range(7))
     return [(n1, aj, bj), (n2, aj, n1), (n3, bj, n1),
             (n4, n2, n3),                       # XNOR(a, b)
             (n5, n4, cin), (n6, n4, n5), (n7, cin, n5),
             (sum_dest, n6, n7), (cout_dest, n1, n5)]
 
 
-def _add_program(n: int):
-    plan = _Plan()
-    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
-    carry = plan.block("carry", 1)  # carry-in on entry, carry-out on exit
-    t = plan.block("scratch", 7)
-    j = np.arange(n)
-    gates = _full_adder9(a + j, b + j, carry, out + j, carry, t)
-    return _per_bit(gates, n), plan, ["a", "b", "carry"], ["out", "carry"]
+_NOT = _kind({"a": _N, "out": _N}, ["a"], ["out"],
+             lambda j, a, out: _netlist([(out + j, a + j)]))
+_OR = _kind({"a": _N, "b": _N, "out": _N, "scratch": 1}, ["a", "b"], ["out"],
+            lambda j, a, b, out, t: _netlist([(t, a + j, b + j), (out + j, t)]))
+_AND = _kind({"a": _N, "b": _N, "out": _N, "scratch": 2}, ["a", "b"], ["out"],
+             lambda j, a, b, out, t: _netlist([(t, a + j), (t + 1, b + j), (out + j, t, t + 1)]))
+_XOR = _kind({"a": _N, "b": _N, "out": _N, "scratch": 4}, ["a", "b"], ["out"],
+             lambda j, a, b, out, t: _netlist([
+                 (t, a + j, b + j), (t + 1, a + j, t), (t + 2, b + j, t),
+                 (t + 3, t + 1, t + 2),                     # XNOR
+                 (out + j, t + 3)]))
+# the carry column holds the carry-in on entry and the carry-out on exit
+_ADD = _kind({"a": _N, "b": _N, "out": _N, "carry": 1, "scratch": 7},
+             ["a", "b", "carry"], ["out", "carry"],
+             lambda j, a, b, out, c, t: _netlist(_full_adder9(a + j, b + j, c, out + j, c, t)))
 
 
-def _add_fanin4_program(n: int):
+def _add_fanin4_netlist(j, a, b, out, ncin, even, odd):
     # Carry travels as a two-column rail holding the inverted carry in
     # distributed form: rail OR == NOT carry, so NOR(rail) == carry.
     # Per bit (7 gates, fan-in <= 3 once the rail replaces nc):
@@ -221,54 +264,90 @@ def _add_fanin4_program(n: int):
     #     t = NOR(s, a)           ~a & ~(b^c)
     #     u = NOR(s, r, q)        a & (b^c)
     #     out = NOR(t, u)         a ^ b ^ c
-    # Two scratch banks alternate so bit i+1 can still read bit i's rail.
-    plan = _Plan()
-    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", n)
-    ncin = plan.block("ncin", 1)                # active low: 1 means carry-in 0
-    even, odd = plan.block("scratch_even", 6), plan.block("scratch_odd", 6)
-    j = np.arange(n)
-    bank = np.where(j % 2, odd, even)
-    p, q, r, s, t, u = (bank + k for k in range(6))
-    aj, bj = a + j, b + j
-    rail = (np.append(ncin, r[:-1]), np.append(-1, s[:-1]))
-    dest, srcs, fanin = _per_bit([(p, *rail, bj), (q, p, *rail), (r, p, bj), (s, r, q, aj),
-                                  (t, s, aj), (u, s, r, q), (out + j, t, u)], n)
+    # Two scratch banks of 6 alternate so bit j+1 can still read bit j's
+    # rail: bit j writes the odd bank when j is odd and reads its rail, r
+    # and s, from the other. Bit 0 reads ncin alone, patched in by
+    # _add_fanin4_program.
+    bank, other = even + _Col(per_odd_bit=6), odd + _Col(per_odd_bit=-6)
+    p, q, r, s, t, u = (bank + i for i in range(6))
+    rail = (other + 2, other + 3)
+    return _netlist([(p, *rail, b + j), (q, p, *rail), (r, p, b + j), (s, r, q, a + j),
+                     (t, s, a + j), (u, s, r, q), (out + j, t, u)])
+
+
+# ncin is active low: 1 means carry-in 0
+_ADD_FANIN4 = _kind({"a": _N, "b": _N, "out": _N, "ncin": 1, "scratch_even": 6,
+                     "scratch_odd": 6}, ["a", "b", "ncin"], ["out"], _add_fanin4_netlist)
+
+
+def _add_fanin4_program(n: int) -> NorProgram:
+    kind = _ADD_FANIN4
+    dest, srcs, fanin = _per_bit(kind.netlist, n)
+    b, ncin, even = (kind.blocks[x][0].at(n) for x in ("b", "ncin", "scratch_even"))
     srcs[:2] = [[ncin, b, -1],                  # bit 0 reads ncin alone
-                [p[0], ncin, -1]]
+                [even, ncin, -1]]
     fanin[:2] = 2
-    plan.ranges["ncout"] = (int(r[-1]), 2)      # r, s are adjacent
-    return (dest, srcs, fanin), plan, ["a", "b", "ncin"], ["out", "ncout"]
+    r = even + 2 + 6 * ((n - 1) % 2)            # bit n-1's rail: its r and s
+    return NorProgram(OP_NOR, dest, srcs, fanin, inputs=_ranges(kind.inputs, n),
+                      outputs=(*_ranges(kind.outputs, n), ColRange("ncout", r, 2)),
+                      max_fanin=4)
 
 
-def _mpy_program(n: int):
+def _mpy_netlist(j, a, b, out, na, pp, nb, zero, cc, t):
     # Shift-and-add: out accumulates a * b_i << i, one nine-gate ripple add
     # per partial product. Functionally exact; the cycle count is this
-    # construction's own, not the catalog's 13n^2-14n.
-    plan = _Plan()
-    a, b, out = plan.block("a", n), plan.block("b", n), plan.block("out", 2 * n)
-    na, pp = plan.block("not_a", n), plan.block("partial", n)
-    nb = plan.block("not_b", 1)
-    zero = plan.block("zero", 1)                # never written, stays 0
-    cc = plan.block("carry", 1)
-    t = plan.block("scratch", 7)
-    j = np.arange(n)
-    cin = np.where(j == 0, zero, cc)
-    blocks = [_per_bit([(na + j, a + j)], n, 2)]
-    for i in range(n):
-        acc = out + i + j
-        cout = np.where(j == n - 1, out + i + n, cc)
-        blocks += [_per_bit([(nb, b + i)], 1, 2),
-                   _per_bit([(pp + j, na + j, nb)], n),
-                   _per_bit(_full_adder9(pp + j, acc, cin, acc, cout, t), n)]
-    return tuple(map(np.concatenate, zip(*blocks))), plan, ["a", "b"], ["out"]
+    # construction's own, not the catalog's 13n^2-14n. The NOTs of a come
+    # once; then round i of n NORs b_i into not_b, forms the partial
+    # products a & b_i and adds them into out + i. These are round 0's; the
+    # zero column is never written and stays 0.
+    return (_netlist([(na + j, a + j)], 2),
+            _netlist([(nb, b)], 2),
+            _netlist([(pp + j, na + j, nb)]),
+            _netlist(_full_adder9(pp + j, out + j, cc, out + j, cc, t)))
+
+
+_MPY = _kind({"a": _N, "b": _N, "out": _N + _N, "not_a": _N, "partial": _N, "not_b": 1,
+              "zero": 1, "carry": 1, "scratch": 7}, ["a", "b"], ["out"], _mpy_netlist)
+
+
+def _mpy_program(n: int) -> NorProgram:
+    kind = _MPY
+    not_a, not_b, partial, add = kind.netlist
+    b, out, zero = (kind.blocks[x][0].at(n) for x in ("b", "out", "zero"))
+    # round 0, whose add carries in from the zero column at bit 0 and out
+    # into the next column of out at bit n-1
+    pieces = [_per_bit(not_b, n, 1), _per_bit(partial, n), _per_bit(add, n)]
+    add_dest, add_srcs, _ = pieces[2]
+    add_srcs[4, 1] = add_srcs[6, 0] = zero
+    add_dest[-1] = out + n
+    dest0, srcs0, fanin0 = [np.concatenate(c) for c in zip(*pieces)]
+    # round i is round 0 with every column of b and out, the adjacent
+    # blocks [b, out + 2n), i further on
+    m, rounds = len(dest0), np.arange(n, dtype=np.int32)
+    dest = np.empty(n * (m + 1), dtype=np.int32)
+    srcs = np.empty((n * (m + 1), 2), dtype=np.int32)
+    fanin = np.empty(n * (m + 1), dtype=np.int32)
+    dest[:n], srcs[:n], fanin[:n] = _per_bit(not_a, n)
+    np.add(dest0, np.multiply.outer(rounds, (b <= dest0) & (dest0 < out + 2 * n)),
+           out=dest[n:].reshape(n, m))
+    np.add(srcs0, np.multiply.outer(rounds, (b <= srcs0) & (srcs0 < out + 2 * n)),
+           out=srcs[n:].reshape(n, m, 2))
+    fanin[n:].reshape(n, m)[...] = fanin0
+    return NorProgram(OP_NOR, dest, srcs, fanin, inputs=_ranges(kind.inputs, n),
+                      outputs=_ranges(kind.outputs, n))
+
+
+def _per_bit_program(kind: _Kind, n: int) -> NorProgram:
+    return NorProgram(OP_NOR, *_per_bit(kind.netlist, n), inputs=_ranges(kind.inputs, n),
+                      outputs=_ranges(kind.outputs, n))
 
 
 _GENERATORS = {
-    OpKind.NOT: _not_program,
-    OpKind.OR: _or_program,
-    OpKind.AND: _and_program,
-    OpKind.XOR: _xor_program,
-    OpKind.ADD: _add_program,
+    OpKind.NOT: partial(_per_bit_program, _NOT),
+    OpKind.OR: partial(_per_bit_program, _OR),
+    OpKind.AND: partial(_per_bit_program, _AND),
+    OpKind.XOR: partial(_per_bit_program, _XOR),
+    OpKind.ADD: partial(_per_bit_program, _ADD),
     OpKind.ADD_FANIN4: _add_fanin4_program,
     OpKind.MPY: _mpy_program,
 }
@@ -288,10 +367,4 @@ def microprogram_of(spec: OpSpec) -> NorProgram:
     gen = _GENERATORS.get(spec.kind)
     if gen is None:
         raise UnsupportedOperation(f"no canonical microprogram for {spec.kind.name}")
-    (dest, srcs, fanin), plan, in_names, out_names = gen(spec.width_bits)
-    return NorProgram(
-        OP_NOR, dest, srcs, fanin,
-        inputs=tuple([ColRange(x, *plan.ranges[x]) for x in in_names]),
-        outputs=tuple([ColRange(x, *plan.ranges[x]) for x in out_names]),
-        max_fanin=4 if spec.kind is OpKind.ADD_FANIN4 else 2,
-    )
+    return gen(spec.width_bits)

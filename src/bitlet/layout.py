@@ -96,44 +96,48 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     rows = pim.rows
     if k > rows:
         raise RowOverflow(f"{k} row groups need at least {k} rows, array has {rows}")
-    inputs = tuple(ColRange(f"source_{g}", g * n, n) for g in range(k))
-    outputs = (tuple(ColRange(f"target_{g}", (k + g) * n, n) for g in range(k))
+    inputs = tuple([ColRange(f"source_{g}", g * n, n) for g in range(k)])
+    outputs = (tuple([ColRange(f"target_{g}", (k + g) * n, n) for g in range(k)])
                or (ColRange("aligned", 0, n),))
-    for r in inputs[:1] + outputs:   # lowest first; later sources lie below target_0
-        if r.stop > pim.cols:
-            raise ColumnOverflow(f"element region [{r.start}, {r.stop}) exceeds "
-                                 f"{pim.cols} columns")
+    if outputs[-1].stop > pim.cols:  # report the lowest; later sources lie below target_0
+        r = next(r for r in inputs[:1] + outputs if r.stop > pim.cols)
+        raise ColumnOverflow(f"element region [{r.start}, {r.stop}) exceeds "
+                             f"{pim.cols} columns")
 
     # one HMove per bit of each subset: columns 0..kn-1 to kn..2kn-1
     h = k * n
-    sources = np.arange(h, dtype=np.int32)
     if not layout.needs_vertical_relocation:
-        return NorProgram(OP_HMOVE, sources + h, sources, inputs=inputs, outputs=outputs)
+        return NorProgram(OP_HMOVE, np.arange(h, 2 * h, dtype=np.int32),
+                          np.arange(h, dtype=np.int32)[:, None].copy(), 1,
+                          inputs=inputs, outputs=outputs)
     # then one VMove per destination row d, ascending, from row d+1, so none
     # reads a row already written. VMove d moves the region of row
     # min(d+1, rows-1): the last one reads the neighbouring array, so its
-    # region is its own row's. Each column is allocated once.
+    # region is its own row's. Each column is allocated once, and no ufunc
+    # takes a Python int, which it would convert on every call.
     m = h + rows
     op = np.empty(m, dtype=np.int8)
     op[:h], op[h:] = OP_HMOVE, OP_VMOVE
-    dest = np.arange(h, h + m, dtype=np.int32)      # HMove i writes column h + i
+    srcs = np.arange(m, dtype=np.int32)[:, None].copy()     # HMove i reads column i
+    srcs[h:] = -1
+    dest = np.arange(h, h + m, dtype=np.int32)                # and writes column h + i
     dest[h:] = -1
-    srcs = np.empty((m, 1), dtype=np.int32)
-    srcs[:h, 0], srcs[h:] = sources, -1
     fanin = np.zeros(m, dtype=np.int32)
     fanin[:h] = 1
-    offset = np.full(m, -1, dtype=np.int32)
-    offset[:h] = 0
+    offset = np.zeros(m, dtype=np.int32)
+    offset[h:] = -1
     row = np.arange(1 - h, 1 + rows, dtype=np.int32)   # VMove h + d reads row d + 1
     row[:h] = 0
     crosses = np.zeros(m, dtype=bool)
     crosses[-1] = True
-    col_lo = np.zeros(m, dtype=np.int32)
-    for g, out in enumerate(outputs):   # VMoves d with d+1 in block g's [first, stop)
-        first, stop = (-(-b * rows // len(outputs)) for b in (g, g + 1))
-        col_lo[h + max(first - 1, 0):h + stop - 1] = out.start
-    col_lo[-1] = outputs[-1].start
-    col_hi = col_lo + (n - 1)
-    col_hi[:h] = 0
+    col_lo, col_hi = np.zeros(m, dtype=np.int32), np.zeros(m, dtype=np.int32)
+    # block g owns rows [first[g], first[g + 1]): its VMoves are those d
+    # with d + 1 in it, and the last VMove, from the neighbouring array,
+    # moves the last block's region
+    first = [-(-b * rows // len(outputs)) for b in range(len(outputs) + 1)]
+    first[-1] += 1
+    for g, out in enumerate(outputs):
+        moves = slice(h + max(first[g] - 1, 0), h + first[g + 1] - 1)
+        col_lo[moves], col_hi[moves] = out.start, out.start + n - 1
     return NorProgram(op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
                       inputs=inputs, outputs=outputs)

@@ -58,9 +58,12 @@ def positive(**values) -> None:
 
 
 def integers(**values) -> None:
-    """Raise FieldError for the first of the `field=value` pairs not an int."""
+    """Raise FieldError for the first of the `field=value` pairs not an int.
+
+    A bool is not taken for an integer, and neither is a numpy integer.
+    """
     for field, value in values.items():
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise FieldError(field, f"must be an integer, got {_shown(value)}")
 
 
@@ -80,6 +83,7 @@ class PimMachine:
     energy_per_cycle_pj: float = 0.1
 
     def __post_init__(self) -> None:
+        integers(rows=self.rows, cols=self.cols, mats=self.mats)
         at_least(1, rows=self.rows, cols=self.cols, mats=self.mats)
         positive(cycle_time_ns=self.cycle_time_ns, energy_per_cycle_pj=self.energy_per_cycle_pj)
 

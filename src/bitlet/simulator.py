@@ -73,7 +73,13 @@ matters as much as its row bandwidth, and the same code serves both:
   * the constructor takes over every column its caller built as an owned
     array of the right dtype, so a generator that does (``catalog``,
     ``layout``) pays one flag per column and no copy or range check, and
-    the VMove fields a program leaves out share one zero column;
+    the VMove fields a program leaves out share one zero column. It reads
+    the widest fan-in and the largest op code with ``argmax`` before it
+    makes the columns read-only (numpy copies a read-only array for
+    ``argmax``, and ``max`` costs several times more), and a column given
+    as 0 is one zeroed allocation. It is still the largest share of a
+    small generated program: about a third of ``microprogram_of`` and a
+    third to a half of ``relocation_program`` at 64 rows;
   * ``run`` copies no plane, and what it and ``validate`` allocate per
     instruction (masks, one int64 sum, the stretch cuts) stays below half
     the program's own columns: a tall array's memory is touched once, not
@@ -118,6 +124,7 @@ instructions (``NorProgram.__eq__``); there is no parser back::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,8 +170,7 @@ class VMove:
 Instr = Nor | HMove | VMove
 
 
-@dataclass(frozen=True)
-class ColRange:
+class ColRange(NamedTuple):
     """A named block of columns [start, start+width)."""
 
     name: str
@@ -190,12 +196,13 @@ _LIMITS = {_BOOL: (0, 1), **{t: (int(np.iinfo(t).min), int(np.iinfo(t).max))
 
 
 def _column(values, dtype: np.dtype, shape: tuple, name: str) -> np.ndarray:
-    """`values` (an array or a scalar) as the read-only column `name` of `shape`.
+    """`values` (an array or a scalar) as the column `name` of `shape`.
 
     An array of that dtype and shape that owns its data is taken over, not
     copied. Anything else is copied, once it is known to be a scalar or an
     array of that shape holding no entry the column's dtype cannot (an
-    integer one would wrap; a bool column takes 0 and 1).
+    integer one would wrap; a bool column takes 0 and 1). The constructor
+    makes every column read-only once it has checked them all.
     """
     if not (isinstance(values, np.ndarray) and values.base is None
             and values.dtype == dtype and values.shape == shape):
@@ -212,10 +219,21 @@ def _column(values, dtype: np.dtype, shape: tuple, name: str) -> np.ndarray:
         if lo < least or hi > most:
             raise InvalidProgram(f"column {name} holds {lo if lo < least else hi}, "
                                  f"outside the {dtype} range")
-        values = np.empty(shape, dtype=dtype)
-        values[...] = given
-    values.setflags(write=False)
+        if isinstance(given, int) and not given:    # 0 or False: allocated zeroed
+            values = np.zeros(shape, dtype=dtype)
+        else:
+            values = np.empty(shape, dtype=dtype)
+            values[...] = given
     return values
+
+
+def _top(column: np.ndarray) -> int:
+    """The largest entry of a 1-D column, or 0 if it is empty.
+
+    ``argmax`` costs a fifth of ``max``, but copies a read-only array
+    first, so the constructor calls this before it makes a column read-only.
+    """
+    return int(column[column.argmax()]) if len(column) else 0
 
 
 class NorProgram:
@@ -264,20 +282,25 @@ class NorProgram:
         # seen as uint8 a negative op code exceeds OP_VMOVE too; a scalar
         # one is checked as a Python int
         if (not (isinstance(op, int) and OP_NOR <= op <= OP_VMOVE)
-                and self.op.view(np.uint8).max(initial=0) > OP_VMOVE):
+                and _top(self.op.view(np.uint8)) > OP_VMOVE):
             j = int((self.op.view(np.uint8) > OP_VMOVE).argmax())
             raise InvalidProgram(f"instruction {j}: op code {self.op[j]} is not "
                                  f"NOR, HMOVE or VMOVE")
         self.dest = _column(dest, _INT32, k, "dest")
         self.fanin = _column(fanin, _INT32, k, "fanin")
-        w = max(int(self.fanin.max(initial=0)), 1)
+        w = max(_top(self.fanin), 1)
         self.srcs = _column(srcs if srcs.shape[1] == w else srcs[:, :w], _INT32, (*k, w), "srcs")
-        moves = (offset, col_lo, col_hi, row)
-        zeros = _column(0, _INT32, k, "") if any([v is None for v in moves]) else None
-        self.offset, self.col_lo, self.col_hi, self.row = [
-            zeros if v is None else _column(v, _INT32, k, name)
-            for name, v in zip(("offset", "col_lo", "col_hi", "row"), moves)]
+        zeros = None
+        if offset is None or col_lo is None or col_hi is None or row is None:
+            zeros = _column(0, _INT32, k, "")
+        self.offset = zeros if offset is None else _column(offset, _INT32, k, "offset")
+        self.col_lo = zeros if col_lo is None else _column(col_lo, _INT32, k, "col_lo")
+        self.col_hi = zeros if col_hi is None else _column(col_hi, _INT32, k, "col_hi")
+        self.row = zeros if row is None else _column(row, _INT32, k, "row")
         self.crosses = _column(False if crosses is None else crosses, _BOOL, k, "crosses")
+        for column in (self.op, self.dest, self.srcs, self.fanin, self.offset, self.col_lo,
+                       self.col_hi, self.row, self.crosses):
+            column.setflags(False)      # write=False: by position, no keyword to parse
         self.inputs, self.outputs = tuple(inputs), tuple(outputs)
         self.max_fanin = max_fanin
 

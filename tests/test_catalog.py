@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bitlet import catalog
 from bitlet.catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                             catalog_table, microprogram_of, oc_of)
 from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor,
@@ -59,6 +60,8 @@ class TestCycleCounts:
             OpSpec(OpKind.ADD, 1025)
         with pytest.raises(UnsupportedWidth):
             OpSpec(OpKind.MPY, 1)  # formula goes non-positive
+        with pytest.raises(UnsupportedWidth, match=r"^width_bits: must be in 1\.\.1024, got True$"):
+            OpSpec(OpKind.NOT, True)
 
 
 class TestCatalogTable:
@@ -291,9 +294,13 @@ def reference_program(kind, n):
 
 
 class TestColumnarGenerators:
-    @pytest.mark.parametrize("kind", list(EXACT_KINDS) + [OpKind.MPY])
+    # every generator: at the count check's widths, past them and, unless
+    # its program grows with n**2, at the width cap
+    @pytest.mark.parametrize("kind", list(catalog._GENERATORS))
     def test_array_built_programs_equal_the_object_built_reference(self, kind):
-        for n in range(2 if kind is OpKind.MPY else 1, 33):
+        widths = ([*range(2, 34), 64] if kind is OpKind.MPY
+                  else [*range(1, 65), catalog.WIDTH_CAP])
+        for n in widths:
             prog = microprogram_of(OpSpec(kind, n))
             instrs, starts, ins, outs, max_fanin = reference_program(kind, n)
             ref = from_objects(*instrs, max_fanin=max_fanin,

@@ -12,11 +12,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -407,12 +409,25 @@ def _value(draw, sane, nulls, wild):
     return draw(sane if kind == "sane" else st.sampled_from(EXTREMES))
 
 
+# a key no section knows, which a config now and then carries
+UNKNOWN_KEYS = {"Rows": st.integers(1, 64), "comment": st.just("x")}
+
+
+def _rarely(strategy, other):
+    """`strategy` seven times in eight, else `other`."""
+    return st.sampled_from([0] * 7 + [1]).flatmap(lambda i: (strategy, other)[i])
+
+
 @st.composite
 def _object(draw, fields, nulls, wild, always=()):
     """An object with the keys `always` and some other keys of `fields`
-    (key -> strategy of sane values), or now and then null when `nulls`."""
+    (key -> strategy of sane values), now and then one unknown key too, or
+    now and then null when `nulls`."""
     keys = dict.fromkeys([*always, *draw(st.lists(st.sampled_from(sorted(fields))))])
     obj = {key: draw(_value(fields[key], nulls, wild)) for key in keys}
+    for key in draw(_rarely(st.just([]), st.lists(st.sampled_from(sorted(UNKNOWN_KEYS)),
+                                                  min_size=1, max_size=1))):
+        obj[key] = draw(UNKNOWN_KEYS[key])
     return draw(_value(st.just(obj), nulls, wild=False))
 
 
@@ -440,7 +455,8 @@ def configs(draw):
                 "layout": _object(LAYOUT_FIELDS, nulls, wild)}
     spelled = st.sampled_from([("name", "dio_bits", "op", "width_bits"),
                                ("name", "dio_bits", "oc_override")])
-    one = spelled.flatmap(lambda keys: _object(workload, nulls, wild, keys))
+    one = _rarely(spelled.flatmap(lambda keys: _object(workload, nulls, wild, keys)),
+                  st.sampled_from([5, "add16", [], True]))   # an item that is no object
     workloads = st.sampled_from([1, 1, 1, 0]).flatmap(   # [] a quarter of the time
         lambda n: st.lists(one, min_size=n, max_size=3 * n))
     sections = {"pim": _object(PIM_FIELDS, nulls, wild),
@@ -450,7 +466,8 @@ def configs(draw):
                 "workloads": _value(workloads, nulls, wild=False)}
     keys = draw(st.lists(st.sampled_from(["pim", "cpu", "power"]), unique=True))
     keys += ["workloads"] * draw(st.sampled_from([1, 1, 1, 0]))   # missing in a quarter
-    return {key: draw(sections[key]) for key in keys}
+    doc = {key: draw(sections[key]) for key in keys}
+    return draw(_rarely(st.just(doc), st.just({**doc, "comment": "x"})))
 
 
 @st.composite
@@ -517,8 +534,10 @@ class TestCliContract:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(doc=configs(), indent=st.sampled_from([None, 1]), sweep=sweep_args())
-    def test_output_or_one_error_line(self, tmp_path, doc, indent, sweep):
+    @given(doc=configs(), indent=st.sampled_from([None, 1]), sweep=sweep_args(),
+           via_env=st.booleans())
+    def test_output_or_one_error_line(self, tmp_path, doc, indent, sweep, via_env):
+        # the config path comes from --config, or from BITLET_CONFIG alone
         text = json.dumps(doc, indent=indent, ensure_ascii=False)
         path = tmp_path / "config.json"
         path.write_text(text, encoding="utf-8")
@@ -530,10 +549,12 @@ class TestCliContract:
         out = tmp_path / "out"
         for argv in self.COMMANDS + [["sweep", *sweep]]:
             out.unlink(missing_ok=True)
-            with warnings.catch_warnings(record=True) as caught:
+            given = [] if via_env else ["--config", str(path)]
+            with (warnings.catch_warnings(record=True) as caught,
+                  mock.patch.dict(os.environ, {"BITLET_CONFIG": str(path)} if via_env else {})):
                 warnings.simplefilter("always")
                 code, stdout, stderr = run_both(
-                    argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:])
+                    argv[:1] + given + ["--out", str(out)] + argv[1:])
             stderr += "".join(f"{w.message}\n" for w in caught)   # on stderr in a real run
             assert code in (cli.EXIT_OK, cli.EXIT_BAD_INPUT, cli.EXIT_IO)
             if code == cli.EXIT_BAD_INPUT:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bitlet
-from bitlet import PimMachine, WorkloadPoint, perf_pim
+from bitlet import FieldError, PimMachine, WorkloadPoint, perf_pim
 from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow, pac_of,
                            relocation_program, subset_of_row)
 from bitlet.simulator import (ArrayState, ColRange, HMove, VMove, pack_ints, run, to_text,
@@ -64,6 +64,8 @@ class TestLayoutSpecValidation:
             LayoutSpec(element_width_bits=0)
         with pytest.raises(ValueError):
             LayoutSpec(element_width_bits=4, misaligned_subsets=-1)
+        with pytest.raises(FieldError, match=r"^element_width_bits: must be an integer, got True$"):
+            LayoutSpec(element_width_bits=True, misaligned_subsets=True)
 
 
 class TestRelocationProgram:
@@ -193,7 +195,8 @@ def reference_relocation(spec, pim):
 
 class TestColumnarRelocation:
     @pytest.mark.parametrize("rows,k", [(rows, k) for rows in (1, 2, 3, 5, 8, 13, 64)
-                                        for k in range(min(rows, 5) + 1)])
+                                        for k in range(min(rows, 5) + 1)]
+                             + [(4096, k) for k in range(1, 5)])
     def test_array_built_programs_equal_the_object_built_reference(self, rows, k):
         # the widths of the validation suite's PAC agreement check
         pim = PimMachine(rows=rows, cols=512)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from bitlet import CpuMachine, FieldError, PimMachine, PowerBudget, Throughput, WorkloadPoint
@@ -57,7 +58,12 @@ def test_workload_rejects_bad_values(kwargs):
     (lambda: CpuMachine(bandwidth_bps=0), "bandwidth_bps: must be > 0, got 0"),
     (lambda: WorkloadPoint(oc_cycles=1.5), "oc_cycles: must be an integer, got 1.5"),
     (lambda: WorkloadPoint(oc_cycles=1, pac_cycles=-1), "pac_cycles: must be >= 0, got -1"),
-], ids=["cut", "nan", "bps", "integer", "pac"])
+    # a bool, a fraction or a numpy integer is no integer field's value
+    (lambda: WorkloadPoint(oc_cycles=True), "oc_cycles: must be an integer, got True"),
+    (lambda: PimMachine(rows=64.5), "rows: must be an integer, got 64.5"),
+    (lambda: PimMachine(cols=True), "cols: must be an integer, got True"),
+    (lambda: PimMachine(mats=np.int64(4)), "mats: must be an integer, got np.int64(4)"),
+], ids=["cut", "nan", "bps", "integer", "pac", "bool", "rows", "cols", "numpy"])
 def test_a_broken_rule_names_its_field(make, text):
     with pytest.raises(FieldError) as err:
         make()
