@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import OpSpec, oc_of
 from .layout import LayoutSpec, pac_of
 from .machine import (CpuMachine, FieldError, InputError, PimMachine, PowerBudget,
-                      WorkloadPoint, at_least)
+                      WorkloadPoint, at_least, integers)
 from .model import TIE_REL_TOL, Points, evaluate  # noqa: F401  (TIE_REL_TOL re-exported)
 
 
@@ -46,8 +46,10 @@ class Workload:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise FieldError("name", "every workload needs a non-empty name")
+        integers(dio_bits=self.dio_bits)
         at_least(1, dio_bits=self.dio_bits)
         if self.oc_override is not None:
+            integers(oc_override=self.oc_override)
             at_least(1, oc_override=self.oc_override)
         elif self.op is None:
             raise FieldError("op", "required when the workload has no oc_override")

@@ -163,26 +163,18 @@ _BIT_TERMS[:, 2] = np.arange(WIDTH_CAP)
 _BIT_TERMS[:, 3] = _BIT_TERMS[:, 2] % 2
 
 
-class _Netlist(NamedTuple):
-    """A gate template as a (4, k * (2 + w)) table: the coefficients of each
-    gate's fan-in, then of each gate's dest, then of each gate's w sources,
-    padded with -1."""
-
-    table: np.ndarray
-    gates: int
-
-
-def _netlist(gates: list[tuple], width: int | None = None) -> _Netlist:
-    """The table of `gates`, each (dest, *srcs), with `width` source slots
-    per gate (by default the widest gate's fan-in)."""
+def _netlist(gates: list[tuple], width: int | None = None) -> np.ndarray:
+    """The (4, k, 2 + width) table of `gates`, each (dest, *srcs): per gate,
+    the coefficients of its fan-in, its dest and `width` sources padded with
+    -1 (by default as many as the widest gate's fan-in)."""
     width = width or max(map(len, gates)) - 1
-    cols = ([_Col(const=len(gate) - 1) for gate in gates] + [gate[0] for gate in gates]
-            + [col for _, *ins in gates for col in ins + [_PAD] * (width - len(ins))])
-    table = [[c.per_n, c.const, c.per_bit, c.per_odd_bit] for c in cols]
-    return _Netlist(np.array(table, dtype=np.int32).T.copy(), len(gates))
+    rows = [[_Col(const=len(gate) - 1), *gate, *[_PAD] * (width + 1 - len(gate))]
+            for gate in gates]
+    return np.array([[[c.per_n, c.const, c.per_bit, c.per_odd_bit] for c in row]
+                     for row in rows], dtype=np.int32).transpose(2, 0, 1).copy()
 
 
-def _per_bit(netlist: _Netlist, n: int, bits: int | None = None):
+def _per_bit(netlist: np.ndarray, n: int, bits: int | None = None):
     """Columns (dest, srcs, fanin) of a netlist of an n-bit program repeated
     for bits 0..bits-1 (by default n), bit-major.
 
@@ -191,13 +183,14 @@ def _per_bit(netlist: _Netlist, n: int, bits: int | None = None):
     width. Each column is owned, so the ``NorProgram`` constructor takes it
     over without a copy.
     """
-    bits, k = bits or n, netlist.gates
+    bits = bits or n
+    _, k, cols = netlist.shape
     terms = _BIT_TERMS[:bits].copy()
     terms[:, 0] = n
-    table = terms.dot(netlist.table)
-    srcs = np.empty((bits * k, table.shape[1] // k - 2), dtype=np.int32)
-    srcs.reshape(bits, -1)[...] = table[:, 2 * k:]
-    return table[:, k:2 * k].flatten(), srcs, table[:, :k].flatten()
+    table = terms.dot(netlist.reshape(4, -1)).reshape(bits, k, cols)
+    srcs = np.empty((bits * k, cols - 2), dtype=np.int32)
+    srcs.reshape(bits, k, -1)[...] = table[..., 2:]
+    return table[..., 1].flatten(), srcs, table[..., 0].flatten()
 
 
 class _Kind(NamedTuple):
@@ -206,7 +199,7 @@ class _Kind(NamedTuple):
     width) of each block of its inputs and of its outputs."""
 
     blocks: dict
-    netlist: _Netlist | tuple
+    netlist: np.ndarray | tuple
     inputs: tuple
     outputs: tuple
 
@@ -297,9 +290,9 @@ def _mpy_netlist(j, a, b, out, na, pp, nb, zero, cc, t):
     # Shift-and-add: out accumulates a * b_i << i, one nine-gate ripple add
     # per partial product. Functionally exact; the cycle count is this
     # construction's own, not the catalog's 13n^2-14n. The NOTs of a come
-    # once; then round i of n NORs b_i into not_b, forms the partial
-    # products a & b_i and adds them into out + i. These are round 0's; the
-    # zero column is never written and stays 0.
+    # once; then each of n rounds i NORs bit i of b into not_b, forms the
+    # partial products a & b_i and adds them into out from column i on. The
+    # netlists state round 0; the zero column is never written and stays 0.
     return (_netlist([(na + j, a + j)], 2),
             _netlist([(nb, b)], 2),
             _netlist([(pp + j, na + j, nb)]),
@@ -312,11 +305,11 @@ _MPY = _kind({"a": _N, "b": _N, "out": _N + _N, "not_a": _N, "partial": _N, "not
 
 def _mpy_program(n: int) -> NorProgram:
     kind = _MPY
-    not_a, not_b, partial, add = kind.netlist
+    not_a, not_b, products, add = kind.netlist
     b, out, zero = (kind.blocks[x][0].at(n) for x in ("b", "out", "zero"))
     # round 0, whose add carries in from the zero column at bit 0 and out
     # into the next column of out at bit n-1
-    pieces = [_per_bit(not_b, n, 1), _per_bit(partial, n), _per_bit(add, n)]
+    pieces = [_per_bit(not_b, n, 1), _per_bit(products, n), _per_bit(add, n)]
     add_dest, add_srcs, _ = pieces[2]
     add_srcs[4, 1] = add_srcs[6, 0] = zero
     add_dest[-1] = out + n

@@ -52,7 +52,9 @@ class LayoutSpec:
         at_least(0, misaligned_subsets=self.misaligned_subsets)
         given = [key for key in ("hmove_override", "vmove_override")
                  if getattr(self, key) is not None]
-        at_least(0, **{key: getattr(self, key) for key in given})
+        overrides = {key: getattr(self, key) for key in given}
+        integers(**overrides)
+        at_least(0, **overrides)
         if len(given) == 1:
             raise FieldError(given[0], "hmove_override and vmove_override come as a pair")
 
@@ -132,12 +134,11 @@ def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     crosses[-1] = True
     col_lo, col_hi = np.zeros(m, dtype=np.int32), np.zeros(m, dtype=np.int32)
     # block g owns rows [first[g], first[g + 1]): its VMoves are those d
-    # with d + 1 in it, and the last VMove, from the neighbouring array,
-    # moves the last block's region
+    # with d + 1 in it
     first = [-(-b * rows // len(outputs)) for b in range(len(outputs) + 1)]
-    first[-1] += 1
     for g, out in enumerate(outputs):
         moves = slice(h + max(first[g] - 1, 0), h + first[g + 1] - 1)
-        col_lo[moves], col_hi[moves] = out.start, out.start + n - 1
+        col_lo[moves], col_hi[moves] = out.start, out.stop - 1
+    col_lo[-1], col_hi[-1] = outputs[-1].start, outputs[-1].stop - 1
     return NorProgram(op, dest, srcs, fanin, offset, col_lo, col_hi, row, crosses,
                       inputs=inputs, outputs=outputs)

@@ -215,6 +215,15 @@ class TestWorkload:
             Workload(name, 48, oc_override=1)
         assert str(err.value) == "name: every workload needs a non-empty name"
 
+    @pytest.mark.parametrize("kwargs,text", [
+        ({"dio_bits": 4.5, "oc_override": 3}, "dio_bits: must be an integer, got 4.5"),
+        ({"dio_bits": 8, "oc_override": True}, "oc_override: must be an integer, got True"),
+    ], ids=["dio_bits", "oc_override"])
+    def test_integer_fields_refuse_fractions_and_bools(self, kwargs, text):
+        with pytest.raises(FieldError) as err:
+            Workload("w", **kwargs)
+        assert str(err.value) == text
+
     def test_override_beats_catalog(self, pim):
         w = Workload("odd", 48, op=OpSpec(OpKind.ADD, 16), oc_override=500)
         assert w.resolve(pim).oc_cycles == 500

@@ -409,8 +409,8 @@ def _value(draw, sane, nulls, wild):
     return draw(sane if kind == "sane" else st.sampled_from(EXTREMES))
 
 
-# a key no section knows, which a config now and then carries
-UNKNOWN_KEYS = {"Rows": st.integers(1, 64), "comment": st.just("x")}
+# a key that no object of a config knows
+UNKNOWN_KEY = st.sampled_from([{"Rows": 4}, {"comment": "x"}])
 
 
 def _rarely(strategy, other):
@@ -425,9 +425,7 @@ def _object(draw, fields, nulls, wild, always=()):
     now and then null when `nulls`."""
     keys = dict.fromkeys([*always, *draw(st.lists(st.sampled_from(sorted(fields))))])
     obj = {key: draw(_value(fields[key], nulls, wild)) for key in keys}
-    for key in draw(_rarely(st.just([]), st.lists(st.sampled_from(sorted(UNKNOWN_KEYS)),
-                                                  min_size=1, max_size=1))):
-        obj[key] = draw(UNKNOWN_KEYS[key])
+    obj.update(draw(_rarely(st.just({}), UNKNOWN_KEY)))
     return draw(_value(st.just(obj), nulls, wild=False))
 
 
@@ -467,7 +465,7 @@ def configs(draw):
     keys = draw(st.lists(st.sampled_from(["pim", "cpu", "power"]), unique=True))
     keys += ["workloads"] * draw(st.sampled_from([1, 1, 1, 0]))   # missing in a quarter
     doc = {key: draw(sections[key]) for key in keys}
-    return draw(_rarely(st.just(doc), st.just({**doc, "comment": "x"})))
+    return {**doc, **draw(_rarely(st.just({}), UNKNOWN_KEY))}
 
 
 @st.composite
@@ -549,12 +547,12 @@ class TestCliContract:
         out = tmp_path / "out"
         for argv in self.COMMANDS + [["sweep", *sweep]]:
             out.unlink(missing_ok=True)
-            given = [] if via_env else ["--config", str(path)]
+            config = [] if via_env else ["--config", str(path)]
             with (warnings.catch_warnings(record=True) as caught,
                   mock.patch.dict(os.environ, {"BITLET_CONFIG": str(path)} if via_env else {})):
                 warnings.simplefilter("always")
                 code, stdout, stderr = run_both(
-                    argv[:1] + given + ["--out", str(out)] + argv[1:])
+                    argv[:1] + config + ["--out", str(out)] + argv[1:])
             stderr += "".join(f"{w.message}\n" for w in caught)   # on stderr in a real run
             assert code in (cli.EXIT_OK, cli.EXIT_BAD_INPUT, cli.EXIT_IO)
             if code == cli.EXIT_BAD_INPUT:

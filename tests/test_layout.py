@@ -66,6 +66,8 @@ class TestLayoutSpecValidation:
             LayoutSpec(element_width_bits=4, misaligned_subsets=-1)
         with pytest.raises(FieldError, match=r"^element_width_bits: must be an integer, got True$"):
             LayoutSpec(element_width_bits=True, misaligned_subsets=True)
+        with pytest.raises(FieldError, match=r"^hmove_override: must be an integer, got 2\.5$"):
+            layout(16, hmove_override=2.5, vmove_override=1)
 
 
 class TestRelocationProgram:
