@@ -161,6 +161,7 @@ _N, _J, _PAD = _Col(per_n=1), _Col(per_bit=1), _Col(const=-1)
 _BIT_TERMS = np.ones((WIDTH_CAP, 4), dtype=np.int32)
 _BIT_TERMS[:, 2] = np.arange(WIDTH_CAP)
 _BIT_TERMS[:, 3] = _BIT_TERMS[:, 2] % 2
+_BIT_TERMS.setflags(write=False)
 
 
 def _netlist(gates: list[tuple], width: int | None = None) -> np.ndarray:
@@ -170,8 +171,10 @@ def _netlist(gates: list[tuple], width: int | None = None) -> np.ndarray:
     width = width or max(map(len, gates)) - 1
     rows = [[_Col(const=len(gate) - 1), *gate, *[_PAD] * (width + 1 - len(gate))]
             for gate in gates]
-    return np.array([[[c.per_n, c.const, c.per_bit, c.per_odd_bit] for c in row]
-                     for row in rows], dtype=np.int32).transpose(2, 0, 1).copy()
+    table = np.array([[[c.per_n, c.const, c.per_bit, c.per_odd_bit] for c in row]
+                      for row in rows], dtype=np.int32).transpose(2, 0, 1).copy()
+    table.setflags(write=False)     # shared by every call
+    return table
 
 
 def _per_bit(netlist: np.ndarray, n: int, bits: int | None = None):
