@@ -9,7 +9,7 @@ The library splits into:
                 broken one
     model       the evaluation kernel and the closed-form equations it
                 is checked against
-    catalog     (operation, width) -> cycles, plus NOR program generators
+    catalog     (operation, width) -> cycles, NOR program generators, ``execute``
     simulator   row-parallel execution of NOR/move programs
     layout      placement and alignment cycle pricing and move programs
     analysis    crossover, energy break-even, litmus verdicts, sweeps
@@ -20,7 +20,7 @@ The library splits into:
 from .analysis import (SweepSpec, Verdict, Winner, Workload, crossover_oc,
                        energy_breakeven_oc, litmus, sweep)
 from .catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
-                      catalog_table, microprogram_of, oc_of)
+                      catalog_table, execute, microprogram_of, oc_of)
 from .layout import LayoutSpec, pac_of, relocation_program
 from .machine import (CpuMachine, FieldError, InputError, PimMachine, PowerBudget,
                       Throughput, WorkloadPoint)
@@ -39,7 +39,7 @@ __all__ = [
     "Points", "PowerBudget", "SweepSpec", "Throughput", "UnsupportedOperation",
     "UnsupportedWidth", "VMove", "Verdict", "Winner", "Workload", "WorkloadPoint",
     "catalog_table", "crossover_oc", "energy_breakeven_oc", "energy_per_op_cpu",
-    "energy_per_op_pim", "evaluate", "litmus", "mat_power_cap", "microprogram_of",
-    "oc_of", "pac_of", "perf_cpu", "perf_pim", "pl_perf_cpu", "pl_perf_pim",
-    "relocation_program", "run", "sweep", "to_text",
+    "energy_per_op_pim", "evaluate", "execute", "litmus", "mat_power_cap",
+    "microprogram_of", "oc_of", "pac_of", "perf_cpu", "perf_pim", "pl_perf_cpu",
+    "pl_perf_pim", "relocation_program", "run", "sweep", "to_text",
 ]

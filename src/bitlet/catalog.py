@@ -24,7 +24,8 @@ carry). A seven-gate-per-bit adder with a single carry column does not
 exist, in any polarity; the rail form does, at fan-in 3. Consequences:
 the carry-in column of ADD_FANIN4 programs is active low (preset 1 means
 "no carry in"), and the carry-out is exposed as the two-column rail named
-``ncout`` rather than as a single cell.
+``ncout`` rather than as a single cell. ``execute`` hides the polarity and
+the rail: its carry-in and carry-out are true carries for either adder.
 
 Generators. Each generator states its program once, as data, in a
 ``_Kind``: named column blocks, allocated in order from column 0 with
@@ -53,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .machine import FieldError, _shown
-from .simulator import OP_NOR, ColRange, NorProgram
+from .simulator import OP_NOR, ArrayState, ColRange, NorProgram, pack_ints, run, unpack_ints
 
 WIDTH_CAP = 1024  # keeps generated programs within one array's columns
 
@@ -364,3 +365,30 @@ def microprogram_of(spec: OpSpec) -> NorProgram:
     if gen is None:
         raise UnsupportedOperation(f"no canonical microprogram for {spec.kind.name}")
     return gen(spec.width_bits)
+
+
+def execute(program: NorProgram, operands, carry_in=None):
+    """Run a program from ``microprogram_of`` on the (1 or 2, rows) array
+    `operands`, a or a and b; return (result, carry_out, cycles). Only the
+    adders take a `carry_in` (None is 0) and give a `carry_out` (else None),
+    both true carries, 0 or 1 per row, whatever their columns' polarity."""
+    operands = np.asarray(operands, dtype=np.int64)
+    ranges = {x.name: x for x in program.inputs + program.outputs}
+    count = len(program.inputs) - len({"carry", "ncin"} & set(ranges))   # n-bit inputs
+    if operands.ndim != 2 or len(operands) != count:
+        raise ValueError(f"need {count} row(s) of operands, got shape {operands.shape}")
+    if carry_in is not None and count == len(program.inputs):           # no carry input
+        raise ValueError("carry_in given to an operation without a carry input")
+    state = ArrayState.zeros(operands.shape[1], program.cols_required)
+    pack_ints(state, ranges["a"].start, ranges["a"].width, operands)  # b's block follows a's
+    cin = np.zeros(state.rows, np.int64) if carry_in is None else np.asarray(carry_in)
+    for name, value in (("carry", cin), ("ncin", 1 - cin)):          # ncin is active low
+        if name in ranges:
+            pack_ints(state, ranges[name].start, 1, value)
+    final, cycles = run(program, state)
+    result, carry_out = unpack_ints(final, ranges["out"].start, ranges["out"].width), None
+    if "carry" in ranges:
+        carry_out = unpack_ints(final, ranges["carry"].start, 1)
+    if "ncout" in ranges:                           # the carry is the NOR of the rail
+        carry_out = (unpack_ints(final, ranges["ncout"].start, 2) == 0).astype(np.int64)
+    return result, carry_out, cycles

@@ -127,8 +127,10 @@ class _Section:
 
     def __init__(self, data: dict, path: str, source: str, json_path: str,
                  at: tuple = ()):
-        if not isinstance(data, dict):
-            raise ConfigError(path, f"{json_path or 'config'} must be an object")
+        if not isinstance(data, dict):      # placed at its key; a list item at its list's
+            keys = at[:-1] if at and isinstance(at[-1], int) else at
+            raise ConfigError(path, f"{json_path or 'config'} must be an object",
+                              _line_of(source, keys[:-1], keys[-1]) if keys else None)
         self.data = dict(data)
         self.path = path
         self.source = source

@@ -2,7 +2,7 @@
 
 Every closed-form cycle count that has a generated microprogram is checked
 two ways: the program's instruction count must equal the catalog value
-exactly, and running the program on a simulated array must reproduce the
+exactly, and running it through ``catalog.execute`` must reproduce the
 reference integer/bitwise result on every row (exhaustively for narrow
 widths, on a fixed random sample for wide ones). Placement/alignment move
 programs are checked the same way against the closed-form cycle formula
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .catalog import OpKind, OpSpec, microprogram_of
+from .catalog import OpKind, OpSpec, execute, microprogram_of
 from .layout import LayoutSpec, pac_of, relocation_program
 from .machine import PimMachine
 from .simulator import ArrayState, pack_ints, run, unpack_ints
@@ -62,31 +62,6 @@ def _reference(kind: OpKind, n: int, operands: np.ndarray, cin: np.ndarray | Non
     raise ValueError(kind)
 
 
-def _run_op(prog, kind: OpKind, n: int, operands: np.ndarray, cin: np.ndarray | None):
-    """Pack operands, run a generated program, return (result, carry_out).
-
-    The rows of `operands` (a, then b for a binary operation) fill
-    consecutive n-column blocks from input a's first column: every
-    generator places input b right after input a.
-    """
-    state = ArrayState.zeros(operands.shape[1], prog.cols_required)
-    pack_ints(state, prog.range("a").start, n, operands)
-    if kind is OpKind.ADD:
-        pack_ints(state, prog.range("carry").start, 1, cin)
-    elif kind is OpKind.ADD_FANIN4:
-        pack_ints(state, prog.range("ncin").start, 1, 1 - cin)  # active low
-    final, _ = run(prog, state)
-    out = prog.range("out")
-    result = unpack_ints(final, out.start, out.width)
-    carry = None
-    if kind is OpKind.ADD:
-        carry = unpack_ints(final, prog.range("carry").start, 1)
-    elif kind is OpKind.ADD_FANIN4:
-        rail = prog.range("ncout")
-        carry = (unpack_ints(final, rail.start, rail.width) == 0).astype(np.int64)
-    return result, carry
-
-
 def _operand_sets(kind: OpKind, n: int, exhaustive: bool, rng: np.random.Generator):
     """Operands (a row per operand) and carry-ins, or None for operations
     without a carry-in."""
@@ -105,22 +80,22 @@ def _operand_sets(kind: OpKind, n: int, exhaustive: bool, rng: np.random.Generat
     return np.tile(operands, 2), np.repeat(np.array([0, 1], dtype=np.int64), len(combos))
 
 
-def _check_function(kind: OpKind, programs: dict, rng) -> Check:
-    """Run the programs of `kind`, keyed by width, on reference operands."""
+def _check_function(kind: OpKind, programs: dict, rng, detail: str = "") -> Check:
+    """Run the programs of `kind`, keyed by width, on reference operands;
+    a pass reports `detail`, by default how the operands were chosen."""
+    name = f"function[{kind.name}]"
     for n, prog in programs.items():
-        exhaustive = n <= EXHAUSTIVE_MAX_WIDTH
-        operands, cin = _operand_sets(kind, n, exhaustive, rng)
-        got, got_carry = _run_op(prog, kind, n, operands, cin)
+        operands, cin = _operand_sets(kind, n, n <= EXHAUSTIVE_MAX_WIDTH, rng)
+        got, got_carry, _ = execute(prog, operands, cin)
         want, want_carry = _reference(kind, n, operands, cin)
         if not np.array_equal(got, want):
             bad = int(np.flatnonzero(got != want)[0])
-            return Check(f"function[{kind.name}]", False,
-                         f"n={n} row {bad}: got {int(got[bad])}, "
-                         f"want {int(want[bad])}")
+            return Check(name, False, f"n={n} row {bad}: got {int(got[bad])}, "
+                                      f"want {int(want[bad])}")
         if want_carry is not None and not np.array_equal(got_carry, want_carry):
-            return Check(f"function[{kind.name}]", False, f"n={n}: carry-out mismatch")
-    mode = f"exhaustive n<={EXHAUSTIVE_MAX_WIDTH}, {RANDOM_ROWS} random rows for wider"
-    return Check(f"function[{kind.name}]", True, mode)
+            return Check(name, False, f"n={n}: carry-out mismatch")
+    return Check(name, True, detail or f"exhaustive n<={EXHAUSTIVE_MAX_WIDTH}, "
+                                       f"{RANDOM_ROWS} random rows for wider")
 
 
 def catalog_checks() -> list[Check]:
@@ -148,15 +123,11 @@ def catalog_checks() -> list[Check]:
     for kind in COUNT_KINDS:
         checks.append(_check_function(kind, {n: programs[kind, n] for n in widths}, rng))
 
-    mpy_n = 4
-    prog = microprogram_of(OpSpec(OpKind.MPY, mpy_n))
-    operands, _ = _operand_sets(OpKind.MPY, mpy_n, True, rng)
-    got, _ = _run_op(prog, OpKind.MPY, mpy_n, operands, None)
-    want, _ = _reference(OpKind.MPY, mpy_n, operands, None)
-    formula = catalog.oc_of(OpSpec(OpKind.MPY, mpy_n))
-    checks.append(Check("function[MPY]", bool(np.array_equal(got, want)),
-                        f"exhaustive n={mpy_n}; generated program {len(prog)} "
-                        f"cycles, catalog {formula} (informational)"))
+    spec = OpSpec(OpKind.MPY, EXHAUSTIVE_MAX_WIDTH)
+    prog = microprogram_of(spec)
+    detail = (f"exhaustive n={spec.width_bits}; generated program {len(prog)} cycles, "
+              f"catalog {catalog.oc_of(spec)} (informational)")
+    checks.append(_check_function(OpKind.MPY, {spec.width_bits: prog}, rng, detail))
     return checks
 
 
@@ -228,9 +199,8 @@ def pac_checks() -> list[Check]:
     worked = LayoutSpec(element_width_bits=16, misaligned_subsets=1,
                         needs_vertical_relocation=True)
     prog = relocation_program(worked, big)
-    want = pac_of(worked, big)
-    ok = len(prog) == want == 1040
-    checks.append(Check("pac-shifted-operand[ROW=1024, n=16]", ok,
+    checks.append(Check("pac-shifted-operand[ROW=1024, n=16]",
+                        len(prog) == pac_of(worked, big) == 1040,
                         f"16 horizontal + 1024 vertical moves = {len(prog)}"))
 
     align_only = LayoutSpec(element_width_bits=16, misaligned_subsets=1)

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from bitlet import catalog
 from bitlet.catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
-                            catalog_table, microprogram_of, oc_of)
+                            catalog_table, execute, microprogram_of, oc_of)
 from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor,
                               pack_ints, run, to_text, unpack_ints)
 from reference import from_objects, sources_are_padded
@@ -71,20 +73,6 @@ class TestCatalogTable:
         assert {"kind": "MPY", "n": 64, "oc": 13 * 64 * 64 - 14 * 64} in rows
 
 
-def _run_program(prog, n, a, b=None, cin=None, ncin=None):
-    state = ArrayState.zeros(len(a), prog.cols_required)
-    pack_ints(state, prog.range("a").start, n, a)
-    if b is not None:
-        pack_ints(state, prog.range("b").start, n, b)
-    if cin is not None:
-        pack_ints(state, prog.range("carry").start, 1, cin)
-    if ncin is not None:
-        pack_ints(state, prog.range("ncin").start, 1, ncin)
-    final, cycles = run(prog, state)
-    out = prog.range("out")
-    return final, cycles, unpack_ints(final, out.start, out.width)
-
-
 class TestMicroprograms:
     def test_or_width_one_shape(self):
         prog = microprogram_of(OpSpec(OpKind.OR, 1))
@@ -93,42 +81,44 @@ class TestMicroprograms:
         first, second = prog.instructions
         assert isinstance(first, Nor) and len(first.srcs) == 2
         assert isinstance(second, Nor) and second.srcs == (first.dest,)
-        for a in (0, 1):
-            for b in (0, 1):
-                _, _, out = _run_program(prog, 1, [a], [b])
-                assert out[0] == (a | b)
+        a, b = np.indices((2, 2)).reshape(2, -1)
+        assert np.array_equal(execute(prog, [a, b])[0], a | b)
 
     def test_and_width_one_exhaustive(self):
         prog = microprogram_of(OpSpec(OpKind.AND, 1))
         assert len(prog) == 3
-        for a in (0, 1):
-            for b in (0, 1):
-                _, _, out = _run_program(prog, 1, [a], [b])
-                assert out[0] == (a & b)
+        a, b = np.indices((2, 2)).reshape(2, -1)
+        assert np.array_equal(execute(prog, [a, b])[0], a & b)
 
+    # The two adders' raw column interface, which ``execute`` hides: ADD's
+    # carry column holds the carry-in on entry and the carry-out on exit;
+    # ADD_FANIN4's ncin is active low and its carry-out is the NOR of the
+    # two-cell ncout rail.
     def test_full_adder_width_one_exhaustive(self):
         prog = microprogram_of(OpSpec(OpKind.ADD, 1))
         assert len(prog) == 9
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    final, _, out = _run_program(prog, 1, [a], [b], cin=[c])
-                    carry = unpack_ints(final, prog.range("carry").start, 1)
-                    assert out[0] == (a + b + c) & 1
-                    assert carry[0] == (a + b + c) >> 1
+        a, b, c = np.indices((2, 2, 2)).reshape(3, -1)
+        state = ArrayState.zeros(8, prog.cols_required)
+        for name, values in (("a", a), ("b", b), ("carry", c)):
+            pack_ints(state, prog.range(name).start, 1, values)
+        final, _ = run(prog, state)
+        assert np.array_equal(unpack_ints(final, prog.range("out").start, 1), (a + b + c) & 1)
+        assert np.array_equal(unpack_ints(final, prog.range("carry").start, 1), (a + b + c) >> 1)
 
     def test_fanin4_adder_width_one_exhaustive(self):
         prog = microprogram_of(OpSpec(OpKind.ADD_FANIN4, 1))
         assert len(prog) == 7
         assert prog.max_fanin == 4
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    final, _, out = _run_program(prog, 1, [a], [b], ncin=[1 - c])
-                    rail = prog.range("ncout")
-                    carry = int(~final.bits[0, rail.start:rail.stop].any())
-                    assert out[0] == (a + b + c) & 1
-                    assert carry == (a + b + c) >> 1
+        a, b, c = np.indices((2, 2, 2)).reshape(3, -1)
+        state = ArrayState.zeros(8, prog.cols_required)
+        for name, values in (("a", a), ("b", b), ("ncin", 1 - c)):
+            pack_ints(state, prog.range(name).start, 1, values)
+        final, _ = run(prog, state)
+        rail = prog.range("ncout")
+        assert rail.width == 2
+        assert np.array_equal(unpack_ints(final, prog.range("out").start, 1), (a + b + c) & 1)
+        assert np.array_equal(~final.bits[:, rail.start:rail.stop].any(axis=1),
+                              (a + b + c) >> 1)
 
     @pytest.mark.parametrize("kind", list(EXACT_KINDS))
     def test_gate_counts_match_catalog_for_all_widths(self, kind):
@@ -149,9 +139,9 @@ class TestMicroprograms:
         }
         for kind, want in cases.items():
             prog = microprogram_of(OpSpec(kind, n))
-            operand_b = None if kind is OpKind.NOT else b
-            _, _, out = _run_program(prog, n, a, operand_b)
+            out, carry_out, _ = execute(prog, [a] if kind is OpKind.NOT else [a, b])
             assert np.array_equal(out, want), kind
+            assert carry_out is None
 
     @pytest.mark.parametrize("n", [2, 5, 13, 32])
     def test_adders_on_random_rows(self, n, rng):
@@ -161,25 +151,17 @@ class TestMicroprograms:
         cin = rng.integers(0, 2, rows, dtype=np.int64)
         mask = (1 << n) - 1
 
-        prog = microprogram_of(OpSpec(OpKind.ADD, n))
-        final, _, out = _run_program(prog, n, a, b, cin=cin)
-        carry = unpack_ints(final, prog.range("carry").start, 1)
-        assert np.array_equal(out, (a + b + cin) & mask)
-        assert np.array_equal(carry, (a + b + cin) >> n)
-
-        prog4 = microprogram_of(OpSpec(OpKind.ADD_FANIN4, n))
-        final, _, out = _run_program(prog4, n, a, b, ncin=1 - cin)
-        rail = prog4.range("ncout")
-        carry = (~final.bits[:, rail.start:rail.stop].any(axis=1)).astype(int)
-        assert np.array_equal(out, (a + b + cin) & mask)
-        assert np.array_equal(carry, (a + b + cin) >> n)
+        for kind in (OpKind.ADD, OpKind.ADD_FANIN4):
+            out, carry, _ = execute(microprogram_of(OpSpec(kind, n)), [a, b], cin)
+            assert np.array_equal(out, (a + b + cin) & mask), kind
+            assert np.array_equal(carry, (a + b + cin) >> n), kind
 
     def test_multiplier_exhaustive_n4(self):
         n = 4
         prog = microprogram_of(OpSpec(OpKind.MPY, n))
         pairs = np.arange(256, dtype=np.int64)
         a, b = pairs & 15, pairs >> 4
-        _, cycles, out = _run_program(prog, n, a, b)
+        out, _, cycles = execute(prog, [a, b])
         assert np.array_equal(out, a * b)
         # the generated multiplier has its own cost, reported not asserted
         assert cycles == len(prog)
@@ -189,8 +171,7 @@ class TestMicroprograms:
         prog = microprogram_of(OpSpec(OpKind.MPY, n))
         a = rng.integers(0, 256, 400, dtype=np.int64)
         b = rng.integers(0, 256, 400, dtype=np.int64)
-        _, _, out = _run_program(prog, n, a, b)
-        assert np.array_equal(out, a * b)
+        assert np.array_equal(execute(prog, [a, b])[0], a * b)
 
     def test_column_budget_enforced(self):
         # a, b and out (16 each), the carry and seven scratch columns
@@ -217,6 +198,52 @@ class TestMicroprograms:
             assert widest <= prog.max_fanin
             if kind is not OpKind.ADD_FANIN4:
                 assert prog.max_fanin == 2
+
+
+class TestExecute:
+    """``catalog.execute``'s contract, one test per rule."""
+
+    @pytest.mark.parametrize("kind", [OpKind.ADD, OpKind.ADD_FANIN4])
+    def test_no_carry_in_is_carry_in_zero(self, kind):
+        # ADD_FANIN4's ncin left at 0 would be a carry-in of 1
+        a, b = np.indices((16, 16)).reshape(2, -1)
+        out, carry, _ = execute(microprogram_of(OpSpec(kind, 4)), [a, b])
+        assert np.array_equal(out, (a + b) & 15)
+        assert np.array_equal(carry, (a + b) >> 4)
+
+    @pytest.mark.parametrize("kind", [OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
+                                      OpKind.MPY])
+    def test_carry_in_refused_without_a_carry_input(self, kind):
+        prog = microprogram_of(OpSpec(kind, 4))
+        operands = np.zeros((1 if kind is OpKind.NOT else 2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="^carry_in given to an operation without"):
+            execute(prog, operands, np.ones(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("kind,count,shape", [
+        (OpKind.NOT, 1, (2, 3)), (OpKind.OR, 2, (1, 3)), (OpKind.ADD, 2, (1, 3)),
+        (OpKind.ADD_FANIN4, 2, (3, 3)), (OpKind.MPY, 2, (1, 3)), (OpKind.NOT, 1, (3,)),
+    ])
+    def test_one_operand_row_per_n_bit_input(self, kind, count, shape):
+        prog = microprogram_of(OpSpec(kind, 4))
+        message = f"need {count} row(s) of operands, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            execute(prog, np.zeros(shape, dtype=np.int64))
+
+    def test_the_first_operand_row_is_a(self):
+        # every catalog operation of two inputs is symmetric in them, so a
+        # program that reads a alone pins which row goes where
+        prog = from_objects(Nor(2, (0,)), inputs=(ColRange("a", 0, 1), ColRange("b", 1, 1)),
+                            outputs=(ColRange("out", 2, 1),))
+        out, carry, cycles = execute(prog, [[0, 1, 0, 1], [0, 0, 1, 1]])
+        assert (out.tolist(), carry, cycles) == ([1, 0, 1, 0], None, 1)
+
+    @pytest.mark.parametrize("kind", [k for k in catalog._GENERATORS if k is not OpKind.NOT])
+    def test_every_generator_puts_b_right_after_a(self, kind):
+        # execute packs a and b with one call, as consecutive n-column blocks
+        for n in (2, 5, 32):
+            prog = microprogram_of(OpSpec(kind, n))
+            a, b = prog.range("a"), prog.range("b")
+            assert (b.start, a.width, b.width) == (a.stop, n, n)
 
 
 # -- object-built reference generators ----------------------------------------

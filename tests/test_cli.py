@@ -511,10 +511,13 @@ def check_document(text, fmt):
 
 def check_error_line(doc, text, exc):
     """A ConfigError with a line points at the line of its key, or at the
-    first line of the object that lacks the key."""
+    first line of the object that lacks the key; a list item's error points
+    at its list's key."""
     rest = str(exc).split(f":{exc.line}: ", 1)[1]
     assert not rest.startswith("invalid JSON")
     *parents, key = re.findall(r"[^.\[\]]+", re.split(r"[:\s]", rest)[0])
+    while key.isdigit():
+        *parents, key = parents
     node = doc
     for step in parents:
         node = node[int(step)] if step.isdigit() else node[step]

@@ -78,6 +78,16 @@ PLACED_ERRORS = [
     ('{\n "workloads": [{"name": "w", "op": "MPY", "dio_bits": 8,\n  "width_bits": 1}]}',
      "workloads[0].width_bits: MPY cycle formula is positive only for n >= 2",
      lambda: OpSpec(OpKind.MPY, 1)),
+    # a section that is no object fails at the key holding it, a list item
+    # at its list's key
+    ('{\n "cpu": {},\n "pim": 5}', "pim must be an object", None),
+    ('{\n "pim": {},\n "cpu": [1]}', "cpu must be an object", None),
+    ('{\n "pim": {},\n "power": "x"}', "power must be an object", None),
+    ('{\n "workloads": [\n  {"name": "w", "oc_override": 1, "dio_bits": 8, "layout": 5}]}',
+     "workloads[0].layout must be an object", None),
+    ('{\n "pim": {},\n "workloads": [5]}', "workloads[0] must be an object", None),
+    ('{\n "pim": {},\n "workloads": [{"name": "w", "oc_override": 1, "dio_bits": 8}, []]}',
+     "workloads[1] must be an object", None),
 ]
 
 
@@ -241,6 +251,12 @@ class TestRejection:
         with pytest.raises(ConfigError) as err:
             parse_config(doc, path="cfg.json")
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("doc", ["5", "[{}]", "null"])
+    def test_a_root_that_is_no_object_names_no_line(self, doc):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, path="cfg.json")
+        assert (str(err.value), err.value.line) == ("cfg.json: config must be an object", None)
 
     @pytest.mark.parametrize("doc,where", [
         ('{"pim": {"rows": 1' + '0' * 400 + '}}', "big.json:1: pim.rows: "),

@@ -69,6 +69,16 @@ def test_a_generator_with_one_source_swapped_fails_its_function(monkeypatch, cap
     assert _validate_exit_code(capsys) == cli.EXIT_VALIDATION
 
 
+def test_a_multiplier_that_drops_its_last_gate_fails_its_function(monkeypatch, capsys):
+    # the multiplier's check runs through the same loop as the other kinds,
+    # so a failure names its first wrong row
+    _patch_generator(monkeypatch, OpKind.MPY, lambda prog, instrs: instrs[:-1])
+    failing = _failing(run_validation("all"))
+    assert set(failing) == {"function[MPY]"}
+    assert failing["function[MPY]"].startswith("n=4 row ")
+    assert _validate_exit_code(capsys) == cli.EXIT_VALIDATION
+
+
 def test_hmove_destinations_off_by_one_fail_pac_agreement(monkeypatch, capsys):
     def shifted(layout, pim):
         prog = relocation_program(layout, pim)
