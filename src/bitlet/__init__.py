@@ -10,7 +10,7 @@ The library splits into:
     model       the evaluation kernel and the closed-form equations it
                 is checked against
     catalog     (operation, width) -> cycles, NOR program generators, ``execute``
-    simulator   row-parallel execution of NOR/move programs
+    simulator   row-parallel execution of NOR/move programs, and ``compose``
     layout      placement and alignment cycle pricing and move programs
     analysis    crossover, energy break-even, litmus verdicts, sweeps
     validation  oracle suite tying catalog numbers to simulated programs
@@ -28,7 +28,7 @@ from .model import (Evaluation, NonFiniteResult, Points, energy_per_op_cpu,
                     energy_per_op_pim, evaluate, mat_power_cap, perf_cpu,
                     perf_pim, pl_perf_cpu, pl_perf_pim)
 from .simulator import (ArrayState, ColRange, ColumnOverflow, HMove,
-                        InvalidProgram, Nor, NorProgram, VMove, run, to_text)
+                        InvalidProgram, Nor, NorProgram, VMove, compose, run, to_text)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "NonFiniteResult", "Nor", "NorProgram", "OpKind", "OpSpec", "PimMachine",
     "Points", "PowerBudget", "SweepSpec", "Throughput", "UnsupportedOperation",
     "UnsupportedWidth", "VMove", "Verdict", "Winner", "Workload", "WorkloadPoint",
-    "catalog_table", "crossover_oc", "energy_breakeven_oc", "energy_per_op_cpu",
+    "catalog_table", "compose", "crossover_oc", "energy_breakeven_oc", "energy_per_op_cpu",
     "energy_per_op_pim", "evaluate", "execute", "litmus", "mat_power_cap",
     "microprogram_of", "oc_of", "pac_of", "perf_cpu", "perf_pim", "pl_perf_cpu",
     "pl_perf_pim", "relocation_program", "run", "sweep", "to_text",

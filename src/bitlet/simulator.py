@@ -67,6 +67,18 @@ crossing moves changes nothing; every other stretch is one word shift.
 Each stretch leaves the array as its own sequential execution would, so
 running the stretches in order is sequential execution.
 
+Composition. ``compose(programs, offsets)`` concatenates programs into one,
+each part moved to start at its column offset, so that many small programs
+run in one ``run`` call on disjoint column slots of one array. A part's
+``dest``, its ``srcs`` entries >= 0 and its VMoves' ``col_lo``/``col_hi``
+shift; a negative entry (the -1 padding, a VMove's ``dest``, a bad column)
+does not, so a part that is invalid alone stays invalid. ``op``,
+``fanin``, ``offset``, ``row`` and ``crosses`` are concatenated as they
+are, and every part's declared ranges are declared, shifted. The parts
+must share one ``max_fanin``. Rows are shared, but a VMove moves only its
+own column range, so a part whose slot holds its ``cols_required``
+columns leaves that slot as it would leave an array of its own.
+
 Fixed cost. Most programs are small (the validation suite builds about
 300, on at most 1000 rows), so what a call costs before it touches a row
 matters as much as its row bandwidth, and the same code serves both:
@@ -123,6 +135,7 @@ instructions (``NorProgram.__eq__``); there is no parser back::
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -638,6 +651,58 @@ def run(program: NorProgram, state: ArrayState) -> tuple[ArrayState, int]:
         last = state._planes[:, -1]
         np.bitwise_and(last, (1 << tail) - 1, out=last)
     return state, len(program)
+
+
+def compose(programs, offsets) -> NorProgram:
+    """One program that runs `programs` in order, each moved to start at
+    its column offset.
+
+    A part's ``dest``, its ``srcs`` entries that are >= 0 and its VMoves'
+    ``col_lo`` and ``col_hi`` are shifted by its offset; a negative entry
+    (the -1 padding, a VMove's ``dest``, a bad column) is not, so a part
+    that is invalid alone stays invalid. The other columns are
+    concatenated as they are, ``srcs`` padded with -1 to the widest part.
+    The program declares every part's ranges, shifted, in order. The
+    columns are summed in int64 and the constructor refuses an entry
+    outside int32, naming its column.
+
+    Raises ValueError when the counts of programs and offsets differ, and
+    InvalidProgram when the parts' ``max_fanin`` differ.
+    """
+    programs, offsets = list(programs), [operator.index(o) for o in offsets]
+    if len(programs) != len(offsets):
+        raise ValueError(f"{len(programs)} programs but {len(offsets)} offsets")
+    fanins = sorted({p.max_fanin for p in programs})
+    if len(fanins) > 1:
+        raise InvalidProgram(f"parts differ in max_fanin: {fanins}")
+    if not programs:
+        return NorProgram([], [], [])
+    # every entry is shifted in int64, where no offset wraps it
+    shift = np.repeat(np.array(offsets, dtype=np.int64), [len(p) for p in programs])
+    srcs = np.full((len(shift), max(p.srcs.shape[1] for p in programs)), -1, dtype=np.int64)
+    i = 0
+    for p in programs:
+        srcs[i:i + len(p), :p.srcs.shape[1]] = p.srcs
+        i += len(p)
+    srcs += shift[:, None] * (srcs >= 0)
+
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([getattr(p, name) for p in programs])
+
+    def moved(name: str, where=True) -> np.ndarray:
+        """Column `name` with its entries >= 0 (of the instructions in `where`) shifted."""
+        values = cat(name).astype(np.int64)
+        values += shift * (where & (values >= 0))
+        return values
+
+    op = cat("op")
+    is_move = op == OP_VMOVE
+    inputs, outputs = ([ColRange(r.name, r.start + off, r.width)
+                        for p, off in zip(programs, offsets) for r in getattr(p, side)]
+                       for side in ("inputs", "outputs"))
+    return NorProgram(op, moved("dest"), srcs, cat("fanin"), cat("offset"),
+                      moved("col_lo", is_move), moved("col_hi", is_move), cat("row"),
+                      cat("crosses"), inputs=inputs, outputs=outputs, max_fanin=fanins[0])
 
 
 # -- operand packing helpers -------------------------------------------------

@@ -8,6 +8,16 @@ widths, on a fixed random sample for wide ones). Placement/alignment move
 programs are checked the same way against the closed-form cycle formula
 and against direct array bookkeeping.
 
+The 70 move programs of the 64-row agreement check run as one program
+(``simulator.compose``), each in its own slot of columns, and are packed
+and read one width at a time. That is the same check as running each on
+an array of its own: the slots are disjoint and each holds its program's
+``cols_required``, and rows are shared but a VMove moves only its own
+column range. A program whose count is wrong is left out of the run, as it
+was never run alone, and the first failing layout is reported in the
+(k, n, vertical) order and text of the one-at-a-time form, which
+``tests/reference.py`` keeps.
+
 The multiplier is special: its generated shift-and-add program validates
 function only, and both its own instruction count and the catalog's
 optimized-construction count are reported side by side.
@@ -16,6 +26,8 @@ optimized-construction count are reported side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +35,7 @@ from . import catalog
 from .catalog import OpKind, OpSpec, execute, microprogram_of
 from .layout import LayoutSpec, pac_of, relocation_program
 from .machine import PimMachine
-from .simulator import ArrayState, pack_ints, run, unpack_ints
+from .simulator import ArrayState, NorProgram, compose, pack_ints, run, unpack_ints
 
 COUNT_KINDS = (OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
                OpKind.ADD, OpKind.ADD_FANIN4)
@@ -131,48 +143,108 @@ def catalog_checks() -> list[Check]:
     return checks
 
 
-def _relocation_matches(layout: LayoutSpec, pim: PimMachine, rng) -> str | None:
-    """Run the move program and verify cells; returns an error or None."""
-    n, k = layout.element_width_bits, layout.misaligned_subsets
-    vertical = layout.needs_vertical_relocation
-    prog = relocation_program(layout, pim)
-    cycles, pac = len(prog), pac_of(layout, pim)
-    if cycles != pac:
-        return f"cycles {cycles} != pac {pac} (k={k}, n={n}, vertical={vertical})"
-    state = ArrayState.zeros(pim.rows, max(pim.cols, prog.cols_required))
-    # each subset's elements go into its source region; with no subsets to
-    # align, the elements already sit in the one output region. The source
-    # regions are consecutive n-column blocks, and so are the outputs, so
-    # each kind is packed or unpacked in one call.
-    placed = prog.inputs or prog.outputs
-    sources = rng.integers(0, 1 << min(n, 48), (len(placed), pim.rows), dtype=np.int64)
-    pack_ints(state, placed[0].start, n, sources)
-    final, _ = run(prog, state)
+PAC_WIDTHS = (1, 2, 3, 4, 8, 16, 32)
+# (misaligned subsets k, element width n, vertical) of each layout checked
+PAC_LAYOUTS = tuple(product(range(5), PAC_WIDTHS, (False, True)))
+
+
+def _subsets(row: np.ndarray, rows: int, blocks) -> np.ndarray:
+    """``layout.subset_of_row(r, rows, blocks)`` of every entry r of `row`.
+
+    The formula is restated here rather than read from the relocation
+    program's own row blocks, so the check stays independent of the
+    generator. `blocks` may be an array that broadcasts against `row`.
+    """
+    return np.minimum(row * blocks // rows, blocks - 1)
+
+
+class _Part(NamedTuple):
+    """A layout of the agreement check whose program has the right count,
+    placed in its width's n-column blocks."""
+
+    index: int              # the layout's place in (k, n, vertical) order
+    layout: LayoutSpec
+    program: NorProgram
+    block: int              # its slot's first block
+    placed: int             # the block of its first source region
+    target: int             # the block of its first output region
+
+
+def _where(layout: LayoutSpec) -> str:
+    return (f"(k={layout.misaligned_subsets}, n={layout.element_width_bits}, "
+            f"vertical={layout.needs_vertical_relocation})")
+
+
+def _relocation_agreement(pim: PimMachine, rng) -> str | None:
+    """Check the move program of every small layout against ``pac_of`` and
+    against its cells; return the text of the first, in ``PAC_LAYOUTS``
+    order, that fails (None if none does).
+
+    The programs whose count is right run as one composed program, each
+    in a slot of whole n-column blocks that holds its cols_required. The
+    slots are grouped by n, so each width's blocks are consecutive and are
+    packed (sources, and zeros in the targets) and unpacked in one call
+    each. The slots are disjoint, no program names a column at or past its
+    own cols_required, and a VMove moves only its own column range, so the
+    run leaves each slot as the program alone would leave its array.
+    """
+    errors: dict[int, str] = {}
+    parts: dict[int, list[_Part]] = {n: [] for n in PAC_WIDTHS}
+    values: dict[int, list[np.ndarray]] = {n: [] for n in PAC_WIDTHS}
+    for index, (k, n, vertical) in enumerate(PAC_LAYOUTS):
+        layout = LayoutSpec(element_width_bits=n, misaligned_subsets=k,
+                            needs_vertical_relocation=vertical)
+        prog = relocation_program(layout, pim)
+        cycles, pac = len(prog), pac_of(layout, pim)
+        if cycles != pac:
+            errors[index] = f"cycles {cycles} != pac {pac} {_where(layout)}"
+            continue
+        # each subset's elements go into its source region; with no subsets
+        # to align, the elements already sit in the one output region
+        placed = prog.inputs or prog.outputs
+        sources = rng.integers(0, 1 << min(n, 48), (len(placed), pim.rows), dtype=np.int64)
+        # the slot's blocks: zeros but for the sources
+        slot = np.zeros((-(-prog.cols_required // n), pim.rows), dtype=np.int64)
+        first, target = placed[0].start, prog.outputs[0].start
+        slot[first // n:first // n + len(placed)] = sources
+        block = sum(map(len, values[n]))
+        parts[n].append(_Part(index, layout, prog, block, block + first // n,
+                              block + target // n))
+        values[n].append(slot)
+        if first % n or target % n:     # the pack and the check read whole blocks
+            errors[index] = (f"region {first if first % n else target} is not at a "
+                             f"multiple of {n} columns {_where(layout)}")
+
+    values = {n: np.concatenate(values[n]) for n in PAC_WIDTHS if parts[n]}
+    starts, col = {}, 0     # a width's slots follow the narrower widths'
+    for n in values:
+        starts[n], col = col, col + n * len(values[n])
+    state = ArrayState.zeros(pim.rows, col)
+    for n in values:
+        pack_ints(state, starts[n], n, values[n])
+    run(compose([p.program for n in values for p in parts[n]],
+                [starts[n] + n * p.block for n in values for p in parts[n]]), state)
 
     # after alignment each row holds its own subset's element in that
     # subset's output region; a vertical pass then pulls row r+1's element
     # into row r, and the last row's comes from the neighbour array (not
     # checked)
-    rows = np.arange(pim.rows - 1 if vertical else pim.rows)
-    src = rows + 1 if vertical else rows
-    subset = _subsets(src, pim.rows, len(prog.outputs))
-    got = unpack_ints(final, prog.outputs[0].start, n, len(prog.outputs))[subset, rows]
-    want = sources[subset, src]
-    bad = np.flatnonzero(got != want)
-    if len(bad):
-        i = bad[0]
-        return (f"row {rows[i]} region {prog.outputs[subset[i]].start}: got {got[i]}, "
-                f"want {want[i]} (k={k}, n={n}, vertical={vertical})")
-    return None
-
-
-def _subsets(row: np.ndarray, rows: int, blocks: int) -> np.ndarray:
-    """``layout.subset_of_row(r, rows, blocks)`` of every entry r of `row`.
-
-    The formula is restated here rather than read from the relocation
-    program's own row blocks, so the check stays independent of the generator.
-    """
-    return np.minimum(row * blocks // rows, blocks - 1)
+    rows = np.arange(pim.rows)
+    for n in values:
+        group = parts[n]
+        vertical = np.array([[p.layout.needs_vertical_relocation] for p in group])
+        src = np.minimum(rows + vertical, pim.rows - 1)
+        subset = _subsets(src, pim.rows, np.array([[len(p.program.outputs)] for p in group]))
+        got = unpack_ints(state, starts[n], n, len(values[n]))[
+            np.array([[p.target] for p in group]) + subset, rows]
+        want = values[n][np.array([[p.placed] for p in group]) + subset, src]
+        bad = (got != want) & (rows < pim.rows - vertical)
+        i, r = np.unravel_index(bad.argmax(), bad.shape)
+        if bad[i, r]:
+            errors.setdefault(group[i].index, (
+                f"row {r} region {group[i].program.outputs[subset[i, r]].start}: "
+                f"got {got[i, r]}, want {want[i, r]} {_where(group[i].layout)}"))
+    return errors[min(errors)] if errors else None
 
 
 def pac_checks() -> list[Check]:
@@ -180,20 +252,9 @@ def pac_checks() -> list[Check]:
     rng = np.random.default_rng(SEED + 1)
     checks: list[Check] = []
 
-    small = PimMachine(rows=64, cols=512)
-    bad = None
-    cases = 0
-    for k in range(0, 5):
-        for n in (1, 2, 3, 4, 8, 16, 32):
-            for vertical in (False, True):
-                layout = LayoutSpec(element_width_bits=n, misaligned_subsets=k,
-                                    needs_vertical_relocation=vertical)
-                err = _relocation_matches(layout, small, rng)
-                cases += 1
-                if err and bad is None:
-                    bad = err
+    bad = _relocation_agreement(PimMachine(rows=64, cols=512), rng)
     checks.append(Check("pac-agreement[64-row array]", bad is None,
-                        bad or f"{cases} layouts: counts exact, cells verified"))
+                        bad or f"{len(PAC_LAYOUTS)} layouts: counts exact, cells verified"))
 
     big = PimMachine()  # 1024 x 1024
     worked = LayoutSpec(element_width_bits=16, misaligned_subsets=1,

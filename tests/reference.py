@@ -6,6 +6,10 @@ builds a program from them through the columns constructor, and
 ``apply_instr`` and ``_problem`` state, one instruction at a time, the
 semantics and the validity rules that ``run`` and ``validate`` apply to
 whole runs of columns. The rules use Python ints, which never wrap.
+
+``relocation_agreement`` is the 64-row ``pac-agreement`` check of
+``validation`` as it ran before it was batched: each layout's move program
+alone on an array of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bitlet.simulator import OP_HMOVE, OP_NOR, OP_VMOVE, HMove, Instr, Nor, NorProgram, VMove
+from bitlet.layout import LayoutSpec, pac_of
+from bitlet.machine import PimMachine
+from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, HMove, Instr, Nor,
+                              NorProgram, VMove, pack_ints, run, unpack_ints)
+from bitlet.validation import SEED, _subsets
 
 
 @dataclass(frozen=True)
@@ -121,4 +129,59 @@ def reference_error(instrs, rows: int, cols: int, max_fanin: int) -> str | None:
         problem = _problem(ins, rows, cols, max_fanin)
         if problem is not None:
             return f"instruction {i}: {ins!r}: {problem}"
+    return None
+
+
+def relocation_agreement(relocation_program) -> tuple[bool, str]:
+    """(passed, detail) of ``validation``'s ``pac-agreement[64-row array]``
+    check, one layout at a time, each move program run alone on its own
+    array, with the given generator."""
+    rng = np.random.default_rng(SEED + 1)
+    small = PimMachine(rows=64, cols=512)
+    bad = None
+    cases = 0
+    for k in range(0, 5):
+        for n in (1, 2, 3, 4, 8, 16, 32):
+            for vertical in (False, True):
+                layout = LayoutSpec(element_width_bits=n, misaligned_subsets=k,
+                                    needs_vertical_relocation=vertical)
+                err = _relocation_matches(relocation_program, layout, small, rng)
+                cases += 1
+                if err and bad is None:
+                    bad = err
+    return bad is None, bad or f"{cases} layouts: counts exact, cells verified"
+
+
+def _relocation_matches(relocation_program, layout, pim, rng) -> str | None:
+    """Run the move program and verify cells; returns an error or None."""
+    n, k = layout.element_width_bits, layout.misaligned_subsets
+    vertical = layout.needs_vertical_relocation
+    prog = relocation_program(layout, pim)
+    cycles, pac = len(prog), pac_of(layout, pim)
+    if cycles != pac:
+        return f"cycles {cycles} != pac {pac} (k={k}, n={n}, vertical={vertical})"
+    state = ArrayState.zeros(pim.rows, max(pim.cols, prog.cols_required))
+    # each subset's elements go into its source region; with no subsets to
+    # align, the elements already sit in the one output region. The source
+    # regions are consecutive n-column blocks, and so are the outputs, so
+    # each kind is packed or unpacked in one call.
+    placed = prog.inputs or prog.outputs
+    sources = rng.integers(0, 1 << min(n, 48), (len(placed), pim.rows), dtype=np.int64)
+    pack_ints(state, placed[0].start, n, sources)
+    final, _ = run(prog, state)
+
+    # after alignment each row holds its own subset's element in that
+    # subset's output region; a vertical pass then pulls row r+1's element
+    # into row r, and the last row's comes from the neighbour array (not
+    # checked)
+    rows = np.arange(pim.rows - 1 if vertical else pim.rows)
+    src = rows + 1 if vertical else rows
+    subset = _subsets(src, pim.rows, len(prog.outputs))
+    got = unpack_ints(final, prog.outputs[0].start, n, len(prog.outputs))[subset, rows]
+    want = sources[subset, src]
+    bad = np.flatnonzero(got != want)
+    if len(bad):
+        i = bad[0]
+        return (f"row {rows[i]} region {prog.outputs[subset[i]].start}: got {got[i]}, "
+                f"want {want[i]} (k={k}, n={n}, vertical={vertical})")
     return None

@@ -8,10 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitlet.catalog import OpKind, OpSpec, microprogram_of
+from bitlet.layout import LayoutSpec, relocation_program
+from bitlet.machine import PimMachine
 from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, HMove,
-                              InvalidProgram, Nor, NorProgram, VMove, _runs, pack_ints, run,
-                              to_text, unpack_ints)
-from reference import BadOp, apply_instr, from_objects as prog, reference_error, reference_run
+                              InvalidProgram, Nor, NorProgram, VMove, _runs, compose,
+                              pack_ints, run, to_text, unpack_ints)
+from bitlet.validation import COUNT_KINDS
+from reference import (BadOp, apply_instr, from_objects as prog, reference_error,
+                       reference_run, sources_are_padded)
 
 
 class TestNorSemantics:
@@ -788,3 +792,111 @@ class TestShapeRule:
         moves = [VMove(1, 0, 0, r) for r in range(64)]
         final, _ = run(prog(*moves), ArrayState(bits))
         assert final.bits[:, 0].all()
+
+
+# -- composition -----------------------------------------------------------------
+
+COLUMNS = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row", "crosses")
+
+
+def _at_fanin(program, max_fanin):
+    """`program` with another fan-in limit."""
+    return NorProgram(*(getattr(program, c) for c in COLUMNS), inputs=program.inputs,
+                      outputs=program.outputs, max_fanin=max_fanin)
+
+
+@st.composite
+def composed_parts(draw):
+    """2-4 parts on one row count: catalog programs of small widths,
+    relocation programs and ``random_programs``' instructions, all at fan-in
+    limit 4, placed at disjoint offsets with gaps between them."""
+    rows = draw(ROWS)
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        source = draw(st.sampled_from(["catalog", "relocation", "random"]))
+        if source == "catalog":
+            kind = draw(st.sampled_from([*COUNT_KINDS, OpKind.MPY]))
+            n = draw(st.integers(2 if kind is OpKind.MPY else 1, 4))
+            part = microprogram_of(OpSpec(kind, n))
+        elif source == "relocation":
+            layout = LayoutSpec(draw(st.integers(1, 4)), draw(st.integers(0, min(rows, 3))),
+                                draw(st.booleans()))
+            part = relocation_program(layout, PimMachine(rows=rows))
+        else:
+            cols = draw(st.integers(2, 6))
+            instr = vmove(rows, cols) | nor_or_hmove(cols)
+            part = prog(*draw(st.lists(instr, max_size=12)))
+        parts.append(_at_fanin(part, 4))
+    offsets, col = [], 0
+    for part in parts:
+        col += draw(st.integers(0, 3))
+        offsets.append(col)
+        col += part.cols_required
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, (rows, col + 2)).astype(bool)
+    return parts, offsets, bits
+
+
+class TestCompose:
+    @settings(max_examples=60, deadline=None)
+    @given(composed_parts())
+    def test_each_part_runs_as_it_would_alone_on_its_slice(self, case):
+        parts, offsets, bits = case
+        composed = compose(parts, offsets)
+        assert sources_are_padded(composed)
+        final, cycles = run(composed, ArrayState(bits))
+        assert cycles == sum(map(len, parts))
+        untouched = np.ones(bits.shape[1], dtype=bool)
+        for part, off in zip(parts, offsets):
+            part_cols = slice(off, off + part.cols_required)
+            alone, _ = run(part, ArrayState(bits[:, part_cols]))
+            assert np.array_equal(final.bits[:, part_cols], alone.bits)
+            untouched[part_cols] = False
+        assert np.array_equal(final.bits[:, untouched], bits[:, untouched])
+
+    def test_what_shifts_and_what_does_not(self):
+        first = prog(Nor(2, (0,)), VMove(-1, 0, 1, 3), Nor(-3, (1,)))
+        second = prog(Nor(3, (0, 1)), HMove(1, 0), max_fanin=2)
+        c = compose([first, second], [10, 20])
+        # the -1 padding, a VMove's dest and the bad column -3 stay as they are
+        assert c.dest.tolist() == [12, -1, -3, 23, 21]
+        assert c.srcs.tolist() == [[10, -1], [-1, -1], [11, -1], [20, 21], [20, -1]]
+        assert sources_are_padded(c)
+        assert (c.col_lo.tolist(), c.col_hi.tolist()) == ([0, 10, 0, 0, 0], [0, 11, 0, 0, 0])
+        assert to_text(c).splitlines() == ["NOR 12 10", "VMOVE -1 10 11 3", "NOR -3 11",
+                                           "NOR 23 20 21", "HMOVE 21 20"]
+        # so a part that is invalid alone stays invalid
+        with pytest.raises(InvalidProgram, match=r"^instruction 2: .*column -3 out of range$"):
+            c.validate(8, 64)
+
+    def test_ranges_are_declared_shifted_in_order(self):
+        pim = PimMachine(rows=8)
+        parts = [relocation_program(LayoutSpec(2, 1), pim), microprogram_of(OpSpec(OpKind.OR, 2))]
+        c = compose(parts, [0, 5])
+        assert c.inputs == (ColRange("source_0", 0, 2), ColRange("a", 5, 2), ColRange("b", 7, 2))
+        assert c.outputs == (ColRange("target_0", 2, 2), ColRange("out", 9, 2))
+
+    @pytest.mark.parametrize("part", [
+        microprogram_of(OpSpec(OpKind.ADD_FANIN4, 3)), microprogram_of(OpSpec(OpKind.MPY, 2)),
+        relocation_program(LayoutSpec(3, 2, True), PimMachine(rows=9)), prog()])
+    def test_one_part_at_zero_is_the_part(self, part):
+        c = compose([part], [0])
+        assert to_text(c) == to_text(part) and c == part
+
+    def test_mixed_fanin_limits_are_refused(self):
+        parts = [microprogram_of(OpSpec(OpKind.ADD_FANIN4, 1)), microprogram_of(OpSpec(OpKind.OR, 1))]
+        with pytest.raises(InvalidProgram, match=r"^parts differ in max_fanin: \[2, 4\]$"):
+            compose(parts, [0, 20])
+
+    def test_a_column_past_int32_is_refused_by_the_constructor(self):
+        with pytest.raises(InvalidProgram, match=r"^column dest holds 2147483649, "
+                                                 r"outside the int32 range$"):
+            compose([prog(Nor(2, (0,)))], [2**31 - 1])
+        # a VMove has no dest to shift: its column range is named
+        with pytest.raises(InvalidProgram, match=r"^column col_lo holds 2147483648, "
+                                                 r"outside the int32 range$"):
+            compose([prog(VMove(-1, 1, 2, 3))], [2**31 - 1])
+
+    def test_a_count_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match=r"^2 programs but 1 offsets$"):
+            compose([prog(), prog()], [0])

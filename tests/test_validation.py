@@ -3,10 +3,11 @@ import pytest
 
 from bitlet import cli, validation
 from bitlet.catalog import OpKind, microprogram_of
-from bitlet.layout import relocation_program, subset_of_row
-from bitlet.simulator import OP_HMOVE, Nor, NorProgram
-from bitlet.validation import _subsets, run_validation
-from reference import from_objects
+from bitlet.layout import LayoutSpec, pac_of, relocation_program, subset_of_row
+from bitlet.machine import PimMachine
+from bitlet.simulator import OP_HMOVE, OP_VMOVE, Nor, NorProgram, run
+from bitlet.validation import PAC_LAYOUTS, _subsets, run_validation
+from reference import from_objects, relocation_agreement
 
 
 def test_every_self_check_passes():
@@ -79,15 +80,104 @@ def test_a_multiplier_that_drops_its_last_gate_fails_its_function(monkeypatch, c
     assert _validate_exit_code(capsys) == cli.EXIT_VALIDATION
 
 
+COLUMNS = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row", "crosses")
+
+
+def _changed(prog, stop=None, **columns):
+    """`prog` with some columns replaced and its instructions cut at `stop`."""
+    cols = [columns.get(c, getattr(prog, c))[:stop] for c in COLUMNS]
+    return NorProgram(*cols, inputs=prog.inputs, outputs=prog.outputs)
+
+
+def _hmoves_off_by_one(layout, prog):
+    return _changed(prog, dest=prog.dest + (prog.op == OP_HMOVE))
+
+
+def _last_vmove_dropped(layout, prog):
+    return _changed(prog, -1) if layout.needs_vertical_relocation else prog
+
+
+def _one_hmove_misread(layout, prog):
+    # in one horizontal-only layout the last bit is copied from column 0
+    if (layout.misaligned_subsets, layout.element_width_bits,
+            layout.needs_vertical_relocation) != (2, 3, False):
+        return prog
+    srcs = prog.srcs.copy()
+    srcs[-1] = 0
+    return _changed(prog, srcs=srcs)
+
+
+def _one_vmove_short(layout, prog):
+    # in one vertical layout the move into row 40 takes only the lowest bit
+    if (layout.misaligned_subsets, layout.element_width_bits,
+            layout.needs_vertical_relocation) != (3, 8, True):
+        return prog
+    col_hi = prog.col_hi.copy()
+    move = np.flatnonzero(prog.op == OP_VMOVE)[40]
+    col_hi[move] = prog.col_lo[move]
+    return _changed(prog, col_hi=col_hi)
+
+
+def _patch_relocation(monkeypatch, fault):
+    def faulty(layout, pim):
+        return fault(layout, relocation_program(layout, pim))
+    monkeypatch.setattr(validation, "relocation_program", faulty)
+    return faulty
+
+
 def test_hmove_destinations_off_by_one_fail_pac_agreement(monkeypatch, capsys):
-    def shifted(layout, pim):
-        prog = relocation_program(layout, pim)
-        return NorProgram(
-            prog.op, prog.dest + (prog.op == OP_HMOVE), prog.srcs, prog.fanin,
-            prog.offset, prog.col_lo, prog.col_hi, prog.row, prog.crosses,
-            inputs=prog.inputs, outputs=prog.outputs)
-    monkeypatch.setattr(validation, "relocation_program", shifted)
+    _patch_relocation(monkeypatch, _hmoves_off_by_one)
     failing = _failing(run_validation("all"))
     assert set(failing) == {"pac-agreement[64-row array]"}
     assert failing["pac-agreement[64-row array]"].endswith("(k=1, n=1, vertical=False)")
     assert _validate_exit_code(capsys) == cli.EXIT_VALIDATION
+
+
+# -- the 64-row layouts run as one composed program -----------------------------
+# The reference runs each layout's program alone on its own array, as the
+# check did before it was batched; under every fault both give the same text.
+
+@pytest.mark.parametrize("fault, where", [
+    (_hmoves_off_by_one, "(k=1, n=1, vertical=False)"),
+    (_last_vmove_dropped, "(k=0, n=1, vertical=True)"),
+    (_one_hmove_misread, "(k=2, n=3, vertical=False)"),
+    (_one_vmove_short, "(k=3, n=8, vertical=True)"),
+], ids=["hmove-off-by-one", "last-vmove-dropped", "horizontal-cell", "vertical-cell"])
+def test_pac_agreement_equals_the_one_layout_at_a_time_reference(monkeypatch, fault, where):
+    faulty = _patch_relocation(monkeypatch, fault)
+    check = run_validation("pac")[0]
+    want = relocation_agreement(faulty)
+    assert (check.passed, check.detail) == want
+    assert not check.passed and check.detail.endswith(where)
+
+
+def test_pac_agreement_passes_as_the_reference_does():
+    check = run_validation("pac")[0]
+    assert (check.passed, check.detail) == relocation_agreement(relocation_program)
+    assert check.detail == "70 layouts: counts exact, cells verified"
+
+
+def test_a_region_off_the_blocks_fails_pac_agreement(monkeypatch):
+    # the batched check packs and reads whole n-column blocks, so a declared
+    # region between two is reported, not read across them
+    def moved_up(layout, prog):
+        if layout.element_width_bits != 2:
+            return prog
+        up = [[r._replace(start=r.start + 1) for r in side] for side in (prog.inputs, prog.outputs)]
+        return NorProgram(*(getattr(prog, c) for c in COLUMNS), inputs=up[0], outputs=up[1])
+    _patch_relocation(monkeypatch, moved_up)
+    check = run_validation("pac")[0]
+    assert check.detail == "region 1 is not at a multiple of 2 columns (k=0, n=2, vertical=False)"
+
+
+def test_the_64_row_layouts_run_in_one_call(monkeypatch):
+    lengths = []
+
+    def counted(program, state):
+        lengths.append(len(program))
+        return run(program, state)
+    monkeypatch.setattr(validation, "run", counted)
+    run_validation("pac")
+    pim = PimMachine(rows=64, cols=512)
+    assert lengths == [sum(pac_of(LayoutSpec(n, k, vertical), pim)
+                           for k, n, vertical in PAC_LAYOUTS)]
