@@ -9,12 +9,12 @@ programs are checked the same way against the closed-form cycle formula
 and against direct array bookkeeping.
 
 The 70 move programs of the 64-row agreement check run as one program
-(``simulator.compose``), each in its own slot of columns, and are packed
-and read one width at a time. That is the same check as running each on
-an array of its own: the slots are disjoint and each holds its program's
-``cols_required``, and rows are shared but a VMove moves only its own
-column range. A program whose count is wrong is left out of the run, as it
-was never run alone, and the first failing layout is reported in the
+(``simulator.compose``), each in its own slot of columns. That is the same
+check as running each on an array of its own: the slots are disjoint, no
+program names a column at or past its own ``cols_required``, which its
+slot holds, and rows are shared but a VMove moves only its own column
+range. A program whose count is wrong is left out of the run, as it was
+never run alone, and the first failing layout is reported in the
 (k, n, vertical) order and text of the one-at-a-time form, which
 ``tests/reference.py`` keeps.
 
@@ -176,21 +176,18 @@ def _where(layout: LayoutSpec) -> str:
 
 
 def _relocation_agreement(pim: PimMachine, rng) -> str | None:
-    """Check the move program of every small layout against ``pac_of`` and
-    against its cells; return the text of the first, in ``PAC_LAYOUTS``
-    order, that fails (None if none does).
+    """Check the move program of every layout of ``PAC_LAYOUTS`` against
+    ``pac_of`` and against its cells, in one composed run (see the module
+    docstring); return the text of the first that fails, or None.
 
-    The programs whose count is right run as one composed program, each
-    in a slot of whole n-column blocks that holds its cols_required. The
-    slots are grouped by n, so each width's blocks are consecutive and are
-    packed (sources, and zeros in the targets) and unpacked in one call
-    each. The slots are disjoint, no program names a column at or past its
-    own cols_required, and a VMove moves only its own column range, so the
-    run leaves each slot as the program alone would leave its array.
+    Each program gets a slot of whole n-column blocks that holds its
+    cols_required. The slots are grouped by n, so each width's blocks are
+    consecutive and are packed (sources, and zeros in the targets) and
+    unpacked in one call each.
     """
     errors: dict[int, str] = {}
     parts: dict[int, list[_Part]] = {n: [] for n in PAC_WIDTHS}
-    values: dict[int, list[np.ndarray]] = {n: [] for n in PAC_WIDTHS}
+    slots: dict[int, list[np.ndarray]] = {n: [] for n in PAC_WIDTHS}
     for index, (k, n, vertical) in enumerate(PAC_LAYOUTS):
         layout = LayoutSpec(element_width_bits=n, misaligned_subsets=k,
                             needs_vertical_relocation=vertical)
@@ -207,15 +204,15 @@ def _relocation_agreement(pim: PimMachine, rng) -> str | None:
         slot = np.zeros((-(-prog.cols_required // n), pim.rows), dtype=np.int64)
         first, target = placed[0].start, prog.outputs[0].start
         slot[first // n:first // n + len(placed)] = sources
-        block = sum(map(len, values[n]))
+        block = sum(map(len, slots[n]))
         parts[n].append(_Part(index, layout, prog, block, block + first // n,
                               block + target // n))
-        values[n].append(slot)
+        slots[n].append(slot)
         if first % n or target % n:     # the pack and the check read whole blocks
             errors[index] = (f"region {first if first % n else target} is not at a "
                              f"multiple of {n} columns {_where(layout)}")
 
-    values = {n: np.concatenate(values[n]) for n in PAC_WIDTHS if parts[n]}
+    values = {n: np.concatenate(slots[n]) for n in PAC_WIDTHS if parts[n]}
     starts, col = {}, 0     # a width's slots follow the narrower widths'
     for n in values:
         starts[n], col = col, col + n * len(values[n])
