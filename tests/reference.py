@@ -53,6 +53,19 @@ def from_objects(*instrs: Instr | BadOp, inputs=(), outputs=(),
                       inputs=inputs, outputs=outputs, max_fanin=max_fanin)
 
 
+COLUMNS = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row", "crosses")
+
+
+def rebuilt(program, stop=None, **changes) -> NorProgram:
+    """`program` cut at instruction `stop`, with the columns and the
+    constructor keywords (``inputs``, ``outputs``, ``max_fanin``) given
+    in `changes` replaced."""
+    cols = [changes.pop(c, getattr(program, c))[:stop] for c in COLUMNS]
+    keywords = {"inputs": program.inputs, "outputs": program.outputs,
+                "max_fanin": program.max_fanin, **changes}
+    return NorProgram(*cols, **keywords)
+
+
 def sources_are_padded(program) -> bool:
     """Whether each row of ``srcs`` holds its fan-in's columns, then only
     the -1 padding that the ``NorProgram`` constructor documents (and does

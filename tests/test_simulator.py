@@ -14,7 +14,7 @@ from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, 
                               InvalidProgram, Nor, NorProgram, VMove, _runs, compose,
                               pack_ints, run, to_text, unpack_ints)
 from bitlet.validation import COUNT_KINDS
-from reference import (BadOp, apply_instr, from_objects as prog, reference_error,
+from reference import (BadOp, apply_instr, from_objects as prog, rebuilt, reference_error,
                        reference_run, sources_are_padded)
 
 
@@ -796,15 +796,6 @@ class TestShapeRule:
 
 # -- composition -----------------------------------------------------------------
 
-COLUMNS = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row", "crosses")
-
-
-def _at_fanin(program, max_fanin):
-    """`program` with another fan-in limit."""
-    return NorProgram(*(getattr(program, c) for c in COLUMNS), inputs=program.inputs,
-                      outputs=program.outputs, max_fanin=max_fanin)
-
-
 @st.composite
 def composed_parts(draw):
     """2-4 parts on one row count: catalog programs of small widths,
@@ -826,7 +817,7 @@ def composed_parts(draw):
             cols = draw(st.integers(2, 6))
             instr = vmove(rows, cols) | nor_or_hmove(cols)
             part = prog(*draw(st.lists(instr, max_size=12)))
-        parts.append(_at_fanin(part, 4))
+        parts.append(rebuilt(part, max_fanin=4))
     offsets, col = [], 0
     for part in parts:
         col += draw(st.integers(0, 3))

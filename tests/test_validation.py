@@ -5,9 +5,9 @@ from bitlet import cli, validation
 from bitlet.catalog import OpKind, microprogram_of
 from bitlet.layout import LayoutSpec, pac_of, relocation_program, subset_of_row
 from bitlet.machine import PimMachine
-from bitlet.simulator import OP_HMOVE, OP_VMOVE, Nor, NorProgram, run
+from bitlet.simulator import OP_HMOVE, OP_VMOVE, Nor, run
 from bitlet.validation import PAC_LAYOUTS, _subsets, run_validation
-from reference import from_objects, relocation_agreement
+from reference import from_objects, rebuilt, relocation_agreement
 
 
 def test_every_self_check_passes():
@@ -80,21 +80,12 @@ def test_a_multiplier_that_drops_its_last_gate_fails_its_function(monkeypatch, c
     assert _validate_exit_code(capsys) == cli.EXIT_VALIDATION
 
 
-COLUMNS = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row", "crosses")
-
-
-def _changed(prog, stop=None, **columns):
-    """`prog` with some columns replaced and its instructions cut at `stop`."""
-    cols = [columns.get(c, getattr(prog, c))[:stop] for c in COLUMNS]
-    return NorProgram(*cols, inputs=prog.inputs, outputs=prog.outputs)
-
-
 def _hmoves_off_by_one(layout, prog):
-    return _changed(prog, dest=prog.dest + (prog.op == OP_HMOVE))
+    return rebuilt(prog, dest=prog.dest + (prog.op == OP_HMOVE))
 
 
 def _last_vmove_dropped(layout, prog):
-    return _changed(prog, -1) if layout.needs_vertical_relocation else prog
+    return rebuilt(prog, -1) if layout.needs_vertical_relocation else prog
 
 
 def _one_hmove_misread(layout, prog):
@@ -104,7 +95,7 @@ def _one_hmove_misread(layout, prog):
         return prog
     srcs = prog.srcs.copy()
     srcs[-1] = 0
-    return _changed(prog, srcs=srcs)
+    return rebuilt(prog, srcs=srcs)
 
 
 def _one_vmove_short(layout, prog):
@@ -115,7 +106,7 @@ def _one_vmove_short(layout, prog):
     col_hi = prog.col_hi.copy()
     move = np.flatnonzero(prog.op == OP_VMOVE)[40]
     col_hi[move] = prog.col_lo[move]
-    return _changed(prog, col_hi=col_hi)
+    return rebuilt(prog, col_hi=col_hi)
 
 
 def _patch_relocation(monkeypatch, fault):
@@ -164,7 +155,7 @@ def test_a_region_off_the_blocks_fails_pac_agreement(monkeypatch):
         if layout.element_width_bits != 2:
             return prog
         up = [[r._replace(start=r.start + 1) for r in side] for side in (prog.inputs, prog.outputs)]
-        return NorProgram(*(getattr(prog, c) for c in COLUMNS), inputs=up[0], outputs=up[1])
+        return rebuilt(prog, inputs=up[0], outputs=up[1])
     _patch_relocation(monkeypatch, moved_up)
     check = run_validation("pac")[0]
     assert check.detail == "region 1 is not at a multiple of 2 columns (k=0, n=2, vertical=False)"
