@@ -371,7 +371,15 @@ def execute(program: NorProgram, operands, carry_in=None):
     """Run a program from ``microprogram_of`` on the (1 or 2, rows) array
     `operands`, a or a and b; return (result, carry_out, cycles). Only the
     adders take a `carry_in` (None is 0) and give a `carry_out` (else None),
-    both true carries, 0 or 1 per row, whatever their columns' polarity."""
+    both true carries, 0 or 1 per row, whatever their columns' polarity.
+    A program that declares one name twice among its inputs, or among its
+    outputs (as a ``compose`` of two catalog programs does), is refused."""
+    for declared in (program.inputs, program.outputs):  # ADD's carry is one of each
+        names = [x.name for x in declared]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"program declares range {name!r} twice; "
+                                 f"execute runs one catalog operation")
     operands = np.asarray(operands, dtype=np.int64)
     ranges = {x.name: x for x in program.inputs + program.outputs}
     count = len(program.inputs) - len({"carry", "ncin"} & set(ranges))   # n-bit inputs

@@ -6,7 +6,7 @@ import pytest
 from bitlet import catalog
 from bitlet.catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                             catalog_table, execute, microprogram_of, oc_of)
-from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor,
+from bitlet.simulator import (ArrayState, ColRange, InvalidProgram, Nor, compose,
                               pack_ints, run, to_text, unpack_ints)
 from reference import from_objects, sources_are_padded
 
@@ -236,6 +236,18 @@ class TestExecute:
                             outputs=(ColRange("out", 2, 1),))
         out, carry, cycles = execute(prog, [[0, 1, 0, 1], [0, 0, 1, 1]])
         assert (out.tolist(), carry, cycles) == ([1, 0, 1, 0], None, 1)
+
+    @pytest.mark.parametrize("kind", [OpKind.NOT, OpKind.ADD, OpKind.ADD_FANIN4])
+    def test_a_range_name_declared_twice_is_refused(self, kind):
+        # range() would read the first 'a' and a name-keyed lookup the last;
+        # ADD's carry, one input and one output, is declared once in each
+        prog = microprogram_of(OpSpec(kind, 4))
+        twice = compose([prog, prog], [0, prog.cols_required])
+        message = "program declares range 'a' twice; execute runs one catalog operation"
+        operands = np.ones((1 if kind is OpKind.NOT else 2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            execute(twice, operands)
+        assert execute(prog, operands)[2] == len(prog)     # alone, it runs
 
     @pytest.mark.parametrize("kind", [k for k in catalog._GENERATORS if k is not OpKind.NOT])
     def test_every_generator_puts_b_right_after_a(self, kind):

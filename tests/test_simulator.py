@@ -657,6 +657,68 @@ class TestColumnarForm:
             assert getattr(p, name).ravel().tolist() == [value]
 
 
+def long_program(k, cuts, ops, seed):
+    """A k-instruction program whose op code is ops[i] from cuts[i - 1] on;
+    the other columns are random and need not be valid."""
+    rng = np.random.default_rng(seed)
+    fanin = rng.integers(1, 5, k)
+    srcs = np.where(np.arange(4) < fanin[:, None], rng.integers(0, 8, (k, 4)), -1)
+    op = np.repeat(ops, np.diff([0, *cuts, k]))
+    return NorProgram(op, rng.integers(0, 8, k), srcs, offset=rng.integers(-3, 4, k),
+                      col_lo=rng.integers(0, 4, k), col_hi=rng.integers(4, 8, k),
+                      row=rng.integers(0, 9, k), crosses=rng.integers(0, 2, k).astype(bool),
+                      max_fanin=4)
+
+
+@st.composite
+def chunk_edge_programs(draw):
+    """Programs about one or two 1024-instruction chunks long, with op-code
+    runs that often change near, or run across, a chunk edge."""
+    k = draw(st.sampled_from([1023, 1024, 1025, 2049]))
+    near_edge = st.sampled_from([1024, 2048]).flatmap(
+        lambda edge: st.integers(edge - 3, edge + 3))
+    cuts = sorted({c for c in draw(st.lists(near_edge | st.integers(1, k - 1), max_size=4))
+                   if 0 < c < k})
+    ops = draw(st.lists(st.sampled_from([OP_NOR, OP_HMOVE, OP_VMOVE]),
+                        min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return long_program(k, cuts, ops, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestInstructionView:
+    """``NorProgram.instructions`` behaves as the tuple of the objects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_programs().map(lambda case: case[0]) | chunk_edge_programs())
+    def test_a_walk_equals_the_whole_program_built_at_once(self, p):
+        assert tuple(p.instructions) == p._materialize(0, len(p))
+
+    @pytest.mark.parametrize("k", [6, 2049])
+    def test_indexing_and_slicing_equal_the_tuple(self, k):
+        p = (prog(*TestColumnarForm.INSTRS, max_fanin=4) if k == 6 else
+             long_program(k, [1022, 1030], [OP_VMOVE, OP_NOR, OP_HMOVE], seed=k))
+        view, whole = p.instructions, p._materialize(0, k)
+        assert len(view) == k
+        assert view[0] == whole[0] and view[-1] == whole[-1] and view[-k] == whole[0]
+        for bad in (k, -k - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        for cut in (slice(1, 5), slice(1020, 1030), slice(None, None, 2), slice(3, None, 2),
+                    slice(5, 1), slice(5, 1, -1), slice(None, None, -2), slice(k - 2, 10**9)):
+            got = view[cut]
+            assert type(got) is tuple and got == whole[cut], cut
+
+    def test_equals_and_hashes_as_the_tuple(self):
+        p = prog(*TestColumnarForm.INSTRS, max_fanin=4)
+        view = p.instructions
+        assert view == TestColumnarForm.INSTRS and TestColumnarForm.INSTRS == view
+        assert view == p.instructions and hash(view) == hash(TestColumnarForm.INSTRS)
+        assert view != TestColumnarForm.INSTRS[:-1] and view != list(TestColumnarForm.INSTRS)
+        assert view[0] is not view[0]               # new objects on each access
+        assert prog().instructions == () and hash(prog().instructions) == hash(())
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+
+
 @st.composite
 def stretch_moves(draw, rows, cols):
     """The VMoves of one stretch with one offset and rows stepping by one.
