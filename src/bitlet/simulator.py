@@ -257,14 +257,9 @@ _CHUNK = 1024      # instructions a walk of ``instructions`` builds at a time
 
 
 class _Instructions(Sequence):
-    """A read-only view of a program's instructions as objects.
-
-    It behaves as the tuple of those objects: it has a length, takes int
-    and slice indices (a slice is a tuple), and equals and hashes as that
-    tuple. Each access builds new objects from the columns, and a walk
-    builds them ``_CHUNK`` at a time, so it holds one chunk, never the
-    whole program.
-    """
+    """``NorProgram.instructions``: the tuple of a program's instruction
+    objects in all but memory. A slice is a tuple; a walk builds the
+    objects ``_CHUNK`` at a time, so it holds one chunk, never them all."""
 
     __slots__ = ("_program",)
 
