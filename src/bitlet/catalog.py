@@ -1,19 +1,12 @@
 """Operation complexity catalog and NOR microprogram generators.
 
 Maps (operation kind, bit width) to a cycle count, and builds executable
-NOR programs whose simulated behaviour and cycle counts back those numbers:
-
-    NOT         n          one single-input NOR (inverter) per bit
-    OR          2n         t = NOR(a,b); out = NOR(t)
-    AND         3n         out = NOR(NOR(a), NOR(b))
-    XOR         5n         the minimal two-input-NOR construction
-    ADD         9n         classic nine-NOR full adder, rippled
-    ADD_FANIN4  7n         seven NOR gates per bit using fan-in up to 4
-    MPY         13n^2-14n  catalog value; the generated program is a plain
-                           shift-and-add multiplier validated for function
-                           only (its own gate count is reported separately)
-    MPY_LOWPREC 1544       point value, 16-bit only (low-precision multiply
-                           keeping an n-bit result)
+NOR programs whose simulated behaviour and cycle counts back those numbers.
+``OPS`` is the one statement of each operation: one ``Op`` record per
+``OpKind`` holds its cited count, its generator and its numpy reference.
+Of the kinds with a program, MPY's count is cited: its generated program
+is a plain shift-and-add multiplier, checked for function only. A program
+states its operands and carry in its input blocks (see ``operands_of``).
 
 A workload whose operation is none of these gives its cycle count as
 ``analysis.Workload.oc_override`` instead.
@@ -28,9 +21,9 @@ the carry-in column of ADD_FANIN4 programs is active low (preset 1 means
 the rail: its carry-in and carry-out are true carries for either adder.
 
 Generators. Each generator states its program once, as data, in a
-``_Kind``: named column blocks, allocated in order from column 0 with
-widths such as n or 7, and a netlist, the gates of one bit as (dest,
-*srcs). A netlist column is a linear form in the width n and the bit j,
+``_Kind``, the program half of an operation's record: named column
+blocks, allocated in order from column 0 with widths such as n or 7, and
+a netlist, the gates of one bit as (dest, *srcs). A netlist column is a linear form in the width n and the bit j,
 per_n * n + const + per_bit * j + per_odd_bit * (j % 2), written as sums
 of block starts, offsets and j: ``a + j`` is bit j of block a, ``t + 1`` a
 fixed scratch column. At import each netlist becomes a table of those four
@@ -49,14 +42,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .machine import FieldError, _shown
 from .simulator import OP_NOR, ArrayState, ColRange, NorProgram, pack_ints, run, unpack_ints
 
-WIDTH_CAP = 1024  # keeps generated programs within one array's columns
+# Bounds the widths an OpSpec accepts and sizes _BIT_TERMS. It does not make
+# a program fit an array: NOT needs 2n columns and MPY 6n+10, so at 1024
+# columns they fit up to n = 512 and n = 169 (see cols_required).
+WIDTH_CAP = 1024
 
 
 class UnsupportedWidth(FieldError):
@@ -81,22 +77,6 @@ class OpKind(enum.Enum):
     MPY_LOWPREC = "MPY_LOWPREC"
 
 
-# closed-form cycle counts per bit width
-_FORMULAS = {
-    OpKind.NOT: lambda n: n,
-    OpKind.OR: lambda n: 2 * n,
-    OpKind.AND: lambda n: 3 * n,
-    OpKind.XOR: lambda n: 5 * n,
-    OpKind.ADD: lambda n: 9 * n,
-    OpKind.ADD_FANIN4: lambda n: 7 * n,
-    OpKind.MPY: lambda n: 13 * n * n - 14 * n,
-}
-
-_POINT_VALUES = {
-    (OpKind.MPY_LOWPREC, 16): 1544,
-}
-
-
 @dataclass(frozen=True)
 class OpSpec:
     """An operation kind at a concrete bit width."""
@@ -108,29 +88,28 @@ class OpSpec:
         n = self.width_bits
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= WIDTH_CAP:
             raise UnsupportedWidth(f"must be in 1..{WIDTH_CAP}, got {_shown(n)}")
-        if self.kind is OpKind.MPY_LOWPREC and (self.kind, n) not in _POINT_VALUES:
-            raise UnsupportedWidth(f"MPY_LOWPREC has a known cycle count only for "
-                                   f"n=16, got n={n}")
+        count = OPS[self.kind].count
+        if isinstance(count, dict) and n not in count:
+            raise UnsupportedWidth(f"{self.kind.name} has a known cycle count only for "
+                                   f"n={', '.join(map(str, count))}, got n={n}")
         if self.kind is OpKind.MPY and n < 2:
             raise UnsupportedWidth("MPY cycle formula is positive only for n >= 2")
 
 
 def oc_of(spec: OpSpec) -> int:
     """Operation complexity in cycles for one operation on one row."""
-    if spec.kind in _FORMULAS:
-        return _FORMULAS[spec.kind](spec.width_bits)
-    return _POINT_VALUES[(spec.kind, spec.width_bits)]
+    count = OPS[spec.kind].count
+    return count[spec.width_bits] if isinstance(count, dict) else count(spec.width_bits)
 
 
-TABLE_KINDS = (OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
-               OpKind.ADD, OpKind.ADD_FANIN4, OpKind.MPY)
 TABLE_WIDTHS = (4, 8, 16, 32, 64)
 
 
 def catalog_table() -> list[dict]:
-    """Rows of {kind, n, oc} for TABLE_KINDS x TABLE_WIDTHS, every pair defined."""
+    """Rows of {kind, n, oc} at TABLE_WIDTHS for each kind whose count is a
+    formula of n, every pair defined."""
     return [{"kind": kind.value, "n": n, "oc": oc_of(OpSpec(kind, n))}
-            for kind in TABLE_KINDS for n in TABLE_WIDTHS]
+            for kind, op in OPS.items() if callable(op.count) for n in TABLE_WIDTHS]
 
 
 # -- microprogram generation ---------------------------------------------
@@ -339,14 +318,47 @@ def _per_bit_program(kind: _Kind, n: int) -> NorProgram:
                       outputs=_ranges(kind.outputs, n))
 
 
-_GENERATORS = {
-    OpKind.NOT: partial(_per_bit_program, _NOT),
-    OpKind.OR: partial(_per_bit_program, _OR),
-    OpKind.AND: partial(_per_bit_program, _AND),
-    OpKind.XOR: partial(_per_bit_program, _XOR),
-    OpKind.ADD: partial(_per_bit_program, _ADD),
-    OpKind.ADD_FANIN4: _add_fanin4_program,
-    OpKind.MPY: _mpy_program,
+def _sum(operands, carry_in, n):
+    """The reference of both adders: the n-bit sum and the carry-out."""
+    total = operands[0] + operands[1] + carry_in
+    return total & ((1 << n) - 1), total >> n
+
+
+class Op(NamedTuple):
+    """An operation, stated once: its cited cycle count, a formula of n or
+    {n: count} point values; its generator, or None; the numpy reference of
+    its function, (operands, carry_in, n) -> (result, carry_out or None);
+    and whether the count is cited only, so that ``validate`` checks the
+    generated program's function but not its count."""
+
+    count: Callable[[int], int] | dict
+    generator: Callable[[int], NorProgram] | None
+    reference: Callable | None
+    cited: bool = False
+
+
+OPS = {
+    # one single-input NOR (inverter) per bit
+    OpKind.NOT: Op(lambda n: n, partial(_per_bit_program, _NOT),
+                   lambda x, _, n: (~x[0] & ((1 << n) - 1), None)),
+    # t = NOR(a, b); out = NOR(t)
+    OpKind.OR: Op(lambda n: 2 * n, partial(_per_bit_program, _OR),
+                  lambda x, _, n: (x[0] | x[1], None)),
+    # out = NOR(NOR(a), NOR(b))
+    OpKind.AND: Op(lambda n: 3 * n, partial(_per_bit_program, _AND),
+                   lambda x, _, n: (x[0] & x[1], None)),
+    # the minimal two-input-NOR construction
+    OpKind.XOR: Op(lambda n: 5 * n, partial(_per_bit_program, _XOR),
+                   lambda x, _, n: (x[0] ^ x[1], None)),
+    # classic nine-NOR full adder, rippled
+    OpKind.ADD: Op(lambda n: 9 * n, partial(_per_bit_program, _ADD), _sum),
+    # seven NOR gates per bit using fan-in up to 4
+    OpKind.ADD_FANIN4: Op(lambda n: 7 * n, _add_fanin4_program, _sum),
+    # the optimized construction's count; the program is plain shift-and-add
+    OpKind.MPY: Op(lambda n: 13 * n * n - 14 * n, _mpy_program,
+                   lambda x, _, n: (x[0] * x[1], None), cited=True),
+    # low-precision multiply keeping an n-bit result, 16-bit only
+    OpKind.MPY_LOWPREC: Op({16: 1544}, None, None, cited=True),
 }
 
 
@@ -361,10 +373,18 @@ def microprogram_of(spec: OpSpec) -> NorProgram:
     at 0 (a blank array); scratch is overwritten before it is read except
     for columns that are deliberately kept at 0.
     """
-    gen = _GENERATORS.get(spec.kind)
+    gen = OPS[spec.kind].generator
     if gen is None:
         raise UnsupportedOperation(f"no canonical microprogram for {spec.kind.name}")
     return gen(spec.width_bits)
+
+
+def operands_of(program: NorProgram) -> tuple[int, bool]:
+    """(count, has_carry) of a program from ``microprogram_of``: how many
+    n-bit operands its input blocks hold, and whether one more is a carry-in
+    (a ``carry`` column, or ADD_FANIN4's active-low ``ncin``)."""
+    has_carry = bool({"carry", "ncin"} & {x.name for x in program.inputs})
+    return len(program.inputs) - has_carry, has_carry
 
 
 def execute(program: NorProgram, operands, carry_in=None):
@@ -382,10 +402,10 @@ def execute(program: NorProgram, operands, carry_in=None):
                                  f"execute runs one catalog operation")
     operands = np.asarray(operands, dtype=np.int64)
     ranges = {x.name: x for x in program.inputs + program.outputs}
-    count = len(program.inputs) - len({"carry", "ncin"} & set(ranges))   # n-bit inputs
+    count, has_carry = operands_of(program)
     if operands.ndim != 2 or len(operands) != count:
         raise ValueError(f"need {count} row(s) of operands, got shape {operands.shape}")
-    if carry_in is not None and count == len(program.inputs):           # no carry input
+    if carry_in is not None and not has_carry:
         raise ValueError("carry_in given to an operation without a carry input")
     state = ArrayState.zeros(operands.shape[1], program.cols_required)
     pack_ints(state, ranges["a"].start, ranges["a"].width, operands)  # b's block follows a's

@@ -1,12 +1,12 @@
 """Self-checks tying the cycle catalog to executable ground truth.
 
-Every closed-form cycle count that has a generated microprogram is checked
-two ways: the program's instruction count must equal the catalog value
-exactly, and running it through ``catalog.execute`` must reproduce the
-reference integer/bitwise result on every row (exhaustively for narrow
-widths, on a fixed random sample for wide ones). Placement/alignment move
-programs are checked the same way against the closed-form cycle formula
-and against direct array bookkeeping.
+Every operation of ``catalog.OPS`` that has a generated microprogram is
+checked two ways: the program's instruction count must equal the record's
+count exactly, and running it through ``catalog.execute`` must reproduce
+the record's integer/bitwise reference on every row (exhaustively for
+narrow widths, on a fixed random sample for wide ones). Placement/alignment
+move programs are checked the same way against the closed-form cycle
+formula and against direct array bookkeeping.
 
 The 70 move programs of the 64-row agreement check run as one program
 (``simulator.compose``), each in its own slot of columns. That is the same
@@ -18,9 +18,9 @@ never run alone, and the first failing layout is reported in the
 (k, n, vertical) order and text of the one-at-a-time form, which
 ``tests/reference.py`` keeps.
 
-The multiplier is special: its generated shift-and-add program validates
-function only, and both its own instruction count and the catalog's
-optimized-construction count are reported side by side.
+A kind whose count is cited (``catalog.Op.cited``; today MPY) has a
+generated program that validates function only: the program's own
+instruction count and the cited count are reported side by side.
 """
 
 from __future__ import annotations
@@ -31,14 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import catalog
-from .catalog import OpKind, OpSpec, execute, microprogram_of
+from .catalog import OPS, OpKind, OpSpec, execute, microprogram_of, oc_of, operands_of
 from .layout import LayoutSpec, pac_of, relocation_program
 from .machine import PimMachine
 from .simulator import ArrayState, NorProgram, compose, pack_ints, run, unpack_ints
 
-COUNT_KINDS = (OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
-               OpKind.ADD, OpKind.ADD_FANIN4)
 EXHAUSTIVE_MAX_WIDTH = 4
 RANDOM_WIDTHS = (8, 16, 32)
 COUNT_MAX_WIDTH = 32       # gate counts are checked for every n = 1..COUNT_MAX_WIDTH
@@ -53,32 +50,10 @@ class Check:
     detail: str = ""
 
 
-def _reference(kind: OpKind, n: int, operands: np.ndarray, cin: np.ndarray | None):
-    """Integer/bitwise ground truth of the operands (a, or a and b);
-    returns (result, carry_out or None)."""
-    a, b = operands[0], operands[-1]
-    mask = (1 << n) - 1
-    if kind is OpKind.NOT:
-        return (~a) & mask, None
-    if kind is OpKind.OR:
-        return a | b, None
-    if kind is OpKind.AND:
-        return a & b, None
-    if kind is OpKind.XOR:
-        return a ^ b, None
-    if kind in (OpKind.ADD, OpKind.ADD_FANIN4):
-        total = a + b + cin
-        return total & mask, total >> n
-    if kind is OpKind.MPY:
-        return a * b, None
-    raise ValueError(kind)
-
-
-def _operand_sets(kind: OpKind, n: int, exhaustive: bool, rng: np.random.Generator):
-    """Operands (a row per operand) and carry-ins, or None for operations
+def _operand_sets(program: NorProgram, n: int, exhaustive: bool, rng: np.random.Generator):
+    """Operands (a row per operand) and carry-ins, or None for programs
     without a carry-in."""
-    count = 1 if kind is OpKind.NOT else 2
-    with_carry = kind in (OpKind.ADD, OpKind.ADD_FANIN4)
+    count, with_carry = operands_of(program)
     if not exhaustive:
         operands = rng.integers(0, 1 << n, (count, RANDOM_ROWS), dtype=np.int64)
         cin = rng.integers(0, 2, RANDOM_ROWS, dtype=np.int64) if with_carry else None
@@ -97,9 +72,9 @@ def _check_function(kind: OpKind, programs: dict, rng, detail: str = "") -> Chec
     a pass reports `detail`, by default how the operands were chosen."""
     name = f"function[{kind.name}]"
     for n, prog in programs.items():
-        operands, cin = _operand_sets(kind, n, n <= EXHAUSTIVE_MAX_WIDTH, rng)
+        operands, cin = _operand_sets(prog, n, n <= EXHAUSTIVE_MAX_WIDTH, rng)
         got, got_carry, _ = execute(prog, operands, cin)
-        want, want_carry = _reference(kind, n, operands, cin)
+        want, want_carry = OPS[kind].reference(operands, cin, n)
         if not np.array_equal(got, want):
             bad = int(np.flatnonzero(got != want)[0])
             return Check(name, False, f"n={n} row {bad}: got {int(got[bad])}, "
@@ -114,32 +89,35 @@ def catalog_checks() -> list[Check]:
     """Gate-count and functional checks for every generated operation.
 
     Each (kind, n) program is generated once per call and serves both its
-    count check and its function check.
+    count check and its function check. A kind whose count is cited gets a
+    function check only, at n = EXHAUSTIVE_MAX_WIDTH.
     """
     rng = np.random.default_rng(SEED)
     checks: list[Check] = []
     programs = {}
+    counted = [kind for kind, op in OPS.items() if op.generator and not op.cited]
 
-    for kind in COUNT_KINDS:
+    for kind in counted:
         bad = []
         for n in range(1, COUNT_MAX_WIDTH + 1):
             spec = OpSpec(kind, n)
             programs[kind, n] = prog = microprogram_of(spec)
-            got, want = len(prog), catalog.oc_of(spec)
+            got, want = len(prog), oc_of(spec)
             if got != want:
                 bad.append(f"n={n}: program {got} vs catalog {want}")
         checks.append(Check(f"count[{kind.name}]", not bad,
                             bad[0] if bad else f"exact for n=1..{COUNT_MAX_WIDTH}"))
 
     widths = (*range(1, EXHAUSTIVE_MAX_WIDTH + 1), *RANDOM_WIDTHS)   # all <= COUNT_MAX_WIDTH
-    for kind in COUNT_KINDS:
+    for kind in counted:
         checks.append(_check_function(kind, {n: programs[kind, n] for n in widths}, rng))
 
-    spec = OpSpec(OpKind.MPY, EXHAUSTIVE_MAX_WIDTH)
-    prog = microprogram_of(spec)
-    detail = (f"exhaustive n={spec.width_bits}; generated program {len(prog)} cycles, "
-              f"catalog {catalog.oc_of(spec)} (informational)")
-    checks.append(_check_function(OpKind.MPY, {spec.width_bits: prog}, rng, detail))
+    for kind in [kind for kind, op in OPS.items() if op.generator and op.cited]:
+        spec = OpSpec(kind, EXHAUSTIVE_MAX_WIDTH)
+        prog = microprogram_of(spec)
+        detail = (f"exhaustive n={spec.width_bits}; generated program {len(prog)} cycles, "
+                  f"catalog {oc_of(spec)} (informational)")
+        checks.append(_check_function(kind, {spec.width_bits: prog}, rng, detail))
     return checks
 
 

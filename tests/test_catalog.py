@@ -18,6 +18,7 @@ EXACT_KINDS = {
     OpKind.ADD: lambda n: 9 * n,
     OpKind.ADD_FANIN4: lambda n: 7 * n,
 }
+GENERATED = [kind for kind, op in catalog.OPS.items() if op.generator is not None]
 
 
 class TestCycleCounts:
@@ -71,6 +72,25 @@ class TestCatalogTable:
         rows = catalog_table()
         assert {"kind": "AND", "n": 16, "oc": 48} in rows
         assert {"kind": "MPY", "n": 64, "oc": 13 * 64 * 64 - 14 * 64} in rows
+
+
+class TestOperationRecords:
+    def test_one_record_per_kind_and_its_program_states_the_operands(self):
+        ops = catalog.OPS
+        assert list(ops) == list(OpKind)
+        counted = [k for k, op in ops.items() if op.generator is not None and not op.cited]
+        assert counted == [OpKind.NOT, OpKind.OR, OpKind.AND, OpKind.XOR,
+                           OpKind.ADD, OpKind.ADD_FANIN4]
+        assert GENERATED == [*counted, OpKind.MPY]
+        tabled = [k for k, op in ops.items() if callable(op.count)]     # catalog_table's
+        assert tabled == [k for k in OpKind if k is not OpKind.MPY_LOWPREC]
+        # the operand count and carry come from the generator's blocks, so a
+        # renamed carry block shows here rather than as a validate failure
+        want = {OpKind.NOT: (1, False), OpKind.ADD: (2, True), OpKind.ADD_FANIN4: (2, True)}
+        for kind in GENERATED:
+            for n in range(1, 5):
+                assert catalog.operands_of(ops[kind].generator(n)) == \
+                    want.get(kind, (2, False)), (kind, n)
 
 
 class TestMicroprograms:
@@ -249,7 +269,7 @@ class TestExecute:
             execute(twice, operands)
         assert execute(prog, operands)[2] == len(prog)     # alone, it runs
 
-    @pytest.mark.parametrize("kind", [k for k in catalog._GENERATORS if k is not OpKind.NOT])
+    @pytest.mark.parametrize("kind", [k for k in GENERATED if k is not OpKind.NOT])
     def test_every_generator_puts_b_right_after_a(self, kind):
         # execute packs a and b with one call, as consecutive n-column blocks
         for n in (2, 5, 32):
@@ -335,7 +355,7 @@ def reference_program(kind, n):
 class TestColumnarGenerators:
     # every generator: at the count check's widths, past them and, unless
     # its program grows with n**2, at the width cap
-    @pytest.mark.parametrize("kind", list(catalog._GENERATORS))
+    @pytest.mark.parametrize("kind", GENERATED)
     def test_array_built_programs_equal_the_object_built_reference(self, kind):
         widths = ([*range(2, 34), 64] if kind is OpKind.MPY
                   else [*range(1, 65), catalog.WIDTH_CAP])

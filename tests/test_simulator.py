@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitlet.catalog import OpKind, OpSpec, microprogram_of
+from bitlet.catalog import OPS, OpKind, OpSpec, microprogram_of
 from bitlet.layout import LayoutSpec, relocation_program
 from bitlet.machine import PimMachine
 from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, ColRange, HMove,
                               InvalidProgram, Nor, NorProgram, VMove, _runs, compose,
                               pack_ints, run, to_text, unpack_ints)
-from bitlet.validation import COUNT_KINDS
 from reference import (BadOp, apply_instr, from_objects as prog, rebuilt, reference_error,
                        reference_run, sources_are_padded)
 
@@ -868,7 +867,7 @@ def composed_parts(draw):
     for _ in range(draw(st.integers(2, 4))):
         source = draw(st.sampled_from(["catalog", "relocation", "random"]))
         if source == "catalog":
-            kind = draw(st.sampled_from([*COUNT_KINDS, OpKind.MPY]))
+            kind = draw(st.sampled_from([k for k, op in OPS.items() if op.generator]))
             n = draw(st.integers(2 if kind is OpKind.MPY else 1, 4))
             part = microprogram_of(OpSpec(kind, n))
         elif source == "relocation":
