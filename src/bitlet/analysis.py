@@ -1,17 +1,14 @@
-"""Comparative analyses over the throughput model.
+"""Workloads and sweeps over the throughput model.
 
-Answers the questions the raw equations only imply: at what operation
-complexity do the two sides break even, which side wins a concrete
-workload (raw and under a power budget), how do the curves behave when one
-parameter sweeps across a grid.
-
-`litmus` and `sweep` are views of `model.evaluate`; `crossover_oc` and
-`energy_breakeven_oc` are the scalar closed forms of two of its columns.
+A `Workload` names an operation, its data layout and its traffic, and
+resolves to the point the model evaluates. `sweep` answers how the curves
+behave when one parameter sweeps across a grid; it is a view of
+`model.evaluate`, whose columns also hold the break-evens and the verdict
+of each point.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +17,7 @@ from .catalog import OpSpec, oc_of
 from .layout import LayoutSpec, pac_of
 from .machine import (CpuMachine, FieldError, InputError, PimMachine, PowerBudget,
                       WorkloadPoint, at_least, integers)
-from .model import TIE_REL_TOL, Points, evaluate  # noqa: F401  (TIE_REL_TOL re-exported)
-
-
-class Winner(enum.Enum):
-    PIM = "PIM"
-    CPU = "CPU"
-    TIE = "TIE"
+from .model import Points, evaluate
 
 
 @dataclass(frozen=True)
@@ -58,86 +49,6 @@ class Workload:
         oc = self.oc_override if self.oc_override is not None else oc_of(self.op)
         pac = pac_of(self.layout, pim) if self.layout is not None else 0
         return WorkloadPoint(oc_cycles=oc, pac_cycles=pac, dio_bits=self.dio_bits)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Both sides' throughput plus the decisive comparison for one workload."""
-
-    name: str
-    oc_cycles: int
-    pac_cycles: int
-    dio_bits: int
-    pim_gops: float
-    cpu_gops: float
-    pl_pim_gops: float
-    pl_cpu_gops: float
-    winner: Winner
-    speedup: float          # memory-side over CPU-side, on the deciding pair
-    crossover_oc: float
-    energy_ratio: float     # CPU pJ/op over memory-side pJ/op
-    power_limited: bool     # True when the verdict used the capped numbers
-
-
-def crossover_oc(pim: PimMachine, cpu: CpuMachine, dio_bits: int,
-                 pac_cycles: int = 0) -> float:
-    """Operation complexity at which both sides' raw throughput is equal.
-
-    Below the returned value the memory side is faster, above it the CPU
-    is. May be <= 0, meaning the memory side never wins at this setting.
-
-    The cycle budget ROW*MAT*DIO / (BW*CT) is in general not an integer
-    (614.4 for the default machines at DIO 24), so an integer PAC leaves
-    `budget - pac_cycles`, not 0: the result changes sign between the two
-    integers around the budget.
-    """
-    budget = pim.rows * pim.mats * dio_bits / (cpu.bandwidth_bps * pim.cycle_time_s)
-    return budget - pac_cycles
-
-
-def energy_breakeven_oc(pim: PimMachine, cpu: CpuMachine, dio_bits: int,
-                        pac_cycles: int = 0) -> float:
-    """Operation complexity at which both sides spend equal energy per op."""
-    return cpu.energy_per_bit_pj * dio_bits / pim.energy_per_cycle_pj - pac_cycles
-
-
-def litmus(pim: PimMachine, cpu: CpuMachine,
-           workload: Workload | WorkloadPoint,
-           power: PowerBudget | None = None) -> Verdict:
-    """Decide workload affinity: memory-side or CPU-side execution.
-
-    With a power budget the verdict compares the capped throughputs;
-    otherwise the raw ones. Both pairs are always reported. A view of
-    `model.evaluate` at one point.
-
-    Each side is capped at min(raw, TDP / energy-per-op). When both caps
-    bind, the side with the lower energy per op wins, whatever the raw
-    numbers. A memory side that is ahead raw and no dearer per op therefore
-    never falls behind under any budget; a budget can turn a raw
-    memory-side win into a CPU win only when OC+PAC exceeds the energy
-    break-even (`energy_breakeven_oc` at PAC 0).
-    """
-    if isinstance(workload, WorkloadPoint):
-        name, point = "workload", workload
-    else:
-        name, point = workload.name, workload.resolve(pim)
-    ev = evaluate(pim, cpu, Points(point.oc_cycles, point.pac_cycles, point.dio_bits),
-                  power)
-    return Verdict(
-        name=name,
-        oc_cycles=point.oc_cycles,
-        pac_cycles=point.pac_cycles,
-        dio_bits=point.dio_bits,
-        pim_gops=float(ev.pim_gops),
-        cpu_gops=float(ev.cpu_gops),
-        pl_pim_gops=float(ev.pl_pim_gops),
-        pl_cpu_gops=float(ev.pl_cpu_gops),
-        winner=Winner(str(ev.winner)),
-        speedup=float(ev.speedup),
-        crossover_oc=float(ev.crossover_oc),
-        energy_ratio=float(ev.energy_ratio),
-        power_limited=power is not None,
-    )
 
 
 # sweep parameter -> the `Points` coordinate it sets

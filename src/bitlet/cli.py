@@ -34,11 +34,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from collections.abc import Sequence
 
 import numpy as np
 
-from .analysis import SWEEP_PARAMS, SweepSpec, Verdict, sweep
+from .analysis import SWEEP_PARAMS, SweepSpec, sweep
 from .catalog import catalog_table
 from .config import Config, ConfigError, load_config
 from .machine import GBPS, TBPS, CpuMachine, InputError, PimMachine, PowerBudget
@@ -55,6 +55,11 @@ FIG_DIOS = (24, 48)
 FIG_BWS_TBPS = (1, 4, 16)
 FIG_TDP_WATTS = 20.0
 MAX_GRID_STEPS = 100_000   # keeps each column of a sweep under 1 MB
+# an eval record: the name, the resolved point and the model's columns; a
+# JSON record adds whether the power-limited pair decided
+EVAL_COLUMNS = ("name", "oc_cycles", "pac_cycles", "dio_bits", "pim_gops", "cpu_gops",
+                "pl_pim_gops", "pl_cpu_gops", "winner", "speedup", "crossover_oc",
+                "energy_ratio")
 
 
 def _fmt(value) -> str:
@@ -80,7 +85,7 @@ def _block(pattern: str, rows) -> str:
     return ((pattern + "\n") * len(rows)) % tuple(cells)
 
 
-def _csv(meta: list[str], columns: list[str], body: str) -> str:
+def _csv(meta: list[str], columns: Sequence[str], body: str) -> str:
     return "".join(f"# {m}\n" for m in meta) + ",".join(columns) + "\n" + body
 
 
@@ -139,10 +144,8 @@ def _evaluate(cfg: Config, power: PowerBudget | None):
 def cmd_eval(args) -> int:
     cfg = _load(args)
     points, ev = _evaluate(cfg, cfg.power)
-    # records keyed in `Verdict` field order: the name, the resolved point,
-    # the model's columns and whether the power-limited pair decided
-    keys = [f.name for f in fields(Verdict)]
-    rows = zip(cfg.workloads, points, *(getattr(ev, key).tolist() for key in keys[4:-1]))
+    keys = (*EVAL_COLUMNS, "power_limited")
+    rows = zip(cfg.workloads, points, *(getattr(ev, key).tolist() for key in EVAL_COLUMNS[4:]))
     payload = [dict(zip(keys, (w.name, p.oc_cycles, p.pac_cycles, p.dio_bits,
                                *values, cfg.power is not None)))
                for w, p, *values in rows]
@@ -163,12 +166,9 @@ def cmd_eval(args) -> int:
     if args.format == "json":
         doc = json.dumps(payload, indent=2) + "\n"
     else:
-        cols = ["name", "oc_cycles", "pac_cycles", "dio_bits", "pim_gops",
-                "cpu_gops", "pl_pim_gops", "pl_cpu_gops", "winner", "speedup",
-                "crossover_oc", "energy_ratio"]
-        doc = _csv(["bitlet eval"], cols,
+        doc = _csv(["bitlet eval"], EVAL_COLUMNS,
                    _block("%s,%d,%d,%d,%.6g,%.6g,%.6g,%.6g,%s,%.6g,%.6g,%.6g",
-                          [[_field(p["name"]), *(p[c] for c in cols[1:])]
+                          [[_field(p["name"]), *(p[c] for c in EVAL_COLUMNS[1:])]
                            for p in payload]))
     if args.out:
         print("\n".join(human))

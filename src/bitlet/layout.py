@@ -22,11 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import FieldError, PimMachine, at_least, integers
-from .simulator import OP_HMOVE, OP_VMOVE, ColRange, ColumnOverflow, NorProgram
+from .machine import FieldError, InputError, PimMachine, at_least, integers
+from .simulator import OP_HMOVE, OP_VMOVE, ColRange, NorProgram
 
 
-class RowOverflow(ValueError):
+class ColumnOverflow(InputError):
+    """The move plan does not fit the array's columns."""
+
+
+class RowOverflow(InputError):
     """The move plan asks for more row groups than the array has rows."""
 
 

@@ -1,16 +1,16 @@
-"""Core throughput and energy equations of the bitlet model.
+"""The evaluation kernel of the bitlet model.
 
 The memory side computes one operation per row per (OC + PAC) cycles,
 across all rows of all arrays at once; the CPU side is bandwidth-bound
 and pays DIO transferred bits per operation. Both sides can additionally
 be capped by a power budget through their per-operation energy.
 
-`evaluate` is the path every analysis and CLI command runs: one call
-computes every column of the model over numpy arrays of points. The scalar
-functions below it (`perf_pim` ... `energy_per_op_cpu`) are the documented
-closed forms, kept as the reference the tests compare the kernel against,
-bit for bit. The kernel repeats their operation order exactly and works in
-float64 throughout, never in fixed-width integers, which would wrap.
+`evaluate` states these equations once: one call computes every column of
+the model over numpy arrays of points, and every analysis and CLI command
+runs it. The tests hold it, bit for bit, to the scalar closed forms of the
+paper (``tests/reference.py``); it repeats their operation order exactly
+and works in float64 throughout, never in fixed-width integers, which
+would wrap. `mat_power_cap` is the one quantity outside the kernel.
 
 Machine and workload types validate themselves, but valid parameters can
 still overflow double precision (a 1e-300 ns cycle, say): the kernel and
@@ -24,8 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .machine import (GOPS, CpuMachine, InputError, PimMachine, PowerBudget,
-                      Throughput, WorkloadPoint)
+from .machine import GOPS, CpuMachine, InputError, PimMachine, PowerBudget, WorkloadPoint
 
 TIE_REL_TOL = 1e-9  # relative throughput gap treated as a dead heat
 
@@ -66,8 +65,13 @@ class Evaluation(NamedTuple):
     pl_cpu_gops: np.ndarray
     pim_pj_per_op: np.ndarray
     cpu_pj_per_op: np.ndarray
+    # OC at which the raw pair is equal; <= 0 when the memory side never
+    # wins. The cycle budget ROW*MAT*DIO / (BW*CT) is in general not an
+    # integer (614.4 for the default machines at DIO 24), so an integer PAC
+    # leaves `budget - PAC`, not 0: the column changes sign between the two
+    # integers around the budget
     crossover_oc: np.ndarray
-    energy_breakeven_oc: np.ndarray
+    energy_breakeven_oc: np.ndarray   # OC at which both sides spend equal pJ per op
     winner: np.ndarray            # "PIM", "CPU" or "TIE" (str array)
     speedup: np.ndarray           # memory side over CPU side, on the deciding pair
     energy_ratio: np.ndarray      # CPU pJ/op over memory-side pJ/op
@@ -79,8 +83,17 @@ def evaluate(pim: PimMachine, cpu: CpuMachine, points: Points,
 
     Under a budget the winner and speedup come from the capped pair,
     otherwise from the raw one; a relative gap within TIE_REL_TOL is a tie
-    with speedup 1. Raises NonFiniteResult naming an input past the largest
-    double, or the first column and point that overflow double precision.
+    with speedup 1.
+
+    Each side is capped at min(raw, TDP / energy-per-op). When both caps
+    bind, the side with the lower energy per op wins, whatever the raw
+    numbers. A memory side that is ahead raw and no dearer per op therefore
+    never falls behind under any budget; a budget can turn a raw
+    memory-side win into a CPU win only when OC+PAC exceeds the energy
+    break-even (the `energy_breakeven_oc` column at PAC 0).
+
+    Raises NonFiniteResult naming an input past the largest double, or the
+    first column and point that overflow double precision.
     """
     def f64(name, value):
         try:
@@ -141,27 +154,12 @@ def evaluate(pim: PimMachine, cpu: CpuMachine, points: Points,
     return columns
 
 
-def perf_pim(pim: PimMachine, w: WorkloadPoint) -> Throughput:
-    """Raw memory-side throughput: ROW x MAT rows finish every (OC+PAC) cycles."""
-    return Throughput(pim.rows * pim.mats / (w.pim_cycles * pim.cycle_time_s))
-
-
-def pl_perf_pim(pim: PimMachine, w: WorkloadPoint, power: PowerBudget) -> Throughput:
-    """Power-limited memory-side throughput.
-
-    The budget divided by the per-operation energy bounds how many
-    operations can complete per second regardless of array count.
-    """
-    cap = power.tdp_watts / (pim.energy_per_cycle_j * w.pim_cycles)
-    return Throughput(min(perf_pim(pim, w).ops_per_second, cap))
-
-
 def mat_power_cap(pim: PimMachine, power: PowerBudget) -> int:
     """Largest array count the budget can keep fully active.
 
     Algebraically TDP*CT / (E_cycle * ROW): the point where the raw and
-    power-limited branches of `pl_perf_pim` meet. Independent of the
-    workload, because both branches scale identically with (OC+PAC).
+    power-limited memory-side branches of `evaluate` meet. Independent of
+    the workload, because both branches scale identically with (OC+PAC).
     """
     try:
         exact = (power.tdp_watts * pim.cycle_time_s
@@ -174,24 +172,3 @@ def mat_power_cap(pim: PimMachine, power: PowerBudget) -> int:
         raise NonFiniteResult(f"mat_power_cap is {guarded}: the parameters "
                               f"overflow double precision")
     return int(math.floor(guarded))
-
-
-def perf_cpu(cpu: CpuMachine, w: WorkloadPoint) -> Throughput:
-    """Raw CPU-side throughput: bandwidth divided by bits moved per op."""
-    return Throughput(cpu.bandwidth_bps / w.dio_bits)
-
-
-def pl_perf_cpu(cpu: CpuMachine, w: WorkloadPoint, power: PowerBudget) -> Throughput:
-    """Power-limited CPU-side throughput (transfer energy pays the budget)."""
-    cap = power.tdp_watts / (cpu.energy_per_bit_j * w.dio_bits)
-    return Throughput(min(perf_cpu(cpu, w).ops_per_second, cap))
-
-
-def energy_per_op_pim(pim: PimMachine, w: WorkloadPoint) -> float:
-    """Memory-side energy per operation, in picojoules."""
-    return pim.energy_per_cycle_pj * w.pim_cycles
-
-
-def energy_per_op_cpu(cpu: CpuMachine, w: WorkloadPoint) -> float:
-    """CPU-side energy per operation (transfer energy only), in picojoules."""
-    return cpu.energy_per_bit_pj * w.dio_bits

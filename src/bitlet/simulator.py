@@ -150,10 +150,6 @@ class InvalidProgram(ValueError):
     """A program failed static validation against the array dimensions."""
 
 
-class ColumnOverflow(ValueError):
-    """A generated program or move plan does not fit the available columns."""
-
-
 @dataclass(frozen=True, slots=True)
 class Nor:
     """One NOR cycle: dest <- NOR(src columns), applied to all rows."""

@@ -1,4 +1,9 @@
-"""The reference the tests hold the simulator to.
+"""The references the tests hold the model kernel and the simulator to.
+
+The scalar closed forms of the paper (``perf_pim`` ... ``energy_per_op_cpu``,
+``crossover_oc`` and ``energy_breakeven_oc``) state each model quantity at
+one point; ``reference_columns`` gathers them into every column that
+``model.evaluate`` returns, which must equal them bit for bit.
 
 ``NorProgram`` is built from columns only; the ``Nor``/``HMove``/``VMove``
 objects are its read-only view. Here they go the other way: ``from_objects``
@@ -14,15 +19,95 @@ alone on an array of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from bitlet.layout import LayoutSpec, pac_of
-from bitlet.machine import PimMachine
+from bitlet.machine import CpuMachine, PimMachine, PowerBudget, Throughput, WorkloadPoint
+from bitlet.model import TIE_REL_TOL
 from bitlet.simulator import (OP_HMOVE, OP_NOR, OP_VMOVE, ArrayState, HMove, Instr, Nor,
                               NorProgram, VMove, pack_ints, run, unpack_ints)
 from bitlet.validation import SEED, _subsets
+
+
+def perf_pim(pim: PimMachine, w: WorkloadPoint) -> Throughput:
+    """Raw memory-side throughput: ROW x MAT rows finish every (OC+PAC) cycles."""
+    return Throughput(pim.rows * pim.mats / (w.pim_cycles * pim.cycle_time_s))
+
+
+def pl_perf_pim(pim: PimMachine, w: WorkloadPoint, power: PowerBudget) -> Throughput:
+    """Power-limited memory-side throughput.
+
+    The budget divided by the per-operation energy bounds how many
+    operations can complete per second regardless of array count.
+    """
+    cap = power.tdp_watts / (pim.energy_per_cycle_j * w.pim_cycles)
+    return Throughput(min(perf_pim(pim, w).ops_per_second, cap))
+
+
+def perf_cpu(cpu: CpuMachine, w: WorkloadPoint) -> Throughput:
+    """Raw CPU-side throughput: bandwidth divided by bits moved per op."""
+    return Throughput(cpu.bandwidth_bps / w.dio_bits)
+
+
+def pl_perf_cpu(cpu: CpuMachine, w: WorkloadPoint, power: PowerBudget) -> Throughput:
+    """Power-limited CPU-side throughput (transfer energy pays the budget)."""
+    cap = power.tdp_watts / (cpu.energy_per_bit_j * w.dio_bits)
+    return Throughput(min(perf_cpu(cpu, w).ops_per_second, cap))
+
+
+def energy_per_op_pim(pim: PimMachine, w: WorkloadPoint) -> float:
+    """Memory-side energy per operation, in picojoules."""
+    return pim.energy_per_cycle_pj * w.pim_cycles
+
+
+def energy_per_op_cpu(cpu: CpuMachine, w: WorkloadPoint) -> float:
+    """CPU-side energy per operation (transfer energy only), in picojoules."""
+    return cpu.energy_per_bit_pj * w.dio_bits
+
+
+def crossover_oc(pim: PimMachine, cpu: CpuMachine, dio_bits: int,
+                 pac_cycles: int = 0) -> float:
+    """Operation complexity at which both sides' raw throughput is equal.
+
+    Below the returned value the memory side is faster, above it the CPU
+    is. May be <= 0, meaning the memory side never wins at this setting.
+    """
+    budget = pim.rows * pim.mats * dio_bits / (cpu.bandwidth_bps * pim.cycle_time_s)
+    return budget - pac_cycles
+
+
+def energy_breakeven_oc(pim: PimMachine, cpu: CpuMachine, dio_bits: int,
+                        pac_cycles: int = 0) -> float:
+    """Operation complexity at which both sides spend equal energy per op."""
+    return cpu.energy_per_bit_pj * dio_bits / pim.energy_per_cycle_pj - pac_cycles
+
+
+def reference_columns(pim, cpu, power, coord) -> dict:
+    """Every kernel column at one point, from the scalar closed forms.
+
+    `coord` is (OC, PAC, DIO, MAT, BW, TDP); MAT and BW replace the
+    machines' own values, and a TDP other than None replaces the budget.
+    """
+    oc, pac, dio, mats, bw, tdp = coord
+    pim, cpu, w = replace(pim, mats=mats), replace(cpu, bandwidth_bps=bw), \
+        WorkloadPoint(oc, pac, dio)
+    power = PowerBudget(tdp) if tdp is not None else power
+    raw = (perf_pim(pim, w), perf_cpu(cpu, w))
+    capped = (pl_perf_pim(pim, w, power), pl_perf_cpu(cpu, w, power)) if power else raw
+    pim_ops, cpu_ops = (t.ops_per_second for t in capped)
+    if abs(pim_ops - cpu_ops) <= TIE_REL_TOL * max(pim_ops, cpu_ops):
+        winner, speedup = "TIE", 1.0
+    else:
+        winner, speedup = ("PIM" if pim_ops > cpu_ops else "CPU"), pim_ops / cpu_ops
+    e_pim, e_cpu = energy_per_op_pim(pim, w), energy_per_op_cpu(cpu, w)
+    return {"pim_gops": raw[0].gops, "cpu_gops": raw[1].gops,
+            "pl_pim_gops": capped[0].gops, "pl_cpu_gops": capped[1].gops,
+            "pim_pj_per_op": e_pim, "cpu_pj_per_op": e_cpu,
+            "crossover_oc": crossover_oc(pim, cpu, dio, pac),
+            "energy_breakeven_oc": energy_breakeven_oc(pim, cpu, dio, pac),
+            "winner": winner, "speedup": speedup, "energy_ratio": e_cpu / e_pim}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -25,10 +24,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitlet import (FieldError, InputError, InvalidProgram, NonFiniteResult, OpKind,
-                    WorkloadPoint, cli, litmus)
+                    WorkloadPoint, cli)
 from bitlet.analysis import SWEEP_PARAMS
 from bitlet.config import ConfigError, load_config, parse_config
-from bitlet.model import perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim
+from reference import perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim, reference_columns
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 CONFIG = str(BENCH / "config.json")
@@ -194,7 +193,7 @@ class TestIntegerPastTheDigitLimit:
 
 class TestEvalJson:
     @pytest.mark.parametrize("power", [True, False], ids=["power", "no-power"])
-    def test_records_are_the_litmus_verdicts(self, tmp_path, power):
+    def test_records_are_the_closed_forms(self, tmp_path, power):
         doc = json.loads((BENCH / "config.json").read_text())
         if not power:
             del doc["power"]
@@ -202,8 +201,17 @@ class TestEvalJson:
         code, stdout = run(["eval", "--config", path, "--format", "json"])
         assert code == cli.EXIT_OK
         cfg = load_config(path)
-        verdicts = [litmus(cfg.pim, cfg.cpu, w, cfg.power) for w in cfg.workloads]
-        want = [{**asdict(v), "winner": v.winner.value} for v in verdicts]
+        want = []
+        for w in cfg.workloads:
+            p = w.resolve(cfg.pim)
+            ref = reference_columns(cfg.pim, cfg.cpu, cfg.power, (
+                p.oc_cycles, p.pac_cycles, p.dio_bits, cfg.pim.mats, cfg.cpu.bandwidth_bps, None))
+            want.append({"name": w.name, "oc_cycles": p.oc_cycles, "pac_cycles": p.pac_cycles,
+                         "dio_bits": p.dio_bits,
+                         **{k: ref[k] for k in ("pim_gops", "cpu_gops", "pl_pim_gops",
+                                                "pl_cpu_gops", "winner", "speedup",
+                                                "crossover_oc", "energy_ratio")},
+                         "power_limited": power})
         assert stdout == json.dumps(want, indent=2) + "\n"
         assert [r["power_limited"] for r in json.loads(stdout)] == [power] * 3
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import bitlet
-from bitlet import FieldError, PimMachine, WorkloadPoint, perf_pim
+from bitlet import FieldError, InputError, PimMachine, WorkloadPoint
 from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow, pac_of,
                            relocation_program, subset_of_row)
 from bitlet.simulator import (ArrayState, ColRange, HMove, VMove, pack_ints, run, to_text,
                               unpack_ints)
-from reference import from_objects, reference_run, sources_are_padded
+from reference import from_objects, perf_pim, reference_run, sources_are_padded
 
 
 def layout(n=16, k=0, vertical=False, **kw):
@@ -161,8 +161,9 @@ class TestRelocationProgram:
 
     def test_column_overflow(self):
         pim = PimMachine(rows=8, cols=16)
-        with pytest.raises(ColumnOverflow):
+        with pytest.raises(ColumnOverflow) as err:
             relocation_program(layout(n=16, k=1), pim)
+        assert isinstance(err.value, InputError) and isinstance(err.value, ValueError)
 
     def test_one_column_overflow_class(self):
         # catching the package-level name also catches the layout's overflow
@@ -172,8 +173,9 @@ class TestRelocationProgram:
 
     def test_row_overflow(self):
         pim = PimMachine(rows=4, cols=512)
-        with pytest.raises(RowOverflow):
+        with pytest.raises(RowOverflow) as err:
             relocation_program(layout(n=4, k=5), pim)
+        assert isinstance(err.value, InputError) and isinstance(err.value, ValueError)
 
 
 def reference_relocation(spec, pim):

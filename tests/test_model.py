@@ -7,10 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitlet import CpuMachine, PimMachine, PowerBudget, WorkloadPoint
-from bitlet.analysis import crossover_oc, energy_breakeven_oc
-from bitlet.model import (TIE_REL_TOL, NonFiniteResult, Points, energy_per_op_cpu,
-                          energy_per_op_pim, evaluate, mat_power_cap, perf_cpu,
-                          perf_pim, pl_perf_cpu, pl_perf_pim)
+from bitlet.model import NonFiniteResult, Points, evaluate, mat_power_cap
+from reference import (energy_per_op_cpu, energy_per_op_pim, perf_cpu, perf_pim, pl_perf_cpu,
+                       pl_perf_pim, reference_columns)
 
 
 def w(oc, pac=0, dio=48):
@@ -196,26 +195,12 @@ def kernel_scenarios(draw):
     return pim, cpu, power, coords
 
 
-def _reference(pim, cpu, power, coord):
-    """Every kernel column at one point, from the scalar closed forms."""
-    oc, pac, dio, mats, bw, tdp = coord
-    pim, cpu, w = replace(pim, mats=mats), replace(cpu, bandwidth_bps=bw), \
-        WorkloadPoint(oc, pac, dio)
-    power = PowerBudget(tdp) if tdp is not None else power
-    raw = (perf_pim(pim, w), perf_cpu(cpu, w))
-    capped = (pl_perf_pim(pim, w, power), pl_perf_cpu(cpu, w, power)) if power else raw
-    pim_ops, cpu_ops = (t.ops_per_second for t in capped)
-    if abs(pim_ops - cpu_ops) <= TIE_REL_TOL * max(pim_ops, cpu_ops):
-        winner, speedup = "TIE", 1.0
-    else:
-        winner, speedup = ("PIM" if pim_ops > cpu_ops else "CPU"), pim_ops / cpu_ops
-    e_pim, e_cpu = energy_per_op_pim(pim, w), energy_per_op_cpu(cpu, w)
-    return {"pim_gops": raw[0].gops, "cpu_gops": raw[1].gops,
-            "pl_pim_gops": capped[0].gops, "pl_cpu_gops": capped[1].gops,
-            "pim_pj_per_op": e_pim, "cpu_pj_per_op": e_cpu,
-            "crossover_oc": crossover_oc(pim, cpu, dio, pac),
-            "energy_breakeven_oc": energy_breakeven_oc(pim, cpu, dio, pac),
-            "winner": winner, "speedup": speedup, "energy_ratio": e_cpu / e_pim}
+def _points(coords, tdp_scale=1.0) -> Points:
+    """The drawn coordinates as the kernel's points, the TDPs (if drawn)
+    scaled by `tdp_scale`."""
+    oc, pac, dio, mats, bw, tdp = (np.array(c) for c in zip(*coords))
+    return Points(oc, pac, dio, mats=mats.astype(float), bandwidth_bps=bw,
+                  tdp_watts=None if tdp[0] is None else tdp.astype(float) * tdp_scale)
 
 
 # 1024 rows x 3 arrays at 1 ns and OC 1 against this bandwidth at DIO 1: the
@@ -247,18 +232,15 @@ class TestEvaluateKernel:
     @example(AROUND_CROSSOVER)
     def test_every_column_equals_the_closed_forms(self, scenario):
         pim, cpu, power, coords = scenario
-        oc, pac, dio, mats, bw, tdp = (np.array(c) for c in zip(*coords))
-        points = Points(oc, pac, dio, mats=mats.astype(float), bandwidth_bps=bw,
-                        tdp_watts=None if tdp[0] is None else tdp.astype(float))
-        ev = evaluate(pim, cpu, points, power)
+        ev = evaluate(pim, cpu, _points(coords), power)
         for i, coord in enumerate(coords):
             got = {name: column[i].item() for name, column in ev._asdict().items()}
-            assert got == _reference(pim, cpu, power, coord)
+            assert got == reference_columns(pim, cpu, power, coord)
 
     def test_examples_sit_where_they_claim(self):
         def winners(scenario):
             pim, cpu, power, coords = scenario
-            return [_reference(pim, cpu, power, c)["winner"] for c in coords]
+            return [reference_columns(pim, cpu, power, c)["winner"] for c in coords]
         assert winners(TIE_AT_TOLERANCE) == ["TIE", "PIM"]
         assert winners(AROUND_CROSSOVER) == ["PIM", "CPU"]
         assert mat_power_cap(AT_MAT_POWER_CAP[0], AT_MAT_POWER_CAP[2]) == 100
@@ -269,6 +251,39 @@ class TestEvaluateKernel:
         assert all(column.shape == (2, 3) for column in ev)
         assert (ev.cpu_gops == perf_cpu(cpu, w(1)).gops).all()
         assert ev.pim_gops[1, 2] == perf_pim(replace(pim, mats=256), w(2)).gops
+
+    @settings(max_examples=25, deadline=None)
+    @given(kernel_scenarios(), st.integers(-16, 16))
+    def test_same_power_of_two_on_mat_and_bw_keeps_the_verdict(self, scenario, k):
+        # both raw throughputs and the crossover's numerator and denominator
+        # scale by 2**k, which rounds nothing
+        pim, cpu, _, coords = scenario
+        unbudgeted = [(*c[:5], None) for c in coords]
+        scaled = [(oc, pac, dio, mats * 2.0 ** k, bw * 2.0 ** k, None)
+                  for oc, pac, dio, mats, bw, _ in unbudgeted]
+        base = evaluate(pim, cpu, _points(unbudgeted))
+        moved = evaluate(pim, cpu, _points(scaled))
+        for name in ("winner", "speedup", "crossover_oc"):
+            assert getattr(moved, name).tolist() == getattr(base, name).tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(kernel_scenarios(), _log_floats(1.0, 1e3))
+    def test_raising_tdp_never_lowers_a_capped_column(self, scenario, factor):
+        pim, cpu, power, coords = scenario
+        budgeted = [c if c[5] is not None else (*c[:5], power.tdp_watts if power else 1.0)
+                    for c in coords]
+        low = evaluate(pim, cpu, _points(budgeted))
+        high = evaluate(pim, cpu, _points(budgeted, tdp_scale=factor))
+        assert (high.pl_pim_gops >= low.pl_pim_gops).all()
+        assert (high.pl_cpu_gops >= low.pl_cpu_gops).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(kernel_scenarios())
+    def test_no_capped_column_exceeds_its_raw_one(self, scenario):
+        pim, cpu, power, coords = scenario
+        ev = evaluate(pim, cpu, _points(coords), power)
+        assert (ev.pl_pim_gops <= ev.pim_gops).all()
+        assert (ev.pl_cpu_gops <= ev.cpu_gops).all()
 
     def test_overflow_raises_one_exception_class(self):
         huge = PimMachine(mats=10 ** 15, cycle_time_ns=1e-300)
