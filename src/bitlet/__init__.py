@@ -16,7 +16,7 @@ The library splits into:
     cli         the ``bitlet`` command
 """
 
-from .analysis import SweepSpec, Workload, sweep
+from .analysis import Workload, sweep
 from .catalog import (OpKind, OpSpec, UnsupportedOperation, UnsupportedWidth,
                       catalog_table, execute, microprogram_of, oc_of)
 from .layout import ColumnOverflow, LayoutSpec, pac_of, relocation_program
@@ -32,7 +32,7 @@ __all__ = [
     "ArrayState", "ColRange", "ColumnOverflow", "CpuMachine", "Evaluation",
     "FieldError", "HMove", "InputError", "InvalidProgram", "LayoutSpec",
     "NonFiniteResult", "Nor", "NorProgram", "OpKind", "OpSpec", "PimMachine",
-    "Points", "PowerBudget", "SweepSpec", "Throughput", "UnsupportedOperation",
+    "Points", "PowerBudget", "Throughput", "UnsupportedOperation",
     "UnsupportedWidth", "VMove", "Workload", "WorkloadPoint", "catalog_table",
     "compose", "evaluate", "execute", "mat_power_cap", "microprogram_of", "oc_of",
     "pac_of", "relocation_program", "run", "sweep", "to_text",

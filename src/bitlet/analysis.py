@@ -2,13 +2,15 @@
 
 A `Workload` names an operation, its data layout and its traffic, and
 resolves to the point the model evaluates. `sweep` answers how the curves
-behave when one parameter sweeps across a grid; it is a view of
-`model.evaluate`, whose columns also hold the break-evens and the verdict
-of each point.
+of several workload points behave when one parameter sweeps across a
+grid: it checks the grid once and evaluates every point at every value in
+one call of `model.evaluate`, whose columns also hold the break-evens and
+the verdict of each point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,60 +60,47 @@ SWEEP_PARAMS = tuple(_COORDINATES)
 # lowest grid value of each integer-valued parameter (PAC 0 is the cost of
 # the default layout); the others, BW and TDP, need only be > 0
 _LOWEST = {"OC": 1, "PAC": 0, "MAT": 1, "DIO": 1}
-INTEGER_PARAMS = frozenset(_LOWEST)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over a value grid, everything else fixed.
+def sweep(param: str, grid, pim: PimMachine, cpu: CpuMachine,
+          points: Sequence[WorkloadPoint], power: PowerBudget | None = None) -> np.ndarray:
+    """All four throughput columns of every workload point at every grid value.
 
-    The grid is checked and normalised here, once: values must be finite;
-    those of integer-valued parameters (OC, PAC, MAT, DIO) are rounded to
-    integers, half to even, and de-duplicated in first-seen order. OC,
-    MAT and DIO must then be >= 1 and PAC >= 0; BW (bits/s) and TDP
-    (watts) must be > 0. `grid` holds the values evaluated, as floats.
+    `param` (any case) is swept, everything else fixed. The grid is checked
+    and normalised once: values must be finite; those of integer-valued
+    parameters (OC, PAC, MAT, DIO) are rounded to integers, half to even,
+    and de-duplicated in first-seen order. OC, MAT and DIO must then be
+    >= 1 and PAC >= 0; BW (bits/s) and TDP (watts) must be > 0.
+
+    One `evaluate` call runs the points down axis 0 against the grid along
+    axis 1. Returns a float64 table of len(points) * G rows, workload-major
+    (G values evaluated per point), with the columns x (the value
+    evaluated), pim_gops, cpu_gops, pl_pim_gops and pl_cpu_gops. Without a
+    power budget, and unless TDP is swept, the capped columns equal the
+    raw ones.
     """
-
-    param: str
-    grid: tuple
-    pim: PimMachine
-    cpu: CpuMachine
-    workload: WorkloadPoint
-    power: PowerBudget | None = None
-
-    def __post_init__(self) -> None:
-        param = self.param.upper()
-        if param not in SWEEP_PARAMS:
-            raise InputError(f"unknown sweep parameter {self.param!r}; "
-                             f"expected one of {', '.join(SWEEP_PARAMS)}")
-        grid = np.array(self.grid, dtype=np.float64).ravel()
-        if not grid.size:
-            raise InputError("sweep grid must not be empty")
-        if not np.isfinite(grid).all():
-            raise InputError("sweep grid values must be finite")
-        if param in INTEGER_PARAMS:
-            grid = np.rint(grid) + 0.0   # + 0.0 turns a rounded -0.0 into 0.0
-            grid = grid[np.sort(np.unique(grid, return_index=True)[1])]
-            if grid.min() < _LOWEST[param]:
-                raise InputError(f"{param} grid values must round to >= {_LOWEST[param]}")
-        elif grid.min() <= 0:
-            raise InputError(f"{param} grid values must be > 0")
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "grid", tuple(grid.tolist()))
-
-
-def sweep(spec: SweepSpec) -> np.recarray:
-    """Evaluate all four throughput columns at every grid point.
-
-    Returns a record array, one record per grid point, with fields x (the
-    value evaluated; see `SweepSpec` for rounding), pim_gops, cpu_gops,
-    pl_pim_gops and pl_cpu_gops. Without a power budget, and unless TDP is
-    swept, the capped columns equal the raw ones.
-    """
-    x = np.array(spec.grid)
-    w = spec.workload
-    points = Points(w.oc_cycles, w.pac_cycles, w.dio_bits)
-    ev = evaluate(spec.pim, spec.cpu, points._replace(**{_COORDINATES[spec.param]: x}),
-                  spec.power)
-    return np.rec.fromarrays((x, ev.pim_gops, ev.cpu_gops, ev.pl_pim_gops, ev.pl_cpu_gops),
-                             names=("x", "pim_gops", "cpu_gops", "pl_pim_gops", "pl_cpu_gops"))
+    name = param.upper()
+    if name not in SWEEP_PARAMS:
+        raise InputError(f"unknown sweep parameter {param!r}; "
+                         f"expected one of {', '.join(SWEEP_PARAMS)}")
+    grid = np.array(grid, dtype=np.float64).ravel()
+    if not grid.size:
+        raise InputError("sweep grid must not be empty")
+    if not np.isfinite(grid).all():
+        raise InputError("sweep grid values must be finite")
+    if name in _LOWEST:
+        grid = np.rint(grid) + 0.0   # + 0.0 turns a rounded -0.0 into 0.0
+        grid = grid[np.sort(np.unique(grid, return_index=True)[1])]
+        if grid.min() < _LOWEST[name]:
+            raise InputError(f"{name} grid values must round to >= {_LOWEST[name]}")
+    elif grid.min() <= 0:
+        raise InputError(f"{name} grid values must be > 0")
+    if not points:
+        return np.empty((0, 5))
+    # Python values, one row per point, so that evaluate names an integer
+    # past the largest double
+    at = Points(*([[getattr(p, field)] for p in points] for field in Points._fields[:3]))
+    ev = evaluate(pim, cpu, at._replace(**{_COORDINATES[name]: grid}), power)
+    x = np.broadcast_to(grid, ev.pim_gops.shape)
+    return np.stack((x, ev.pim_gops, ev.cpu_gops, ev.pl_pim_gops, ev.pl_cpu_gops),
+                    axis=-1).reshape(-1, 5)

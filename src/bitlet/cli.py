@@ -13,10 +13,12 @@ variable. Data outputs are deterministic: metadata lives on '#'-prefixed
 header lines, values are printed with six significant digits, files end
 with a newline and use LF endings.
 
-Commands that evaluate the model go through `model.evaluate`, once per
-command or per swept workload. CSV bodies are formatted as blocks: one
-printf pattern per row, repeated, and a single %-format over the block's
-cells in row-major order, so no Python code runs per cell.
+Every command that evaluates the model calls `model.evaluate` once: `eval`,
+`crossover` and `power` pick their columns from one table of every
+workload (`_table`) and write them with one writer (`_document`), and
+`sweep` gets every workload at every grid value from one `analysis.sweep`
+call. CSV bodies are formatted as blocks: one printf pattern per row,
+repeated, and a single %-format over the block's cells in row-major order.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 3 output I/O failure. Every bad input raises `InputError`, which `main`
@@ -38,7 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .analysis import SWEEP_PARAMS, SweepSpec, sweep
+from .analysis import SWEEP_PARAMS, sweep
 from .catalog import catalog_table
 from .config import Config, ConfigError, load_config
 from .machine import GBPS, TBPS, CpuMachine, InputError, PimMachine, PowerBudget
@@ -54,7 +56,7 @@ FIG_MATS = (1, 16, 256, 1024, 4096, 16384)
 FIG_DIOS = (24, 48)
 FIG_BWS_TBPS = (1, 4, 16)
 FIG_TDP_WATTS = 20.0
-MAX_GRID_STEPS = 100_000   # keeps each column of a sweep under 1 MB
+MAX_GRID_STEPS = 100_000   # keeps each workload's column of a sweep under 1 MB
 # an eval record: the name, the resolved point and the model's columns; a
 # JSON record adds whether the power-limited pair decided
 EVAL_COLUMNS = ("name", "oc_cycles", "pac_cycles", "dio_bits", "pim_gops", "cpu_gops",
@@ -131,28 +133,49 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise InputError("log grids need a positive lower bound")
     if steps == 1:
         return np.array([lo])
-    with np.errstate(all="ignore"):   # SweepSpec refuses a grid that overflows
+    with np.errstate(all="ignore"):   # sweep refuses a grid that overflows
         return np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
 
 
-def _evaluate(cfg: Config, power: PowerBudget | None):
-    """Every workload of the config resolved, and the model at each."""
+def _table(cfg: Config, power: PowerBudget | None) -> dict[str, list]:
+    """Every workload of the config resolved, and the model at each: its
+    name, its point's coordinates and every `Evaluation` column, by name,
+    as one Python value per workload."""
     points = [w.resolve(cfg.pim) for w in cfg.workloads]
-    return points, evaluate(cfg.pim, cfg.cpu, Points.of(points), power)
+    ev = evaluate(cfg.pim, cfg.cpu, Points.of(points), power)
+    return {"name": [w.name for w in cfg.workloads],
+            **{key: [getattr(p, key) for p in points]
+               for key in ("oc_cycles", "pac_cycles", "dio_bits")},
+            **{key: column.tolist() for key, column in ev._asdict().items()}}
+
+
+_CELL = {str: "%s", int: "%d", float: "%.6g"}   # CSV format of a value, by type
+
+
+def _document(fmt: str, meta: list[str], cols: Sequence[str], rows: list[tuple],
+              wrap=None) -> str:
+    """`rows`, tuples in the order of `cols`, as a CSV document under the
+    `meta` lines or as a JSON list of records, which `wrap` may rebuild."""
+    if fmt == "json":
+        records = [dict(zip(cols, row)) for row in rows]
+        return json.dumps(records if wrap is None else wrap(records), indent=2) + "\n"
+    pattern = ",".join(_CELL[type(v)] for v in rows[0]) if rows else ""
+    return _csv(meta, cols, _block(pattern, [
+        [_field(v) if isinstance(v, str) else v for v in row] for row in rows]))
+
+
+def _rows(table: dict[str, list], cols: Sequence[str]) -> list[tuple]:
+    return list(zip(*(table[c] for c in cols)))
 
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    points, ev = _evaluate(cfg, cfg.power)
-    keys = (*EVAL_COLUMNS, "power_limited")
-    rows = zip(cfg.workloads, points, *(getattr(ev, key).tolist() for key in EVAL_COLUMNS[4:]))
-    payload = [dict(zip(keys, (w.name, p.oc_cycles, p.pac_cycles, p.dio_bits,
-                               *values, cfg.power is not None)))
-               for w, p, *values in rows]
+    limited = cfg.power is not None
+    rows = _rows(_table(cfg, cfg.power), EVAL_COLUMNS)
+    basis = "power-limited" if limited else "raw"
     human = []
-    for v in payload:
-        basis = "power-limited" if v["power_limited"] else "raw"
-        pim, cpu = ((v["pl_pim_gops"], v["pl_cpu_gops"]) if v["power_limited"]
+    for v in (dict(zip(EVAL_COLUMNS, row)) for row in rows):
+        pim, cpu = ((v["pl_pim_gops"], v["pl_cpu_gops"]) if limited
                     else (v["pim_gops"], v["cpu_gops"]))
         human.append(f"{v['name']}: winner {v['winner']} ({basis})  "
                      f"pim {_fmt(pim)} GOPS vs cpu {_fmt(cpu)} GOPS  "
@@ -160,16 +183,11 @@ def cmd_eval(args) -> int:
         human.append(f"    oc={v['oc_cycles']} pac={v['pac_cycles']} dio={v['dio_bits']}  "
                      f"crossover_oc={_fmt(v['crossover_oc'])}  "
                      f"energy_ratio={_fmt(v['energy_ratio'])}x")
-    if not payload:
+    if not rows:
         human.append("no workloads in config")
 
-    if args.format == "json":
-        doc = json.dumps(payload, indent=2) + "\n"
-    else:
-        doc = _csv(["bitlet eval"], EVAL_COLUMNS,
-                   _block("%s,%d,%d,%d,%.6g,%.6g,%.6g,%.6g,%s,%.6g,%.6g,%.6g",
-                          [[_field(p["name"]), *(p[c] for c in EVAL_COLUMNS[1:])]
-                           for p in payload]))
+    doc = _document(args.format, ["bitlet eval"], EVAL_COLUMNS, rows,
+                    lambda records: [{**r, "power_limited": limited} for r in records])
     if args.out:
         print("\n".join(human))
         return _emit(doc, args.out)
@@ -181,18 +199,13 @@ def cmd_eval(args) -> int:
 
 def cmd_crossover(args) -> int:
     cfg = _load(args)
-    points, ev = _evaluate(cfg, None)
-    rows = [(w.name, p.dio_bits, p.pac_cycles, oc_star, math.ceil(oc_star), even)
-            for w, p, oc_star, even in zip(cfg.workloads, points, ev.crossover_oc.tolist(),
-                                           ev.energy_breakeven_oc.tolist())]
+    # no budget: a TDP column can overflow where these columns do not
+    table = _table(cfg, None)
+    table["cpu_wins_at_oc"] = [math.ceil(oc) for oc in table["crossover_oc"]]
     cols = ["name", "dio_bits", "pac_cycles", "crossover_oc",
             "cpu_wins_at_oc", "energy_breakeven_oc"]
-    if args.format == "json":
-        doc = json.dumps([dict(zip(cols, r)) for r in rows], indent=2) + "\n"
-    else:
-        doc = _csv(["bitlet crossover"], cols,
-                   _block("%s,%d,%d,%.6g,%d,%.6g", [(_field(r[0]), *r[1:]) for r in rows]))
-    return _emit(doc, args.out)
+    return _emit(_document(args.format, ["bitlet crossover"], cols, _rows(table, cols)),
+                 args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -201,25 +214,19 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep needs at least one workload in the config")
     param = args.param.upper()
     scale = GBPS if param == "BW" else 1.0  # BW grids are written in Gbps
-    grid = _parse_grid(args.grid) * scale
-    specs = [SweepSpec(param=param, grid=grid, pim=cfg.pim, cpu=cfg.cpu,
-                       workload=w.resolve(cfg.pim), power=cfg.power)
-             for w in cfg.workloads]
-    # per workload, a (points x columns) table with x back in the grid's unit
-    tables = []
-    for w, spec in zip(cfg.workloads, specs):
-        r = sweep(spec)
-        tables.append((w.name, np.column_stack(
-            (r.x / scale, r.pim_gops, r.cpu_gops, r.pl_pim_gops, r.pl_cpu_gops))))
+    table = sweep(param, _parse_grid(args.grid) * scale, cfg.pim, cfg.cpu,
+                  [w.resolve(cfg.pim) for w in cfg.workloads], cfg.power)
+    table[:, 0] /= scale                    # x back in the grid's unit
+    blocks = zip((w.name for w in cfg.workloads), np.split(table, len(cfg.workloads)))
     x_col = "bw_gbps" if param == "BW" else param.lower()
     cols = ["workload", x_col, "pim_gops", "cpu_gops",
             "pl_pim_gops", "pl_cpu_gops"]
     if args.format == "json":
-        doc = json.dumps([dict(zip(cols, (name, *r))) for name, t in tables
-                          for r in t.tolist()], indent=2) + "\n"
+        doc = json.dumps([dict(zip(cols, (name, *r))) for name, block in blocks
+                          for r in block.tolist()], indent=2) + "\n"
     else:
-        body = "".join(_block(_field(name).replace("%", "%%") + ",%.6g" * 5, t)
-                       for name, t in tables)
+        body = "".join(_block(_field(name).replace("%", "%%") + ",%.6g" * 5, block)
+                       for name, block in blocks)
         doc = _csv([f"bitlet sweep param={param} grid={args.grid}"], cols, body)
     return _emit(doc, args.out)
 
@@ -228,26 +235,16 @@ def cmd_power(args) -> int:
     cfg = _load(args)
     if cfg.power is None:
         raise InputError("power analysis needs a power section in the config")
+    tdp = cfg.power.tdp_watts
     cap = mat_power_cap(cfg.pim, cfg.power)
-    points, ev = _evaluate(cfg, cfg.power)
-    rows = [(w.name, p.oc_cycles, p.pac_cycles, p.dio_bits, *values)
-            for w, p, *values in zip(
-                cfg.workloads, points, ev.pim_gops.tolist(), ev.pl_pim_gops.tolist(),
-                ev.cpu_gops.tolist(), ev.pl_cpu_gops.tolist(),
-                ev.pim_pj_per_op.tolist(), ev.cpu_pj_per_op.tolist())]
     cols = ["name", "oc_cycles", "pac_cycles", "dio_bits", "pim_gops",
             "pl_pim_gops", "cpu_gops", "pl_cpu_gops", "pim_pj_per_op",
             "cpu_pj_per_op"]
-    meta = [f"bitlet power tdp_watts={_fmt(cfg.power.tdp_watts)}",
-            f"mat_power_cap={cap}"]
-    if args.format == "json":
-        doc = json.dumps({"tdp_watts": cfg.power.tdp_watts, "mat_power_cap": cap,
-                          "workloads": [dict(zip(cols, r)) for r in rows]},
-                         indent=2) + "\n"
-    else:
-        doc = _csv(meta, cols, _block("%s,%d,%d,%d" + ",%.6g" * 6,
-                                      [(_field(r[0]), *r[1:]) for r in rows]))
-    return _emit(doc, args.out)
+    return _emit(_document(
+        args.format, [f"bitlet power tdp_watts={_fmt(tdp)}", f"mat_power_cap={cap}"],
+        cols, _rows(_table(cfg, cfg.power), cols),
+        lambda records: {"tdp_watts": tdp, "mat_power_cap": cap, "workloads": records}),
+        args.out)
 
 
 def _fig_oc_grid() -> list[int]:

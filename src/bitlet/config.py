@@ -40,9 +40,11 @@ from .catalog import OpKind, OpSpec
 from .layout import LayoutSpec
 from .machine import CpuMachine, FieldError, InputError, PimMachine, PowerBudget, _shown
 
-DEFAULT_PIM = {"rows": 1024, "cols": 1024, "mats": 1024,
-               "cycle_time_ns": 10.0, "energy_per_cycle_pj": 0.1}
-DEFAULT_CPU = {"bandwidth_gbps": 4096, "energy_per_bit_pj": 15.0}
+# the keys of each machine section, True for those that take an integer;
+# an absent or null key takes the machine type's own default
+PIM_KEYS = {"rows": True, "cols": True, "mats": True,
+            "cycle_time_ns": False, "energy_per_cycle_pj": False}
+CPU_KEYS = {"bandwidth_gbps": True, "energy_per_bit_pj": False}
 
 
 class ConfigError(InputError):
@@ -162,6 +164,12 @@ class _Section:
             self.fail(key, f"expected an integer, got {_shown(value)}")
         return int(value) if integer else float(value)
 
+    def take_numbers(self, keys: dict[str, bool]) -> dict:
+        """The numbers of `keys` (key -> integer?) that are present and not
+        null, by key."""
+        taken = {key: self.take_number(key, None, integer) for key, integer in keys.items()}
+        return {key: value for key, value in taken.items() if value is not None}
+
     def place(self, make, *args, **kwargs):
         """`make(*args, **kwargs)`; a rule it breaks fails at the key it names."""
         try:
@@ -264,14 +272,11 @@ def parse_config(text: str, path: str = "<config>") -> Config:
     root = _Section(raw, path, text, "")
 
     pim_sec = root.sub("pim", {})
-    pim = pim_sec.build(PimMachine, **{
-        key: pim_sec.take_number(key, default, integer=key in ("rows", "cols", "mats"))
-        for key, default in DEFAULT_PIM.items()})
+    pim = pim_sec.build(PimMachine, **pim_sec.take_numbers(PIM_KEYS))
 
     cpu_sec = root.sub("cpu", {})
-    gbps = cpu_sec.take_number("bandwidth_gbps", DEFAULT_CPU["bandwidth_gbps"], integer=True)
-    e_bit = cpu_sec.take_number("energy_per_bit_pj", DEFAULT_CPU["energy_per_bit_pj"])
-    cpu = cpu_sec.build(CpuMachine.from_gbps, gbps, energy_per_bit_pj=e_bit)
+    cpu_args = cpu_sec.take_numbers(CPU_KEYS)
+    cpu = cpu_sec.build(CpuMachine.from_gbps, cpu_args.pop("bandwidth_gbps", None), **cpu_args)
 
     power_sec = root.sub("power")
     power = None

@@ -107,13 +107,17 @@ class CpuMachine:
         positive(bandwidth_bps=self.bandwidth_bps, energy_per_bit_pj=self.energy_per_bit_pj)
 
     @classmethod
-    def from_gbps(cls, gbps: float, energy_per_bit_pj: float = 15.0) -> "CpuMachine":
+    def from_gbps(cls, gbps: float | None = None, **fields) -> "CpuMachine":
+        """A machine of `gbps` bandwidth, or of the default one when None;
+        `fields` are its other fields."""
+        if gbps is None:
+            return cls(**fields)
         positive(bandwidth_gbps=gbps)   # named in the unit it is given in
-        return cls(bandwidth_bps=gbps * GBPS, energy_per_bit_pj=energy_per_bit_pj)
+        return cls(bandwidth_bps=gbps * GBPS, **fields)
 
     @classmethod
-    def from_tbps(cls, tbps: float, energy_per_bit_pj: float = 15.0) -> "CpuMachine":
-        return cls(bandwidth_bps=tbps * TBPS, energy_per_bit_pj=energy_per_bit_pj)
+    def from_tbps(cls, tbps: float, **fields) -> "CpuMachine":
+        return cls(bandwidth_bps=tbps * TBPS, **fields)
 
     @property
     def bandwidth_gbps(self) -> float:
@@ -141,11 +145,6 @@ class WorkloadPoint:
         integers(oc_cycles=self.oc_cycles, pac_cycles=self.pac_cycles, dio_bits=self.dio_bits)
         at_least(1, oc_cycles=self.oc_cycles, dio_bits=self.dio_bits)
         at_least(0, pac_cycles=self.pac_cycles)
-
-    @property
-    def pim_cycles(self) -> int:
-        """Total cycles billed on the memory side (compute plus moves)."""
-        return self.oc_cycles + self.pac_cycles
 
 
 @dataclass(frozen=True)

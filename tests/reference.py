@@ -33,7 +33,7 @@ from bitlet.validation import SEED, _subsets
 
 def perf_pim(pim: PimMachine, w: WorkloadPoint) -> Throughput:
     """Raw memory-side throughput: ROW x MAT rows finish every (OC+PAC) cycles."""
-    return Throughput(pim.rows * pim.mats / (w.pim_cycles * pim.cycle_time_s))
+    return Throughput(pim.rows * pim.mats / ((w.oc_cycles + w.pac_cycles) * pim.cycle_time_s))
 
 
 def pl_perf_pim(pim: PimMachine, w: WorkloadPoint, power: PowerBudget) -> Throughput:
@@ -42,7 +42,7 @@ def pl_perf_pim(pim: PimMachine, w: WorkloadPoint, power: PowerBudget) -> Throug
     The budget divided by the per-operation energy bounds how many
     operations can complete per second regardless of array count.
     """
-    cap = power.tdp_watts / (pim.energy_per_cycle_j * w.pim_cycles)
+    cap = power.tdp_watts / (pim.energy_per_cycle_j * (w.oc_cycles + w.pac_cycles))
     return Throughput(min(perf_pim(pim, w).ops_per_second, cap))
 
 
@@ -59,7 +59,7 @@ def pl_perf_cpu(cpu: CpuMachine, w: WorkloadPoint, power: PowerBudget) -> Throug
 
 def energy_per_op_pim(pim: PimMachine, w: WorkloadPoint) -> float:
     """Memory-side energy per operation, in picojoules."""
-    return pim.energy_per_cycle_pj * w.pim_cycles
+    return pim.energy_per_cycle_pj * (w.oc_cycles + w.pac_cycles)
 
 
 def energy_per_op_cpu(cpu: CpuMachine, w: WorkloadPoint) -> float:

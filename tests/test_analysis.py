@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import bitlet
 from bitlet import (CpuMachine, FieldError, InputError, LayoutSpec, OpKind, OpSpec, PimMachine,
                     PowerBudget, WorkloadPoint)
-from bitlet.analysis import SweepSpec, Workload, sweep
+from bitlet.analysis import Workload, sweep
 from bitlet.model import TIE_REL_TOL, Evaluation, Points, evaluate
 from reference import (crossover_oc, energy_breakeven_oc, energy_per_op_cpu, energy_per_op_pim,
                        perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim)
@@ -212,7 +213,7 @@ class TestPublicApi:
     # forms are the tests' reference (reference.py), not package API
     REMOVED = ("Verdict", "Winner", "litmus", "crossover_oc", "energy_breakeven_oc",
                "perf_pim", "pl_perf_pim", "perf_cpu", "pl_perf_cpu",
-               "energy_per_op_pim", "energy_per_op_cpu")
+               "energy_per_op_pim", "energy_per_op_cpu", "SweepSpec")
 
     def test_exports_resolve_and_removed_names_stay_gone(self):
         assert [name for name in bitlet.__all__ if not hasattr(bitlet, name)] == []
@@ -252,90 +253,102 @@ class TestWorkload:
         assert (point.oc_cycles, point.pac_cycles, point.dio_bits) == (7, 16, 24)
 
 
+X, PIM, CPU, PL_PIM, PL_CPU = range(5)   # the columns of a sweep table
+POINT = WorkloadPoint(144, 0, 48)
+
+
 class TestSweep:
-    def spec(self, pim, cpu, param, grid, power=None):
-        return SweepSpec(param=param, grid=grid, pim=pim, cpu=cpu,
-                         workload=WorkloadPoint(144, 0, 48), power=power)
+    def sweep(self, pim, cpu, param, grid, power=None, points=(POINT,)):
+        return sweep(param, grid, pim, cpu, list(points), power)
 
     def test_single_point_equals_direct_evaluation(self, pim, cpu, budget):
-        rows = sweep(self.spec(pim, cpu, "OC", (144,), budget))
-        assert len(rows) == 1
-        r = rows[0]
-        w = WorkloadPoint(144, 0, 48)
-        assert r.pim_gops == perf_pim(pim, w).gops
-        assert r.cpu_gops == perf_cpu(cpu, w).gops
-        assert r.pl_pim_gops == pl_perf_pim(pim, w, budget).gops
-        assert r.pl_cpu_gops == pl_perf_cpu(cpu, w, budget).gops
+        table = self.sweep(pim, cpu, "OC", (144,), budget)
+        assert table.shape == (1, 5)
+        r = table[0]
+        assert r[PIM] == perf_pim(pim, POINT).gops
+        assert r[CPU] == perf_cpu(cpu, POINT).gops
+        assert r[PL_PIM] == pl_perf_pim(pim, POINT, budget).gops
+        assert r[PL_CPU] == pl_perf_cpu(cpu, POINT, budget).gops
 
     def test_oc_sweep_is_decreasing_on_the_memory_side(self, pim, cpu):
-        rows = sweep(self.spec(pim, cpu, "OC", tuple(2 ** k for k in range(15))))
-        pim_col = [r.pim_gops for r in rows]
+        table = self.sweep(pim, cpu, "OC", tuple(2 ** k for k in range(15)))
+        pim_col = table[:, PIM].tolist()
         assert pim_col == sorted(pim_col, reverse=True)
-        assert len({r.cpu_gops for r in rows}) == 1  # CPU flat in OC
+        assert len(set(table[:, CPU].tolist())) == 1  # CPU flat in OC
 
     def test_mat_sweep_plateaus_at_power_cap(self, pim, cpu, budget):
-        rows = sweep(self.spec(pim, cpu, "MAT",
-                               (1024, 1953, 1954, 4096, 16384), budget))
-        capped = [r.pl_pim_gops for r in rows if r.x >= 1954]
-        assert len(set(capped)) == 1
-        assert rows[0].pl_pim_gops == rows[0].pim_gops  # below cap: raw
+        table = self.sweep(pim, cpu, "MAT", (1024, 1953, 1954, 4096, 16384), budget)
+        capped = table[table[:, X] >= 1954, PL_PIM]
+        assert len(set(capped.tolist())) == 1
+        assert table[0, PL_PIM] == table[0, PIM]  # below cap: raw
 
     def test_each_parameter_is_sweepable(self, pim, cpu, budget):
         for param, grid in [("OC", (1, 2)), ("PAC", (1, 1040)),
                             ("MAT", (1, 16384)), ("DIO", (24, 48)),
                             ("BW", (1024e9, 16 * 1024e9)), ("TDP", (20.0, 160.0))]:
-            rows = sweep(self.spec(pim, cpu, param, grid, budget))
-            assert len(rows) == len(grid)
+            table = self.sweep(pim, cpu, param, grid, budget)
+            assert table[:, X].tolist() == list(grid)
 
     def test_without_budget_capped_equals_raw(self, pim, cpu):
-        rows = sweep(self.spec(pim, cpu, "OC", (32, 144)))
-        assert all(r.pim_gops == r.pl_pim_gops for r in rows)
-        assert all(r.cpu_gops == r.pl_cpu_gops for r in rows)
+        table = self.sweep(pim, cpu, "OC", (32, 144))
+        assert (table[:, PIM] == table[:, PL_PIM]).all()
+        assert (table[:, CPU] == table[:, PL_CPU]).all()
 
     def test_grid_validation(self, pim, cpu):
         with pytest.raises(InputError, match="^unknown sweep parameter 'FREQ'; expected "):
-            self.spec(pim, cpu, "FREQ", (1,))
-        with pytest.raises(ValueError):
-            self.spec(pim, cpu, "OC", ())
-        with pytest.raises(ValueError):
-            self.spec(pim, cpu, "OC", (0,))
+            self.sweep(pim, cpu, "FREQ", (1,))
+        with pytest.raises(InputError, match="^sweep grid must not be empty$"):
+            self.sweep(pim, cpu, "OC", ())
+        with pytest.raises(InputError, match="^OC grid values must round to >= 1$"):
+            self.sweep(pim, cpu, "OC", (0,))
 
     def test_case_insensitive_param(self, pim, cpu):
-        assert sweep(self.spec(pim, cpu, "oc", (144,)))[0].x == 144
+        assert self.sweep(pim, cpu, "oc", (144,))[0, X] == 144
 
     def test_rows_reproducible_pointwise(self, pim, cpu, budget, rng):
         grid = tuple(int(x) for x in rng.integers(1, 32768, 25))
-        rows = sweep(self.spec(pim, cpu, "OC", grid, budget))
-        for r in rows:
-            w = WorkloadPoint(int(r.x), 0, 48)
-            assert r.pim_gops == perf_pim(pim, w).gops
-            assert r.pl_pim_gops == pl_perf_pim(pim, w, budget).gops
+        for r in self.sweep(pim, cpu, "OC", grid, budget):
+            w = WorkloadPoint(int(r[X]), 0, 48)
+            assert r[PIM] == perf_pim(pim, w).gops
+            assert r[PL_PIM] == pl_perf_pim(pim, w, budget).gops
 
     def test_pac_grid_may_include_the_default_layout(self, pim, cpu, budget):
-        rows = sweep(self.spec(pim, cpu, "PAC", (0, 5, 1040), budget))
-        assert list(rows.x) == [0, 5, 1040]
-        w = WorkloadPoint(144, 0, 48)
-        assert rows[0].pim_gops == perf_pim(pim, w).gops
-        assert rows[0].pl_cpu_gops == pl_perf_cpu(cpu, w, budget).gops
+        table = self.sweep(pim, cpu, "PAC", (0, 5, 1040), budget)
+        assert table[:, X].tolist() == [0, 5, 1040]
+        assert table[0, PIM] == perf_pim(pim, POINT).gops
+        assert table[0, PL_CPU] == pl_perf_cpu(cpu, POINT, budget).gops
 
     def test_integer_grids_round_half_to_even_and_deduplicate(self, pim, cpu):
-        spec = self.spec(pim, cpu, "OC", (3.5, 4.5, 5.5, 6.5, 7.5, 4, 2.6))
-        assert spec.grid == (4.0, 6.0, 8.0, 3.0)
-        assert len(sweep(spec)) == 4
-        assert str(self.spec(pim, cpu, "PAC", (-0.4,)).grid[0]) == "0.0"  # not -0.0
+        table = self.sweep(pim, cpu, "OC", (3.5, 4.5, 5.5, 6.5, 7.5, 4, 2.6))
+        assert table[:, X].tolist() == [4.0, 6.0, 8.0, 3.0]
+        assert str(self.sweep(pim, cpu, "PAC", (-0.4,))[0, X]) == "0.0"  # not -0.0
         # real-valued parameters keep every value
-        assert self.spec(pim, cpu, "TDP", (1.0, 1.0)).grid == (1.0, 1.0)
+        assert self.sweep(pim, cpu, "TDP", (1.0, 1.0))[:, X].tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("param,low,ok", [
         ("OC", 0.4, 0.6), ("MAT", 0.5, 0.51), ("DIO", -3, 1),
         ("PAC", -0.6, -0.4), ("BW", 0.0, 1e-300), ("TDP", -1.0, 1e-3)])
-    def test_lower_bound_per_parameter(self, pim, cpu, param, low, ok):
-        assert len(self.spec(pim, cpu, param, (ok,)).grid) == 1
-        with pytest.raises(ValueError, match=f"{param} grid values must"):
-            self.spec(pim, cpu, param, (ok, low))
+    def test_lower_bound_per_parameter(self, cpu, param, low, ok):
+        # a 10 s cycle keeps the crossover OC at 1e-300 bits/s below the
+        # largest double; the grid check itself does not look at the machine
+        pim = PimMachine(cycle_time_ns=1e10)
+        assert len(self.sweep(pim, cpu, param, (ok,))) == 1
+        with pytest.raises(InputError, match=f"^{param} grid values must"):
+            self.sweep(pim, cpu, param, (ok, low))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_grid_values_are_rejected(self, pim, cpu, bad):
         for param in ("OC", "BW"):
-            with pytest.raises(ValueError, match="must be finite"):
-                self.spec(pim, cpu, param, (1.0, bad))
+            with pytest.raises(InputError, match="^sweep grid values must be finite$"):
+                self.sweep(pim, cpu, param, (1.0, bad))
+
+    @pytest.mark.parametrize("param,grid", [
+        ("OC", (1, 7, 144, 3000)), ("PAC", (0, 5, 1040)), ("MAT", (1, 1953, 16384)),
+        ("BW", (1e9, 4 * 1024e9)), ("DIO", (1, 24, 512)), ("TDP", (0.5, 20.0, 1e4))])
+    def test_many_points_equal_one_point_sweeps(self, pim, cpu, budget, param, grid):
+        points = (POINT, WorkloadPoint(7, 1040, 24), WorkloadPoint(3000, 16, 96))
+        table = self.sweep(pim, cpu, param, grid, budget, points)
+        assert table.shape == (len(points) * len(grid), 5)
+        alone = np.vstack([self.sweep(pim, cpu, param, grid, budget, (p,)) for p in points])
+        assert table.tobytes() == alone.tobytes()
+        assert self.sweep(pim, cpu, param, grid, budget, ()).shape == (0, 5)

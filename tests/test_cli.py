@@ -27,6 +27,7 @@ from bitlet import (FieldError, InputError, InvalidProgram, NonFiniteResult, OpK
                     WorkloadPoint, cli)
 from bitlet.analysis import SWEEP_PARAMS
 from bitlet.config import ConfigError, load_config, parse_config
+from bitlet.model import evaluate
 from reference import perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim, reference_columns
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -114,6 +115,42 @@ class TestSweep:
         assert code == cli.EXIT_OK
         assert stdout.splitlines()[2:] == ["or%s%d,32,3276.8,85.3333,3276.8,85.3333",
                                            "or%s%d,33,3177.5,85.3333,3177.5,85.3333"]
+
+
+class TestOneEvaluatePerCommand:
+    """A model command evaluates every workload, and every grid value of a
+    sweep, in one call of the kernel."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["crossover"], ["power"],
+        *(["sweep", "--param", param, "--grid", grid] for param, grid in (
+            ("OC", "1:1e5:50:log"), ("PAC", "0:10:3"), ("MAT", "1:1e6:50:log"),
+            ("BW", "1:1e4:20:log"), ("DIO", "1:512:9"), ("TDP", "0.1:1000:50:log")))],
+        ids=lambda argv: "-".join(argv[::2]))
+    def test_one_call_on_the_benchmark_config(self, tmp_path, argv):
+        with mock.patch("bitlet.cli.evaluate", wraps=evaluate) as in_cli, \
+                mock.patch("bitlet.analysis.evaluate", wraps=evaluate) as in_analysis:
+            code, _ = run(argv[:1] + ["--config", CONFIG, "--out", str(tmp_path / "out")]
+                          + argv[1:])
+        assert code == cli.EXIT_OK
+        assert in_cli.call_count + in_analysis.call_count == 1
+
+
+class TestNoWorkloads:
+    EMPTY = {"power": {"tdp_watts": 20}, "workloads": []}
+
+    @pytest.mark.parametrize("command,csv_doc,json_doc", [
+        ("eval", "no workloads in config\n", "[]\n"),
+        ("crossover", "# bitlet crossover\nname,dio_bits,pac_cycles,crossover_oc,"
+                      "cpu_wins_at_oc,energy_breakeven_oc\n", "[]\n"),
+        ("power", "# bitlet power tdp_watts=20\n# mat_power_cap=1953\nname,oc_cycles,"
+                  "pac_cycles,dio_bits,pim_gops,pl_pim_gops,cpu_gops,pl_cpu_gops,"
+                  "pim_pj_per_op,cpu_pj_per_op\n",
+         '{\n  "tdp_watts": 20.0,\n  "mat_power_cap": 1953,\n  "workloads": []\n}\n')])
+    def test_header_or_empty_document(self, tmp_path, command, csv_doc, json_doc):
+        path = write_config(tmp_path, self.EMPTY)
+        for fmt, doc in (("csv", csv_doc), ("json", json_doc)):
+            assert run([command, "--config", path, "--format", fmt]) == (cli.EXIT_OK, doc)
 
 
 OVERFLOWING = {

@@ -6,7 +6,7 @@ import pytest
 
 from bitlet import (CpuMachine, FieldError, LayoutSpec, OpKind, OpSpec, PimMachine,
                     PowerBudget, Workload)
-from bitlet.config import DEFAULT_CPU, DEFAULT_PIM, ConfigError, parse_config
+from bitlet.config import CPU_KEYS, PIM_KEYS, ConfigError, parse_config
 
 FULL = """
 {
@@ -115,6 +115,7 @@ class TestParsing:
         assert cfg.cpu.energy_per_bit_pj == 15.0
         assert cfg.power is None
         assert cfg.workloads == ()
+        assert (cfg.pim, cfg.cpu) == (PimMachine(), CpuMachine())  # the types' own defaults
 
     def test_partial_sections_keep_other_defaults(self):
         cfg = parse_config('{"pim": {"mats": 16384}}')
@@ -150,7 +151,7 @@ EVERY_KEY = {
                               "needs_vertical_relocation": True}}],
 }
 LAYOUT = ("workloads", 0, "layout")
-NULLABLE = ([("pim", key) for key in DEFAULT_PIM] + [("cpu", key) for key in DEFAULT_CPU]
+NULLABLE = ([("pim", key) for key in PIM_KEYS] + [("cpu", key) for key in CPU_KEYS]
             + [("pim",), ("cpu",), ("power",), ("workloads", 0, "op"), LAYOUT]
             + [(*LAYOUT, key) for key in ("misaligned_subsets", "element_width_bits",
                                           "needs_vertical_relocation")])

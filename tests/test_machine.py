@@ -33,6 +33,8 @@ def test_cpu_constructors():
     assert CpuMachine.from_tbps(4).bandwidth_bps == 4 * 1024e9
     assert CpuMachine.from_gbps(4096).bandwidth_bps == 4096e9
     assert CpuMachine.from_gbps(1).bandwidth_gbps == 1.0
+    assert CpuMachine.from_gbps() == CpuMachine() == CpuMachine.from_tbps(4)
+    assert CpuMachine.from_gbps(1, energy_per_bit_pj=2.0).energy_per_bit_pj == 2.0
     with pytest.raises(ValueError):
         CpuMachine(bandwidth_bps=0)
     with pytest.raises(ValueError):
@@ -68,11 +70,6 @@ def test_a_broken_rule_names_its_field(make, text):
     with pytest.raises(FieldError) as err:
         make()
     assert str(err.value) == text
-
-
-def test_workload_total_cycles():
-    assert WorkloadPoint(oc_cycles=144, pac_cycles=1040).pim_cycles == 1184
-    assert WorkloadPoint(oc_cycles=7).pim_cycles == 7
 
 
 def test_power_budget_positive():

@@ -76,7 +76,8 @@ class TestPowerLimitedPim:
             point = w(int(rng.integers(1, 32768)), int(rng.integers(0, 2048)))
             value = pl_perf_pim(pim, point, budget).ops_per_second
             assert value <= perf_pim(pim, point).ops_per_second * (1 + 1e-12)
-            cap = budget.tdp_watts / (pim.energy_per_cycle_j * point.pim_cycles)
+            cap = budget.tdp_watts / (pim.energy_per_cycle_j
+                                       * (point.oc_cycles + point.pac_cycles))
             assert value <= cap * (1 + 1e-12)
 
     def test_power_identity_when_capped(self, budget):
