@@ -64,12 +64,8 @@ EVAL_COLUMNS = ("name", "oc_cycles", "pac_cycles", "dio_bits", "pim_gops", "cpu_
                 "energy_ratio")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    return f"{value:.6g}"
 
 
 def _field(text: str) -> str:

@@ -77,11 +77,6 @@ def pac_of(layout: LayoutSpec, pim: PimMachine) -> int:
     return cycles
 
 
-def subset_of_row(row: int, rows: int, k: int) -> int:
-    """Contiguous-block row partition: which subset owns this row."""
-    return min(row * k // rows, k - 1) if k > 0 else 0
-
-
 def relocation_program(layout: LayoutSpec, pim: PimMachine) -> NorProgram:
     """Emit the move-only program realizing a layout's relocation.
 

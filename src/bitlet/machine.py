@@ -115,14 +115,6 @@ class CpuMachine:
         positive(bandwidth_gbps=gbps)   # named in the unit it is given in
         return cls(bandwidth_bps=gbps * GBPS, **fields)
 
-    @classmethod
-    def from_tbps(cls, tbps: float, **fields) -> "CpuMachine":
-        return cls(bandwidth_bps=tbps * TBPS, **fields)
-
-    @property
-    def bandwidth_gbps(self) -> float:
-        return self.bandwidth_bps / GBPS
-
     @property
     def energy_per_bit_j(self) -> float:
         return self.energy_per_bit_pj * PJ

@@ -47,14 +47,14 @@ fan-in 0. The constructor takes the columns, and it is the only way in.
 It refuses what no column can hold: an array column of another length, an
 entry outside its column's dtype (narrowing would wrap it) and an op code
 none of the three. The ``Nor``/``HMove``/``VMove`` objects are a
-read-only view: ``NorProgram.instructions`` is a sequence that equals and
-hashes as the tuple of them. It builds new ones from the columns on each
-access, 1024 at a time, so a walk holds one chunk of objects: about
-0.16 MB over the 65552 moves of a 65536-row relocation, whose tuple
-takes 10 MB. An error text prints one. Validation states each rule once,
-as a boolean mask over a run of one op code and the message of an
-instruction it flags. It reads the int32 columns through uint32 views and
-sums ``row + offset`` in int64, so no rule sees a wrapped value.
+read-only view: each access of ``NorProgram.instructions`` starts a new
+forward walk over them, which builds new ones from the columns 1024 at a
+time, so it holds one chunk of objects: about 0.16 MB over the 65552
+moves of a 65536-row relocation, whose tuple takes 10 MB. An error text
+prints one. Validation states each rule once, as a boolean mask over a
+run of one op code and the message of an instruction it flags. It reads
+the int32 columns through uint32 views and sums ``row + offset`` in
+int64, so no rule sees a wrapped value.
 
 Execution. ``run`` executes on the state it is given, in place, and
 returns that state: a caller that needs the initial state afterwards
@@ -107,7 +107,9 @@ matters as much as its row bandwidth, and the same code serves both:
     kind; ``validate`` returns the runs it found, ``run`` executes from
     them, and makes plane views only for a program with NORs;
   * each delta swap of ``pack_ints``/``unpack_ints`` is five in-place
-    ufunc calls, and ``_shift_rows`` reads its source words in place.
+    ufunc calls, and ``_shift_rows`` reads its source words by one
+    ``take``, a copy one word per plane larger than the shifted block it
+    builds anyway.
 
 Shape rule. In a stretch of in-array moves with one offset and one
 (col_lo, col_hi), whose rows step by exactly -sign(offset), no move reads
@@ -139,9 +141,8 @@ instructions (``NorProgram.__eq__``); there is no parser back::
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -156,9 +157,6 @@ class Nor:
 
     dest: int
     srcs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "srcs", tuple(self.srcs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,54 +250,14 @@ def _top(column: np.ndarray) -> int:
 _CHUNK = 1024      # instructions a walk of ``instructions`` builds at a time
 
 
-class _Instructions(Sequence):
-    """``NorProgram.instructions``: the tuple of a program's instruction
-    objects in all but memory. A slice is a tuple; a walk builds the
-    objects ``_CHUNK`` at a time, so it holds one chunk, never them all."""
-
-    __slots__ = ("_program",)
-
-    def __init__(self, program: NorProgram):
-        self._program = program
-
-    def __len__(self) -> int:
-        return len(self._program)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            picked = range(*index.indices(len(self)))
-            if not picked:
-                return ()
-            lo = min(picked)
-            objects = self._program._materialize(lo, max(picked) + 1)
-            return tuple(objects[i - lo] for i in picked)
-        i = operator.index(index)
-        if not -len(self) <= i < len(self):
-            raise IndexError("instruction index out of range")
-        i %= len(self)
-        return self._program._materialize(i, i + 1)[0]
-
-    def __iter__(self):
-        for start in range(0, len(self), _CHUNK):
-            yield from self._program._materialize(start, min(start + _CHUNK, len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _Instructions)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
 class NorProgram:
     """An ordered instruction sequence plus its declared column interface.
 
     The instructions are held as read-only columns (see the module
-    docstring). ``instructions`` is a view that equals the tuple of
-    ``Nor``, ``HMove`` and ``VMove`` objects: each access builds new ones
-    from the columns, and a walk builds one chunk of 1024 at a time, so
-    it holds one chunk of objects, never the whole program.
+    docstring). Each access of ``instructions`` is a new forward walk over
+    them as ``Nor``, ``HMove`` and ``VMove`` objects, built from the
+    columns one chunk of 1024 at a time, so it holds one chunk of
+    objects, never the whole program.
     """
 
     __slots__ = ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi",
@@ -381,9 +339,10 @@ class NorProgram:
         return hash(self._key())
 
     @property
-    def instructions(self) -> _Instructions:
-        """Every instruction as an object: a new view on each access."""
-        return _Instructions(self)
+    def instructions(self) -> Iterator[Instr]:
+        """Every instruction as an object, in order: a new walk on each access."""
+        for start in range(0, len(self), _CHUNK):
+            yield from self._materialize(start, min(start + _CHUNK, len(self)))
 
     def _segments(self, start: int, stop: int) -> list[tuple[int, int, int]]:
         """(op, first, end) of each run of one op code within start..stop-1."""
@@ -605,26 +564,23 @@ _SHIFTS = tuple(np.array(s, dtype=_WORD) for s in range(WORD_BITS))   # see _TRA
 def _shift_rows(planes: np.ndarray, s0: int, s1: int, off: int) -> None:
     """Copy rows s0..s1-1 of every plane to rows s0+off..s1+off-1.
 
-    Every source bit is read before any is written. The destination words
-    between the first and the last are overwritten whole; those two keep
-    their bits outside the destination rows, under masks built from two
-    Python ints.
+    The source words are copied out, by one ``take``, before any is
+    written. The destination words between the first and the last are
+    overwritten whole; those two keep their bits outside the destination
+    rows, under masks built from two Python ints.
     """
     d0, d1 = (s0 + off) // WORD_BITS, (s1 + off - 1) // WORD_BITS + 1
     n = d1 - d0
     # bit 0 of destination word d0 is bit r of source word q; the n + 1
-    # words from q on are read
+    # words from q on are read, and a word past an end of the array reads
+    # as that end's word: the bits it lends fall outside the destination rows
     q, r = divmod(WORD_BITS * d0 - off, WORD_BITS)
-    if 0 <= q and q + n < planes.shape[1]:
-        src = planes[:, q:q + n + 1]
-    else:   # a word past an end of the array reads as that end's word: the
-            # bits it lends fall outside the destination rows
-        src = planes.take(np.arange(q, q + n + 1), axis=1, mode="clip")
+    src = planes.take(np.arange(q, q + n + 1), axis=1, mode="clip")
     if r:
         moved = src[:, :-1] >> _SHIFTS[r]
         moved |= src[:, 1:] << _SHIFTS[WORD_BITS - r]
-    else:
-        moved = src[:, :-1].copy()
+    else:             # src is a copy already
+        moved = src[:, :-1]
     first = (_ONES << (s0 + off) % WORD_BITS) & _ONES
     last = _ONES >> -(s1 + off) % WORD_BITS
     masks = np.array([first, last] if n > 1 else [first & last], dtype=_WORD)

@@ -127,7 +127,8 @@ PAC_LAYOUTS = tuple(product(range(5), PAC_WIDTHS, (False, True)))
 
 
 def _subsets(row: np.ndarray, rows: int, blocks) -> np.ndarray:
-    """``layout.subset_of_row(r, rows, blocks)`` of every entry r of `row`.
+    """The subset ``min(r * k // rows, k - 1)`` of the contiguous-block row
+    partition into k = `blocks` subsets that owns each entry r of `row`.
 
     The formula is restated here rather than read from the relocation
     program's own row blocks, so the check stays independent of the

@@ -12,7 +12,8 @@ builds a program from them through the columns constructor, and
 semantics and the validity rules that ``run`` and ``validate`` apply to
 whole runs of columns. The rules use Python ints, which never wrap.
 
-``relocation_agreement`` is the 64-row ``pac-agreement`` check of
+``subset_of_row`` is the row partition the relocation program's outputs
+own, one row at a time. ``relocation_agreement`` is the 64-row ``pac-agreement`` check of
 ``validation`` as it ran before it was batched: each layout's move program
 alone on an array of its own.
 """
@@ -220,6 +221,7 @@ def reference_error(instrs, rows: int, cols: int, max_fanin: int) -> str | None:
     The constructor refuses the first unknown op code, wherever it stands;
     otherwise it is the first instruction-by-instruction validation failure.
     """
+    instrs = tuple(instrs)      # walked twice; a program's walk only once
     for i, ins in enumerate(instrs):
         if isinstance(ins, BadOp):
             return f"instruction {i}: op code {ins.op} is not NOR, HMOVE or VMOVE"
@@ -228,6 +230,11 @@ def reference_error(instrs, rows: int, cols: int, max_fanin: int) -> str | None:
         if problem is not None:
             return f"instruction {i}: {ins!r}: {problem}"
     return None
+
+
+def subset_of_row(row: int, rows: int, k: int) -> int:
+    """Contiguous-block row partition: which of k subsets owns this row."""
+    return min(row * k // rows, k - 1) if k > 0 else 0
 
 
 def relocation_agreement(relocation_program) -> tuple[bool, str]:

@@ -9,6 +9,7 @@ import bitlet
 from bitlet import (CpuMachine, FieldError, InputError, LayoutSpec, OpKind, OpSpec, PimMachine,
                     PowerBudget, WorkloadPoint)
 from bitlet.analysis import Workload, sweep
+from bitlet.machine import TBPS
 from bitlet.model import TIE_REL_TOL, Evaluation, Points, evaluate
 from reference import (crossover_oc, energy_breakeven_oc, energy_per_op_cpu, energy_per_op_pim,
                        perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim)
@@ -38,11 +39,11 @@ def at(pim, cpu, point, power=None) -> Evaluation:
 
 class TestCrossover:
     def test_reference_points(self, pim):
-        assert crossover_oc(pim, CpuMachine.from_tbps(4), 24) == \
+        assert crossover_oc(pim, CpuMachine(bandwidth_bps=4 * TBPS), 24) == \
             pytest.approx(614.4, rel=1e-12)
-        assert crossover_oc(pim, CpuMachine.from_tbps(1), 24) == \
+        assert crossover_oc(pim, CpuMachine(bandwidth_bps=1 * TBPS), 24) == \
             pytest.approx(2457.6, rel=1e-12)
-        assert crossover_oc(pim, CpuMachine.from_tbps(1), 48) == \
+        assert crossover_oc(pim, CpuMachine(bandwidth_bps=1 * TBPS), 48) == \
             pytest.approx(4915.2, rel=1e-12)
 
     def test_pac_consumes_the_whole_budget(self, pim, cpu):
@@ -109,7 +110,7 @@ class TestLitmus:
 
     def test_multiply_flips_at_low_bandwidth(self, pim):
         w = Workload("mpy16", 48, op=OpSpec(OpKind.MPY, 16))
-        v = at(pim, CpuMachine.from_tbps(1), w.resolve(pim))
+        v = at(pim, CpuMachine(bandwidth_bps=1 * TBPS), w.resolve(pim))
         assert v.winner == "PIM"
         assert v.cpu_gops == pytest.approx(21.3333333, rel=1e-6)
 
@@ -136,7 +137,7 @@ class TestLitmus:
         # is ahead (1024*1024 / (4096 * 10 ns) = 25.6 vs 512e9/24 = 21.33
         # GOPS); under 1 W each side runs at TDP / pJ-per-op, and the CPU
         # spends less energy per op (360 vs 409.6 pJ), so it wins
-        cpu = CpuMachine.from_tbps(0.5)
+        cpu = CpuMachine(bandwidth_bps=0.5 * TBPS)
         w = Workload("oc4096", 24, oc_override=4096).resolve(pim)
         raw = at(pim, cpu, w)
         assert raw.winner == "PIM"
@@ -155,7 +156,7 @@ class TestLitmus:
         # ahead (3276.8 vs 682.7 GOPS) and it spends 112.5x less energy per
         # op (3.2 vs 360 pJ). Capped at 1 W each side runs at TDP / pJ-per-op,
         # so the memory side stays ahead by the same 112.5x
-        cpu = CpuMachine.from_tbps(16)
+        cpu = CpuMachine(bandwidth_bps=16 * TBPS)
         w = Workload("or16", 24, op=OpSpec(OpKind.OR, 16)).resolve(pim)
         raw = at(pim, cpu, w)
         assert raw.winner == "PIM"
@@ -185,9 +186,9 @@ class TestLitmus:
 
     @settings(max_examples=300, deadline=None)
     @given(capped_scenarios())
-    @example((PimMachine(), CpuMachine.from_tbps(16), WorkloadPoint(32, 0, 24),
+    @example((PimMachine(), CpuMachine(bandwidth_bps=16 * TBPS), WorkloadPoint(32, 0, 24),
               PowerBudget(1.0)))
-    @example((PimMachine(), CpuMachine.from_tbps(0.5), WorkloadPoint(4096, 0, 24),
+    @example((PimMachine(), CpuMachine(bandwidth_bps=0.5 * TBPS), WorkloadPoint(4096, 0, 24),
               PowerBudget(1.0)))
     def test_capped_verdict_follows_energy_per_op(self, scenario):
         # each side is capped at min(raw, TDP / pJ-per-op), so a budget can

@@ -5,11 +5,10 @@ import pytest
 
 import bitlet
 from bitlet import FieldError, InputError, PimMachine, WorkloadPoint
-from bitlet.layout import (ColumnOverflow, LayoutSpec, RowOverflow, pac_of,
-                           relocation_program, subset_of_row)
+from bitlet.layout import ColumnOverflow, LayoutSpec, RowOverflow, pac_of, relocation_program
 from bitlet.simulator import (ArrayState, ColRange, HMove, VMove, pack_ints, run, to_text,
                               unpack_ints)
-from reference import from_objects, perf_pim, reference_run, sources_are_padded
+from reference import from_objects, perf_pim, reference_run, sources_are_padded, subset_of_row
 
 
 def layout(n=16, k=0, vertical=False, **kw):

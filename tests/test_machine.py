@@ -30,10 +30,10 @@ def test_pim_rejects_bad_values(kwargs):
 
 
 def test_cpu_constructors():
-    assert CpuMachine.from_tbps(4).bandwidth_bps == 4 * 1024e9
+    assert CpuMachine(bandwidth_bps=4 * TBPS).bandwidth_bps == 4 * 1024e9
     assert CpuMachine.from_gbps(4096).bandwidth_bps == 4096e9
-    assert CpuMachine.from_gbps(1).bandwidth_gbps == 1.0
-    assert CpuMachine.from_gbps() == CpuMachine() == CpuMachine.from_tbps(4)
+    assert CpuMachine.from_gbps(1).bandwidth_bps == 1e9
+    assert CpuMachine.from_gbps() == CpuMachine() == CpuMachine(bandwidth_bps=4 * TBPS)
     assert CpuMachine.from_gbps(1, energy_per_bit_pj=2.0).energy_per_bit_pj == 2.0
     with pytest.raises(ValueError):
         CpuMachine(bandwidth_bps=0)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitlet import CpuMachine, PimMachine, PowerBudget, WorkloadPoint
+from bitlet.machine import TBPS
 from bitlet.model import NonFiniteResult, Points, evaluate, mat_power_cap
 from reference import (energy_per_op_cpu, energy_per_op_pim, perf_cpu, perf_pim, pl_perf_cpu,
                        pl_perf_pim, reference_columns)
@@ -131,7 +132,7 @@ class TestPerfCpu:
         (16, 24, 682.6666666666666),
     ])
     def test_reference_points(self, tbps, dio, gops):
-        cpu = CpuMachine.from_tbps(tbps)
+        cpu = CpuMachine(bandwidth_bps=tbps * TBPS)
         assert perf_cpu(cpu, w(1, 0, dio)).gops == pytest.approx(gops, rel=1e-12)
 
     def test_ignores_pim_parameters(self, cpu):
@@ -146,7 +147,7 @@ class TestPowerLimitedCpu:
         (160, 444.44444444444446),
     ])
     def test_reference_points(self, tdp, gops):
-        cpu = CpuMachine.from_tbps(16)
+        cpu = CpuMachine(bandwidth_bps=16 * TBPS)
         value = pl_perf_cpu(cpu, w(1, 0, 24), PowerBudget(tdp))
         assert value.gops == pytest.approx(gops, rel=1e-12)
 

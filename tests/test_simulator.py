@@ -516,9 +516,8 @@ class TestColumnarForm:
 
     def test_instructions_are_rebuilt_as_plain_objects(self):
         p = prog(*self.INSTRS, max_fanin=4)
-        got = p.instructions
+        got = tuple(p.instructions)
         assert got == self.INSTRS
-        assert got is not p.instructions        # a new tuple on each access
         assert [type(i) for i in got] == [type(i) for i in self.INSTRS]
         for ins in got:
             for field in dataclasses.fields(ins):
@@ -538,7 +537,7 @@ class TestColumnarForm:
             crosses=[False] * 5 + [True], max_fanin=4)
         q = prog(*self.INSTRS, max_fanin=4)
         assert p == q and hash(p) == hash(q)
-        assert p.instructions == self.INSTRS
+        assert tuple(p.instructions) == self.INSTRS
         assert to_text(p) == to_text(q)
         assert p.cols_required == q.cols_required == 6
 
@@ -590,7 +589,7 @@ class TestColumnarForm:
         else:
             p = NorProgram([OP_VMOVE] * 2, [-1, -1], [[-1], [-1]], [0, 0],
                            [-1, -1], [1, 1], [2, 2], [5, 6], [False, True])
-        assert p.instructions[0] == VMove(-1, 1, 2, 5)
+        assert next(p.instructions) == VMove(-1, 1, 2, 5)
         for name in ("op", "dest", "srcs", "fanin", "offset", "col_lo", "col_hi", "row",
                      "crosses"):
             column = getattr(p, name)
@@ -607,7 +606,7 @@ class TestColumnarForm:
 
     def test_empty_program(self):
         p = prog()
-        assert len(p) == 0 and p.instructions == ()
+        assert len(p) == 0 and tuple(p.instructions) == ()
         assert p.cols_required == 1 and to_text(p) == ""
         assert prog(outputs=(ColRange("x", 3, 4),)).cols_required == 7
         state = ArrayState(np.eye(3, dtype=bool))
@@ -627,8 +626,8 @@ class TestColumnarForm:
                 with pytest.raises(InvalidProgram, match=rf"^column {name} has shape "
                                                          rf"\({len(entries)},\), not \(2,\)$"):
                     NorProgram(**{**legal, name: entries})
-        assert NorProgram(**{**legal, "offset": -1}).instructions == (VMove(-1, 0, 0, 1),
-                                                                     VMove(-1, 0, 0, 2))
+        assert tuple(NorProgram(**{**legal, "offset": -1}).instructions) == (
+            VMove(-1, 0, 0, 1), VMove(-1, 0, 0, 2))
         # srcs narrower than the widest fan-in
         with pytest.raises(InvalidProgram, match=r"^column srcs has shape \(1, 1\), not \(1, 2\)$"):
             NorProgram(OP_NOR, [2], [[0]], fanin=[2])
@@ -684,38 +683,23 @@ def chunk_edge_programs(draw):
 
 
 class TestInstructionView:
-    """``NorProgram.instructions`` behaves as the tuple of the objects."""
+    """Each access of ``NorProgram.instructions`` walks the objects forward."""
 
     @settings(max_examples=60, deadline=None)
     @given(random_programs().map(lambda case: case[0]) | chunk_edge_programs())
     def test_a_walk_equals_the_whole_program_built_at_once(self, p):
         assert tuple(p.instructions) == p._materialize(0, len(p))
 
-    @pytest.mark.parametrize("k", [6, 2049])
-    def test_indexing_and_slicing_equal_the_tuple(self, k):
-        p = (prog(*TestColumnarForm.INSTRS, max_fanin=4) if k == 6 else
-             long_program(k, [1022, 1030], [OP_VMOVE, OP_NOR, OP_HMOVE], seed=k))
-        view, whole = p.instructions, p._materialize(0, k)
-        assert len(view) == k
-        assert view[0] == whole[0] and view[-1] == whole[-1] and view[-k] == whole[0]
-        for bad in (k, -k - 1):
-            with pytest.raises(IndexError):
-                view[bad]
-        for cut in (slice(1, 5), slice(1020, 1030), slice(None, None, 2), slice(3, None, 2),
-                    slice(5, 1), slice(5, 1, -1), slice(None, None, -2), slice(k - 2, 10**9)):
-            got = view[cut]
-            assert type(got) is tuple and got == whole[cut], cut
-
-    def test_equals_and_hashes_as_the_tuple(self):
+    def test_each_access_is_a_new_forward_walk(self):
         p = prog(*TestColumnarForm.INSTRS, max_fanin=4)
-        view = p.instructions
-        assert view == TestColumnarForm.INSTRS and TestColumnarForm.INSTRS == view
-        assert view == p.instructions and hash(view) == hash(TestColumnarForm.INSTRS)
-        assert view != TestColumnarForm.INSTRS[:-1] and view != list(TestColumnarForm.INSTRS)
-        assert view[0] is not view[0]               # new objects on each access
-        assert prog().instructions == () and hash(prog().instructions) == hash(())
-        with pytest.raises(TypeError):
-            view[0] = view[1]
+        walk, other = p.instructions, p.instructions
+        assert iter(walk) is walk
+        assert next(walk) == TestColumnarForm.INSTRS[0]
+        assert tuple(other) == TestColumnarForm.INSTRS       # not moved on by walk
+        assert tuple(walk) == TestColumnarForm.INSTRS[1:]
+        assert tuple(walk) == () and tuple(other) == ()      # exhausted walks yield nothing
+        assert next(p.instructions) is not next(p.instructions)   # new objects each walk
+        assert tuple(prog().instructions) == ()
 
 
 @st.composite
@@ -844,6 +828,22 @@ class TestShapeRule:
         bits = np.random.default_rng(3).integers(0, 2, (rows, 4)).astype(bool)
         final, _ = run(prog(*moves), ArrayState(bits))
         assert len(shift_calls) == 1
+        assert np.array_equal(final.bits, reference_run(prog(*moves), bits)[0])
+
+    # 640 rows are 10 words; the 120 source rows of each stretch lie clear of
+    # both end words, or its read of n + 1 source words starts before word 0
+    # or runs past word 9, which the read clips to the end word
+    @pytest.mark.parametrize("first,offset", [(200, -70), (319, 70), (119, 70), (520, -70)],
+                             ids=["inside-up", "inside-down", "before-first-word",
+                                  "past-last-word"])
+    def test_stretch_inside_or_at_an_end_word_is_one_word_shift(self, shift_calls, first,
+                                                                offset):
+        rows, step = 640, -np.sign(offset)
+        moves = [VMove(offset, 1, 2, first + step * i) for i in range(120)]
+        bits = np.random.default_rng(5).integers(0, 2, (rows, 4)).astype(bool)
+        final, _ = run(prog(*moves), ArrayState(bits))
+        assert shift_calls == [(min(first, first + step * 119),
+                                max(first, first + step * 119) + 1, offset)]
         assert np.array_equal(final.bits, reference_run(prog(*moves), bits)[0])
 
     def test_ascending_rows_with_a_positive_offset_copy_the_first_row_through(self):

@@ -3,11 +3,11 @@ import pytest
 
 from bitlet import cli, validation
 from bitlet.catalog import OpKind, microprogram_of
-from bitlet.layout import LayoutSpec, pac_of, relocation_program, subset_of_row
+from bitlet.layout import LayoutSpec, pac_of, relocation_program
 from bitlet.machine import PimMachine
 from bitlet.simulator import OP_HMOVE, OP_VMOVE, Nor, run
 from bitlet.validation import PAC_LAYOUTS, _subsets, run_validation
-from reference import from_objects, rebuilt, relocation_agreement
+from reference import from_objects, rebuilt, relocation_agreement, subset_of_row
 
 
 def test_every_self_check_passes():
