@@ -19,6 +19,9 @@ workload (`_table`) and write them with one writer (`_document`), and
 `sweep` gets every workload at every grid value from one `analysis.sweep`
 call. CSV bodies are formatted as blocks: one printf pattern per row,
 repeated, and a single %-format over the block's cells in row-major order.
+A column of an array block that is bit-identical down the block is
+formatted once, into the pattern, so the %-format runs over the other
+columns only.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad input,
 3 output I/O failure. Every bad input raises `InputError`, which `main`
@@ -76,11 +79,21 @@ def _field(text: str) -> str:
     return text
 
 
-def _block(pattern: str, rows) -> str:
-    """CSV lines for a 2-D array or a list of tuples; `pattern` formats one row."""
-    cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
-             else [v for row in rows for v in row])
-    return ((pattern + "\n") * len(rows)) % tuple(cells)
+def _block(formats: Sequence[str], rows, prefix: str = "") -> str:
+    """CSV lines for a 2-D float64 array or a list of tuples: each row is
+    `prefix` (a %-pattern) then one cell per column, in its conversion of
+    `formats`. An array column that holds one bit pattern down the block is
+    formatted once, into the row pattern; float ``==`` would merge -0.0 and
+    0.0, which print as ``-0`` and ``0``, and never holds for NaN."""
+    if isinstance(rows, np.ndarray) and len(rows):
+        bits = rows.view(np.uint64)
+        same = (bits == bits[0]).all(axis=0)
+        formats = [(f % v).replace("%", "%%") if s else f
+                   for f, v, s in zip(formats, rows[0].tolist(), same.tolist())]
+        cells = rows[:, ~same].ravel().tolist()
+    else:
+        cells = [v for row in rows for v in row]
+    return ((prefix + ",".join(formats) + "\n") * len(rows)) % tuple(cells)
 
 
 def _csv(meta: list[str], columns: Sequence[str], body: str) -> str:
@@ -155,8 +168,8 @@ def _document(fmt: str, meta: list[str], cols: Sequence[str], rows: list[tuple],
     if fmt == "json":
         records = [dict(zip(cols, row)) for row in rows]
         return json.dumps(records if wrap is None else wrap(records), indent=2) + "\n"
-    pattern = ",".join(_CELL[type(v)] for v in rows[0]) if rows else ""
-    return _csv(meta, cols, _block(pattern, [
+    formats = [_CELL[type(v)] for v in rows[0]] if rows else []
+    return _csv(meta, cols, _block(formats, [
         [_field(v) if isinstance(v, str) else v for v in row] for row in rows]))
 
 
@@ -221,7 +234,7 @@ def cmd_sweep(args) -> int:
         doc = json.dumps([dict(zip(cols, (name, *r))) for name, block in blocks
                           for r in block.tolist()], indent=2) + "\n"
     else:
-        body = "".join(_block(_field(name).replace("%", "%%") + ",%.6g" * 5, block)
+        body = "".join(_block(("%.6g",) * 5, block, _field(name).replace("%", "%%") + ",")
                        for name, block in blocks)
         doc = _csv([f"bitlet sweep param={param} grid={args.grid}"], cols, body)
     return _emit(doc, args.out)
@@ -254,7 +267,7 @@ def _reproduce_fig1() -> str:
     rows.sort(key=lambda r: (r[1], r[0]))
     return _csv(["bitlet reproduce fig1: operation complexity in cycles"],
                 ["n", "op", "oc"],
-                _block("%d,%s,%d", rows))
+                _block(("%d", "%s", "%d"), rows))
 
 
 def _reproduce_fig2(power: PowerBudget | None = None) -> str:
@@ -282,7 +295,7 @@ def _reproduce_fig2(power: PowerBudget | None = None) -> str:
             f"bw_tbps={','.join(map(str, FIG_BWS_TBPS))}"]
     if power is not None:
         meta.append(f"tdp_watts={_fmt(power.tdp_watts)}")
-    return _csv(meta, cols, _block("%d" + ",%.6g" * (len(cols) - 1), table))
+    return _csv(meta, cols, _block(("%d",) + ("%.6g",) * (len(cols) - 1), table))
 
 
 def cmd_reproduce(args) -> int:

@@ -12,6 +12,10 @@ builds a program from them through the columns constructor, and
 semantics and the validity rules that ``run`` and ``validate`` apply to
 whole runs of columns. The rules use Python ints, which never wrap.
 
+``reference_block`` is the CLI's CSV block writer as it was before it
+baked constant columns into the row pattern: one conversion per cell, in a
+single %-format over the block.
+
 ``subset_of_row`` is the row partition the relocation program's outputs
 own, one row at a time. ``relocation_agreement`` is the 64-row ``pac-agreement`` check of
 ``validation`` as it ran before it was batched: each layout's move program
@@ -230,6 +234,13 @@ def reference_error(instrs, rows: int, cols: int, max_fanin: int) -> str | None:
         if problem is not None:
             return f"instruction {i}: {ins!r}: {problem}"
     return None
+
+
+def reference_block(pattern: str, rows) -> str:
+    """CSV lines for a 2-D array or a list of tuples; `pattern` formats one row."""
+    cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
+             else [v for row in rows for v in row])
+    return ((pattern + "\n") * len(rows)) % tuple(cells)
 
 
 def subset_of_row(row: int, rows: int, k: int) -> int:

@@ -19,16 +19,19 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bitlet import (FieldError, InputError, InvalidProgram, NonFiniteResult, OpKind,
                     WorkloadPoint, cli)
-from bitlet.analysis import SWEEP_PARAMS
+from bitlet.analysis import SWEEP_PARAMS, sweep
 from bitlet.config import ConfigError, load_config, parse_config
+from bitlet.machine import GBPS
 from bitlet.model import evaluate
-from reference import perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim, reference_columns
+from reference import (perf_cpu, perf_pim, pl_perf_cpu, pl_perf_pim, reference_block,
+                       reference_columns)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 CONFIG = str(BENCH / "config.json")
@@ -115,6 +118,104 @@ class TestSweep:
         assert code == cli.EXIT_OK
         assert stdout.splitlines()[2:] == ["or%s%d,32,3276.8,85.3333,3276.8,85.3333",
                                            "or%s%d,33,3177.5,85.3333,3177.5,85.3333"]
+
+
+# a cell value of a drawn block: the values whose text or bits are easy to
+# get wrong, or any float
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 3104.0]
+_CONVERSIONS = {"%.6g": st.sampled_from(_EDGE_FLOATS) | st.floats(),
+                "%d": (st.sampled_from([v for v in _EDGE_FLOATS if math.isfinite(v)])
+                       | st.floats(allow_nan=False, allow_infinity=False))}
+
+
+def _from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def blocks(draw):
+    """(formats, rows, prefix): a float64 block whose columns are each
+    constant or varying, one conversion per column and a %-escaped prefix."""
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 50))
+    formats = draw(st.lists(st.sampled_from(sorted(_CONVERSIONS)), min_size=1, max_size=6))
+    columns = []
+    for fmt in formats:
+        # a constant column has a pool of one value; a varying one picks each
+        # row's value from a pool of up to six by one drawn byte
+        pool = draw(st.lists(_CONVERSIONS[fmt], min_size=1,
+                             max_size=draw(st.sampled_from([1, 6]))))
+        picks = draw(st.binary(min_size=n, max_size=n))
+        columns.append([pool[b % len(pool)] for b in picks])
+    rows = np.ascontiguousarray(np.array(columns, dtype=np.float64).T)
+    prefix = draw(st.text(alphabet='a%,"', max_size=6)).replace("%", "%%")
+    return formats, rows, prefix
+
+
+class TestBlockWriter:
+    """`_block` bakes the columns that are constant down an array block into
+    the row pattern; its bytes equal one conversion per cell."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=blocks())
+    # -0.0 and 0.0 print apart; two NaN payloads print alike; a column equal
+    # only at its ends; no rows; one row, wholly baked, so no cell is left
+    @example(case=(["%.6g"], np.array([[-0.0], [0.0]]), ""))
+    @example(case=(["%.6g"], _from_bits([[0x7FF8000000000001], [0x7FF8000000000000]]), ""))
+    @example(case=(["%.6g", "%d"], np.array([[1.0, 3104.0], [2.0, 3104.0], [1.0, 3104.0]]),
+                   "a,"))
+    @example(case=(["%.6g", "%d", "%.6g"], np.empty((0, 3)), 'x%%,"'))
+    @example(case=(["%d", "%.6g", "%.6g"], np.array([[3104.0, math.nan, -0.0]]), "%%s,"))
+    def test_equals_one_conversion_per_cell(self, case):
+        formats, rows, prefix = case
+        assert cli._block(formats, rows, prefix) == reference_block(
+            prefix + ",".join(formats), rows)
+
+
+def reference_sweep(config, param, grid):
+    """The sweep CSV of `config`, written by the reference block writer over
+    `analysis.sweep`'s table, and which of its five columns are constant in
+    every workload's block."""
+    cfg = load_config(config)
+    scale = GBPS if param == "BW" else 1.0
+    table = sweep(param, cli._parse_grid(grid) * scale, cfg.pim, cfg.cpu,
+                  [w.resolve(cfg.pim) for w in cfg.workloads], cfg.power)
+    table[:, 0] /= scale
+    x_col = "bw_gbps" if param == "BW" else param.lower()
+    doc = (f"# bitlet sweep param={param} grid={grid}\n"
+           f"workload,{x_col},pim_gops,cpu_gops,pl_pim_gops,pl_cpu_gops\n")
+    constant = []
+    for w, block in zip(cfg.workloads, np.split(table, len(cfg.workloads))):
+        doc += reference_block(cli._field(w.name).replace("%", "%%") + ",%.6g" * 5, block)
+        bits = block.view(np.uint64)
+        constant.append((bits == bits[0]).all(axis=0).tolist())
+    return doc, constant
+
+
+class TestSweepConstantColumns:
+    """Sweeps whose blocks hold other sets of constant columns print what one
+    conversion per cell prints."""
+
+    X, PIM, CPU, PL_PIM, PL_CPU = range(5)
+
+    @pytest.mark.parametrize("param,grid,tdp,constant", [
+        ("OC", "5:5:1", 20, {X, PIM, CPU, PL_PIM, PL_CPU}),
+        ("BW", "1:1e4:20:log", 20, {PIM, PL_PIM}),
+        ("PAC", "0:10:11", 20, {CPU, PL_CPU}),
+        ("DIO", "1:512:9", 20, {PIM, PL_PIM}),
+        ("MAT", "1e3:1e6:20:log", 20, {CPU, PL_CPU}),
+        ("MAT", "1e3:1e6:20:log", 0.05, {CPU, PL_PIM, PL_CPU}),
+    ], ids=["one-step", "BW", "PAC", "DIO", "MAT", "MAT-capped"])
+    def test_bytes_equal_the_reference_writer(self, tmp_path, param, grid, tdp, constant):
+        doc = json.loads(Path(CONFIG).read_text())
+        doc["power"]["tdp_watts"] = tdp
+        path = write_config(tmp_path, doc)
+        want, constants = reference_sweep(path, param, grid)
+        assert [{i for i, c in enumerate(cols) if c} for cols in constants] == [constant] * 3
+        out = tmp_path / "out.csv"
+        code, _ = run(["sweep", "--config", path, "--param", param, "--grid", grid,
+                       "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert out.read_bytes() == want.encode()
 
 
 class TestOneEvaluatePerCommand:
