@@ -9,7 +9,8 @@ The library splits into:
                 broken one
     model       the evaluation kernel
     catalog     (operation, width) -> cycles, NOR program generators, ``execute``
-    simulator   row-parallel execution of NOR/move programs, and ``compose``
+    simulator   NOR/move programs held as columns, their row-parallel
+                execution on packed bit planes (``ArrayState``), and ``compose``
     layout      placement and alignment cycle pricing and move programs
     analysis    workloads and sweeps
     validation  oracle suite tying catalog numbers to simulated programs
@@ -24,7 +25,7 @@ from .machine import (CpuMachine, FieldError, InputError, PimMachine, PowerBudge
                       Throughput, WorkloadPoint)
 from .model import Evaluation, NonFiniteResult, Points, evaluate, mat_power_cap
 from .simulator import (ArrayState, ColRange, HMove, InvalidProgram, Nor, NorProgram, VMove,
-                        compose, run, to_text)
+                        compose, run)
 
 __version__ = "0.1.0"
 
@@ -35,5 +36,5 @@ __all__ = [
     "Points", "PowerBudget", "Throughput", "UnsupportedOperation",
     "UnsupportedWidth", "VMove", "Workload", "WorkloadPoint", "catalog_table",
     "compose", "evaluate", "execute", "mat_power_cap", "microprogram_of", "oc_of",
-    "pac_of", "relocation_program", "run", "sweep", "to_text",
+    "pac_of", "relocation_program", "run", "sweep",
 ]

@@ -120,14 +120,20 @@ def _load(args) -> Config:
     return load_config(path)
 
 
+def _grid_part(text: str, convert, rule: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise InputError(f"{rule}, got {text!r}") from None
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise InputError(f"grid must be lo:hi:steps[:log], got {spec!r}")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    lo = _grid_part(parts[0], float, "grid lower bound must be a number")
+    hi = _grid_part(parts[1], float, "grid upper bound must be a number")
+    steps = _grid_part(parts[2], int, "grid steps must be an integer in digits")
     scale = parts[3] if len(parts) == 4 else "lin"
     if scale not in ("log", "lin"):
         raise InputError(f"grid scale must be 'log' or 'lin', got {scale!r}")
@@ -222,8 +228,13 @@ def cmd_sweep(args) -> int:
     if not cfg.workloads:
         raise InputError("sweep needs at least one workload in the config")
     param = args.param.upper()
-    scale = GBPS if param == "BW" else 1.0  # BW grids are written in Gbps
-    table = sweep(param, _parse_grid(args.grid) * scale, cfg.pim, cfg.cpu,
+    grid, scale = _parse_grid(args.grid), 1.0
+    if param == "BW":   # the grid is written in Gbps, sweep takes bits/s
+        scale, limit = GBPS, sys.float_info.max / GBPS
+        if (np.isfinite(grid) & (grid > limit)).any():
+            raise InputError(f"BW grid values must be at most {_fmt(limit)} Gbps")
+        grid = np.maximum(grid, -limit)   # a lower one is refused as not > 0
+    table = sweep(param, grid * scale, cfg.pim, cfg.cpu,
                   [w.resolve(cfg.pim) for w in cfg.workloads], cfg.power)
     table[:, 0] /= scale                    # x back in the grid's unit
     blocks = zip((w.name for w in cfg.workloads), np.split(table, len(cfg.workloads)))

@@ -300,9 +300,17 @@ def parse_config(text: str, path: str = "<config>") -> Config:
 
 
 def load_config(path: str) -> Config:
+    """The config in the file at `path`, which must be UTF-8 (a byte order
+    mark is refused as invalid JSON)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            # line ends as text mode reads them: "\r\n" and "\r" become "\n"
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     except OSError as exc:
         raise ConfigError(path, f"cannot read config: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"invalid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                          data.count(b"\n", 0, exc.start) + 1) from None
     return parse_config(text, path)

